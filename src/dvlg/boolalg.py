@@ -26,7 +26,6 @@ from .errors import (
 from .rewrites import rename_bound, simplify
 
 __all__ = [
-    "MintermStatus",
     "IntervalAlgebraElem",
     "ba_qe",
     "ba_decide",
@@ -34,45 +33,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MintermStatus:
-    """Emptiness pattern of the minterms over an ordered variable list."""
-
-    variables: tuple[str, ...]
-    status: tuple[str, ...]  # each "forced-empty" | "forced-nonempty" | "free"
-
-    def __post_init__(self):
-        if len(self.status) != 1 << len(self.variables):
-            raise ValueError("status vector must have length 2^m")
-        for s in self.status:
-            if s not in ("forced-empty", "forced-nonempty", "free"):
-                raise ValueError(f"bad status {s!r}")
-
-
 def _check_lattice_sorted(phi: S.Formula):
     if isinstance(phi, (S.GLeq, S.GEq)):
         raise NotLatticeSorted(
             f"group atom in lattice-sort formula: {S.print_formula(phi)}"
         )
-    for attr in ("arg", "left", "right", "body"):
-        child = getattr(phi, attr, None)
-        if isinstance(child, S.Formula):
-            _check_lattice_sorted(child)
+    if isinstance(phi, S.ATOMS):
+        return
+    for child in S.children(phi):
+        _check_lattice_sorted(child)
     if isinstance(phi, (S.Exists, S.Forall)) and phi.sort != S.L:
         raise NotLatticeSorted(
             f"group quantifier in lattice-sort formula: {phi.var}"
         )
 
 
-def _collect_bases(t: S.Term, out: list[S.Term]):
-    if isinstance(t, (S.LVar, S.Val)):
-        if t not in out:
-            out.append(t)
+def _collect_bases(n, out: list[S.Term]):
+    """Lattice variables and Val terms below n, by first occurrence."""
+    if isinstance(n, (S.LVar, S.Val)):
+        if n not in out:
+            out.append(n)
         return
-    for attr in ("left", "right", "arg"):
-        child = getattr(t, attr, None)
-        if isinstance(child, S.Term):
-            _collect_bases(child, out)
+    for child in S.children(n):
+        _collect_bases(child, out)
 
 
 def _term_mask(t: S.Term, bases: list[S.Term], width: int) -> int:
@@ -173,7 +156,7 @@ def _eliminate_exists(var: str, body: S.Formula, cap: int) -> S.Formula:
     """QE for 'exists var:L. body' with quantifier-free body."""
     bases: list[S.Term] = []
     yvar = S.LVar(var)
-    _collect_formula_bases(body, bases)
+    _collect_bases(body, bases)
     if yvar in bases:
         bases.remove(yvar)
     params = list(bases)
@@ -216,17 +199,6 @@ def _eliminate_exists(var: str, body: S.Formula, cap: int) -> S.Formula:
     return simplify(result)
 
 
-def _collect_formula_bases(f: S.Formula, out: list[S.Term]):
-    if isinstance(f, (S.LBelow, S.LEq)):
-        _collect_bases(f.left, out)
-        _collect_bases(f.right, out)
-        return
-    for attr in ("arg", "left", "right", "body"):
-        child = getattr(f, attr, None)
-        if isinstance(child, S.Formula):
-            _collect_formula_bases(child, out)
-
-
 def ba_qe(phi: S.Formula, cap: int = 20000) -> S.Formula:
     """Quantifier-free equivalent of phi over nontrivial atomless
     Boolean algebras; valuation applications are opaque constants."""
@@ -239,11 +211,9 @@ def ba_qe(phi: S.Formula, cap: int = 20000) -> S.Formula:
         if isinstance(f, S.Forall):
             inner = _eliminate_exists(f.var, simplify(S.Not(go(f.body))), cap)
             return simplify(S.Not(inner))
-        if isinstance(f, S.Not):
-            return S.Not(go(f.arg))
-        if isinstance(f, (S.And, S.Or, S.Implies)):
-            return type(f)(go(f.left), go(f.right))
-        return f
+        if isinstance(f, S.ATOMS):
+            return f
+        return S.rebuild(f, tuple(map(go, S.children(f))))
 
     return simplify(go(phi))
 

@@ -6,7 +6,8 @@ standard structure), model (periodic-model computations and witness
 search), selftest (acceptance corpus and property suites).
 
 Exit codes: 0 true/pass, 1 false, 2 parse or sort error,
-3 unsupported fragment, 4 resource limit.
+3 unsupported fragment, 4 resource limit, 5 internal error (any other
+exception, RecursionError included, with one line on stderr).
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ EXIT_FALSE = 1
 EXIT_BAD_INPUT = 2
 EXIT_UNSUPPORTED = 3
 EXIT_RESOURCE = 4
+EXIT_INTERNAL = 5
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -306,6 +308,10 @@ def main(argv=None) -> int:
     except (ResourceLimit, DepthExceeded) as e:
         print(f"resource limit: {e}", file=sys.stderr)
         return EXIT_RESOURCE
+    except Exception as e:
+        msg = " ".join(str(e).splitlines())
+        print(f"internal error: {type(e).__name__}: {msg}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -56,25 +56,21 @@ class Assignment:
 
 
 def _count_quantifiers(phi: S.Formula) -> int:
-    if isinstance(phi, (S.Exists, S.Forall)):
-        return 1 + _count_quantifiers(phi.body)
-    if isinstance(phi, S.Not):
-        return _count_quantifiers(phi.arg)
-    if isinstance(phi, (S.And, S.Or, S.Implies)):
-        return _count_quantifiers(phi.left) + _count_quantifiers(phi.right)
-    return 0
+    if isinstance(phi, S.ATOMS):
+        return 0
+    count = int(isinstance(phi, (S.Exists, S.Forall)))
+    for child in S.children(phi):
+        count += _count_quantifiers(child)
+    return count
 
 
 def count_atoms(phi: S.Formula) -> int:
-    if isinstance(phi, (S.GLeq, S.GEq, S.LBelow, S.LEq)):
+    if isinstance(phi, S.ATOMS):
         return 1
-    if isinstance(phi, (S.Exists, S.Forall)):
-        return count_atoms(phi.body)
-    if isinstance(phi, S.Not):
-        return count_atoms(phi.arg)
-    if isinstance(phi, (S.And, S.Or, S.Implies)):
-        return count_atoms(phi.left) + count_atoms(phi.right)
-    return 0
+    count = 0
+    for child in S.children(phi):
+        count += count_atoms(child)
+    return count
 
 
 # --- direct quantifier-free evaluation ---
@@ -98,7 +94,7 @@ def eval_gterm(t: S.Term, n: int, genv: dict[str, GroupVector]) -> GroupVector:
     if isinstance(t, S.GJoin):
         a, b = eval_gterm(t.left, n, genv), eval_gterm(t.right, n, genv)
         return GroupVector(tuple(max(x, y) for x, y in zip(a.values, b.values)))
-    if isinstance(t, (S.IntScale, S.RatScale)):
+    if isinstance(t, S.IntScale):
         a = eval_gterm(t.arg, n, genv)
         q = Fraction(t.factor)
         return GroupVector(tuple(q * x for x in a.values))

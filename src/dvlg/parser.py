@@ -8,6 +8,7 @@ as far right as possible.
 
 from __future__ import annotations
 
+import itertools
 import re
 
 from .errors import FormulaSyntaxError, SortError
@@ -288,45 +289,19 @@ def _resolve_var_nodes(phi: S.Formula, context: dict[str, str]) -> S.Formula:
     GVar; fix them against the final scoping.
     """
 
-    def fix_term(t: S.Term, ctx: dict[str, str]) -> S.Term:
-        if isinstance(t, (S.GVar, S.LVar)):
-            sort = ctx.get(t.name)
+    def fix(n, ctx: dict[str, str]):
+        if isinstance(n, (S.GVar, S.LVar)):
+            sort = ctx.get(n.name)
             if sort == S.L:
-                return S.LVar(t.name)
+                return S.LVar(n.name)
             if sort == S.G:
-                return S.GVar(t.name)
-            return t
-        kids = {}
-        for attr in ("left", "right", "arg"):
-            child = getattr(t, attr, None)
-            if isinstance(child, S.Term):
-                kids[attr] = fix_term(child, ctx)
-        if not kids:
-            return t
-        return type(t)(**{**_term_fields(t), **kids})
+                return S.GVar(n.name)
+            return n
+        if isinstance(n, (S.Exists, S.Forall)):
+            return type(n)(n.var, n.sort, fix(n.body, {**ctx, n.var: n.sort}))
+        return S.rebuild(n, tuple(map(fix, S.children(n), itertools.repeat(ctx))))
 
-    def fix(f: S.Formula, ctx: dict[str, str]) -> S.Formula:
-        if isinstance(f, (S.GLeq, S.GEq, S.LBelow, S.LEq)):
-            return type(f)(fix_term(f.left, ctx), fix_term(f.right, ctx))
-        if isinstance(f, S.Not):
-            return S.Not(fix(f.arg, ctx))
-        if isinstance(f, (S.And, S.Or, S.Implies)):
-            return type(f)(fix(f.left, ctx), fix(f.right, ctx))
-        if isinstance(f, (S.Exists, S.Forall)):
-            inner = dict(ctx)
-            inner[f.var] = f.sort
-            return type(f)(f.var, f.sort, fix(f.body, inner))
-        return f
-
-    return fix(phi, dict(context))
-
-
-def _term_fields(t: S.Term) -> dict:
-    out = {}
-    for attr in ("factor", "left", "right", "arg", "name"):
-        if hasattr(t, attr):
-            out[attr] = getattr(t, attr)
-    return out
+    return fix(phi, context)
 
 
 def parse(text: str, context: dict[str, str] | None = None) -> S.Formula:

@@ -99,58 +99,27 @@ def _formula_has_var(f: S.Formula, var: str) -> bool:
     return var in S.free_vars(f)
 
 
-def _collect_val_atoms(f: S.Formula, var: str, out: list[S.Term]):
+def _collect_val_atoms(n, var: str, out: list[S.Term]):
     """Distinct Val terms whose argument mentions var, by first occurrence."""
-    if isinstance(f, (S.LBelow, S.LEq)):
-        for side in (f.left, f.right):
-            _collect_val_terms(side, var, out)
+    if isinstance(n, S.Val):
+        if var in S.term_vars(n.arg) and n not in out:
+            out.append(n)
         return
-    if isinstance(f, (S.GLeq, S.GEq)):
+    if isinstance(n, (S.GLeq, S.GEq)):
         raise NotPrimitive(
-            f"group atom survived normalization: {S.print_formula(f)}"
+            f"group atom survived normalization: {S.print_formula(n)}"
         )
-    for attr in ("arg", "left", "right", "body"):
-        child = getattr(f, attr, None)
-        if isinstance(child, S.Formula):
-            _collect_val_atoms(child, var, out)
-
-
-def _collect_val_terms(t: S.Term, var: str, out: list[S.Term]):
-    if isinstance(t, S.Val):
-        if var in S.term_vars(t.arg) and t not in out:
-            out.append(t)
-        return
-    for attr in ("left", "right", "arg"):
-        child = getattr(t, attr, None)
-        if isinstance(child, S.Term):
-            _collect_val_terms(child, var, out)
+    for child in S.children(n):
+        _collect_val_atoms(child, var, out)
 
 
 def _subst_terms(f: S.Formula, mapping: dict[S.Term, S.Term]) -> S.Formula:
-    def sub_term(t: S.Term) -> S.Term:
-        if t in mapping:
-            return mapping[t]
-        kids = {}
-        for attr in ("left", "right", "arg"):
-            child = getattr(t, attr, None)
-            if isinstance(child, S.Term):
-                kids[attr] = sub_term(child)
-        if not kids:
-            return t
-        fields = {k: getattr(t, k) for k in ("factor", "name") if hasattr(t, k)}
-        fields.update(kids)
-        return type(t)(**fields)
+    """f with each Val term that is a key of mapping replaced."""
 
-    def go(g: S.Formula) -> S.Formula:
-        if isinstance(g, (S.LBelow, S.LEq)):
-            return type(g)(sub_term(g.left), sub_term(g.right))
-        if isinstance(g, S.Not):
-            return S.Not(go(g.arg))
-        if isinstance(g, (S.And, S.Or, S.Implies)):
-            return type(g)(go(g.left), go(g.right))
-        if isinstance(g, (S.Exists, S.Forall)):
-            return type(g)(g.var, g.sort, go(g.body))
-        return g
+    def go(n):
+        if isinstance(n, S.Val) and n in mapping:
+            return mapping[n]
+        return S.rebuild(n, tuple(map(go, S.children(n))))
 
     return go(f)
 
@@ -185,13 +154,9 @@ class _Reducer:
             for var in reversed(names):
                 body = self.eliminate_exists(var, body)
             return simplify(S.Not(body))
-        if isinstance(phi, (S.Exists, S.Forall)):
-            return type(phi)(phi.var, phi.sort, self.run(phi.body))
-        if isinstance(phi, S.Not):
-            return S.Not(self.run(phi.arg))
-        if isinstance(phi, (S.And, S.Or, S.Implies)):
-            return type(phi)(self.run(phi.left), self.run(phi.right))
-        return phi
+        if isinstance(phi, S.ATOMS):
+            return phi
+        return S.rebuild(phi, tuple(map(self.run, S.children(phi))))
 
     def eliminate_exists(self, var: str, body: S.Formula) -> S.Formula:
         """Eliminate 'exists var:G.' from a body with no group quantifiers."""
@@ -262,46 +227,23 @@ class _Reducer:
                     f"over {f.var} in: {S.print_formula(f)}"
                 )
             return simplify(ba_qe(f))
-        if isinstance(f, S.Not):
-            return S.Not(self.resolve_lattice_quantifiers(var, f.arg))
-        if isinstance(f, (S.And, S.Or, S.Implies)):
-            return type(f)(
-                self.resolve_lattice_quantifiers(var, f.left),
-                self.resolve_lattice_quantifiers(var, f.right),
-            )
-        return f
+        if isinstance(f, S.ATOMS):
+            return f
+        resolve = self.resolve_lattice_quantifiers
+        kids = tuple(map(resolve, itertools.repeat(var), S.children(f)))
+        return S.rebuild(f, kids)
 
 
 def _extract_terms(phi: S.Formula):
     """Replace Val atoms over free group variables by fresh p_i."""
     terms: list[S.Term] = []
 
-    def sub_term(t: S.Term) -> S.Term:
-        if isinstance(t, S.Val):
-            if t.arg not in terms:
-                terms.append(t.arg)
-            return S.LVar(f"p{terms.index(t.arg) + 1}")
-        kids = {}
-        for attr in ("left", "right", "arg"):
-            child = getattr(t, attr, None)
-            if isinstance(child, S.Term):
-                kids[attr] = sub_term(child)
-        if not kids:
-            return t
-        fields = {k: getattr(t, k) for k in ("factor", "name") if hasattr(t, k)}
-        fields.update(kids)
-        return type(t)(**fields)
-
-    def go(f: S.Formula) -> S.Formula:
-        if isinstance(f, (S.LBelow, S.LEq)):
-            return type(f)(sub_term(f.left), sub_term(f.right))
-        if isinstance(f, S.Not):
-            return S.Not(go(f.arg))
-        if isinstance(f, (S.And, S.Or, S.Implies)):
-            return type(f)(go(f.left), go(f.right))
-        if isinstance(f, (S.Exists, S.Forall)):
-            return type(f)(f.var, f.sort, go(f.body))
-        return f
+    def go(n):
+        if isinstance(n, S.Val):
+            if n.arg not in terms:
+                terms.append(n.arg)
+            return S.LVar(f"p{terms.index(n.arg) + 1}")
+        return S.rebuild(n, tuple(map(go, S.children(n))))
 
     return go(phi), terms
 

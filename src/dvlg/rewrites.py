@@ -3,8 +3,7 @@
 These implement the compiler-style front half of the reduction
 pipeline: distributing group operations to join-of-meets of linear
 forms, pushing the valuation symbol down to primitive linear
-arguments, trading group atoms for lattice atoms, and removing lattice
-complements in favour of existential witnesses.
+arguments, and trading group atoms for lattice atoms.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ def linearize_group_term(t: S.Term) -> JoinOfMeets:
         return tuple(ma + mb for ma in a for mb in b)
     if isinstance(t, S.GJoin):
         return linearize_group_term(t.left) + linearize_group_term(t.right)
-    if isinstance(t, (S.IntScale, S.RatScale)):
+    if isinstance(t, S.IntScale):
         q = Fraction(t.factor)
         inner = linearize_group_term(t.arg)
         if q == 0:
@@ -128,15 +127,9 @@ def group_atoms_to_lattice(phi: S.Formula) -> S.Formula:
             return leq(f.left, f.right)
         if isinstance(f, S.GEq):
             return S.And(leq(f.left, f.right), leq(f.right, f.left))
-        if isinstance(f, (S.LBelow, S.LEq, S.TrueF, S.FalseF)):
+        if isinstance(f, S.ATOMS):
             return f
-        if isinstance(f, S.Not):
-            return S.Not(go(f.arg))
-        if isinstance(f, (S.And, S.Or, S.Implies)):
-            return type(f)(go(f.left), go(f.right))
-        if isinstance(f, (S.Exists, S.Forall)):
-            return type(f)(f.var, f.sort, go(f.body))
-        raise ValueError(f"unknown formula {f!r}")
+        return S.rebuild(f, tuple(map(go, S.children(f))))
 
     return go(phi)
 
@@ -146,202 +139,42 @@ def push_valuation_formula(phi: S.Formula) -> S.Formula:
 
     def go(f: S.Formula) -> S.Formula:
         if isinstance(f, (S.LBelow, S.LEq)):
-            return type(f)(push_valuation(f.left), push_valuation(f.right))
-        if isinstance(f, S.Not):
-            return S.Not(go(f.arg))
-        if isinstance(f, (S.And, S.Or, S.Implies)):
-            return type(f)(go(f.left), go(f.right))
-        if isinstance(f, (S.Exists, S.Forall)):
-            return type(f)(f.var, f.sort, go(f.body))
-        return f
+            return S.map_children(f, push_valuation)
+        if isinstance(f, S.ATOMS):
+            return f
+        return S.rebuild(f, tuple(map(go, S.children(f))))
 
     return go(phi)
 
 
-# --- complement removal ---
-
-def _term_has_compl(t: S.Term) -> bool:
-    if isinstance(t, S.Compl):
-        return True
-    for attr in ("left", "right", "arg"):
-        child = getattr(t, attr, None)
-        if isinstance(child, S.Term) and _term_has_compl(child):
-            return True
-    return False
-
-
-def _innermost_compl(t: S.Term):
-    """Some Compl subterm whose own argument is Compl-free."""
-    if isinstance(t, S.Compl) and not _term_has_compl(t.arg):
-        return t
-    for attr in ("left", "right", "arg"):
-        child = getattr(t, attr, None)
-        if isinstance(child, S.Term):
-            found = _innermost_compl(child)
-            if found is not None:
-                return found
-    return None
-
-
-def _replace_term(t: S.Term, old: S.Term, new: S.Term) -> S.Term:
-    if t == old:
-        return new
-    kids = {}
-    for attr in ("left", "right", "arg"):
-        child = getattr(t, attr, None)
-        if isinstance(child, S.Term):
-            kids[attr] = _replace_term(child, old, new)
-    if not kids:
-        return t
-    fields = {k: getattr(t, k) for k in ("factor", "name") if hasattr(t, k)}
-    fields.update(kids)
-    return type(t)(**fields)
-
-
-def remove_complement(phi: S.Formula, _counter=None) -> S.Formula:
-    """Eliminate Compl by Boolean-complement witnesses.
-
-    Each removed occurrence costs one existential lattice variable
-    asserting the join-top / meet-bottom equations against the
-    complemented subterm.
-    """
-    counter = _counter if _counter is not None else itertools.count()
-
-    def fix_atom(f: S.Formula) -> S.Formula:
-        target = _innermost_compl(getattr(f, "left", S.Bot()))
-        if target is None:
-            target = _innermost_compl(getattr(f, "right", S.Bot()))
-        if target is None:
-            return f
-        w = f"_c{next(counter)}"
-        wv = S.LVar(w)
-        inner = type(f)(
-            _replace_term(f.left, target, wv),
-            _replace_term(f.right, target, wv),
-        )
-        s = target.arg
-        side = S.And(
-            S.LEq(S.LJoin(wv, s), S.Top()), S.LEq(S.LMeet(wv, s), S.Bot())
-        )
-        return S.Exists(w, S.L, S.And(fix_atom(inner), side))
-
-    def go(f: S.Formula) -> S.Formula:
-        if isinstance(f, (S.LBelow, S.LEq)):
-            return fix_atom(f)
-        if isinstance(f, (S.GLeq, S.GEq, S.TrueF, S.FalseF)):
-            return f
-        if isinstance(f, S.Not):
-            return S.Not(go(f.arg))
-        if isinstance(f, (S.And, S.Or, S.Implies)):
-            return type(f)(go(f.left), go(f.right))
-        if isinstance(f, (S.Exists, S.Forall)):
-            return type(f)(f.var, f.sort, go(f.body))
-        raise ValueError(f"unknown formula {f!r}")
-
-    return go(phi)
-
-
-# --- renaming and prenex form ---
+# --- renaming ---
 
 def rename_bound(phi: S.Formula, prefix: str = "_q") -> S.Formula:
     """Give every bound variable a fresh name (no shadowing afterwards)."""
     counter = itertools.count()
 
-    def sub_term(t: S.Term, env: dict[str, str]) -> S.Term:
-        if isinstance(t, S.GVar) and t.name in env:
-            return S.GVar(env[t.name])
-        if isinstance(t, S.LVar) and t.name in env:
-            return S.LVar(env[t.name])
-        kids = {}
-        for attr in ("left", "right", "arg"):
-            child = getattr(t, attr, None)
-            if isinstance(child, S.Term):
-                kids[attr] = sub_term(child, env)
-        if not kids:
-            return t
-        fields = {k: getattr(t, k) for k in ("factor", "name") if hasattr(t, k)}
-        fields.update(kids)
-        return type(t)(**fields)
-
-    def go(f: S.Formula, env: dict[str, str]) -> S.Formula:
-        if isinstance(f, (S.GLeq, S.GEq, S.LBelow, S.LEq)):
-            return type(f)(sub_term(f.left, env), sub_term(f.right, env))
-        if isinstance(f, S.Not):
-            return S.Not(go(f.arg, env))
-        if isinstance(f, (S.And, S.Or, S.Implies)):
-            return type(f)(go(f.left, env), go(f.right, env))
-        if isinstance(f, (S.Exists, S.Forall)):
+    def go(n, env: dict[str, str]):
+        if isinstance(n, (S.GVar, S.LVar)):
+            return type(n)(env[n.name]) if n.name in env else n
+        if isinstance(n, (S.Exists, S.Forall)):
             fresh = f"{prefix}{next(counter)}"
-            inner = dict(env)
-            inner[f.var] = fresh
-            return type(f)(fresh, f.sort, go(f.body, inner))
-        return f
+            return type(n)(fresh, n.sort, go(n.body, {**env, n.var: fresh}))
+        return S.rebuild(n, tuple(map(go, S.children(n), itertools.repeat(env))))
 
     return go(phi, {})
 
 
-def to_prenex(phi: S.Formula) -> S.Formula:
-    """Logically equivalent prenex form with freshly renamed binders."""
-    phi = rename_bound(phi)
-
-    def pull(f: S.Formula):
-        """Return (prefix, matrix); prefix is a list of (cls, var, sort)."""
-        if isinstance(f, (S.Exists, S.Forall)):
-            prefix, matrix = pull(f.body)
-            return [(type(f), f.var, f.sort)] + prefix, matrix
-        if isinstance(f, S.Not):
-            prefix, matrix = pull(f.arg)
-            flipped = [
-                (S.Forall if cls is S.Exists else S.Exists, v, s)
-                for cls, v, s in prefix
-            ]
-            return flipped, S.Not(matrix)
-        if isinstance(f, (S.And, S.Or)):
-            lp, lm = pull(f.left)
-            rp, rm = pull(f.right)
-            return lp + rp, type(f)(lm, rm)
-        if isinstance(f, S.Implies):
-            return pull(S.Or(S.Not(f.left), f.right))
-        return [], f
-
-    prefix, matrix = pull(phi)
-    out = matrix
-    for cls, var, sort in reversed(prefix):
-        out = cls(var, sort, out)
-    return out
-
-
 # --- one-point rule ---
 
-def _subst_var_term(t: S.Term, var: S.Term, repl: S.Term) -> S.Term:
-    if t == var:
-        return repl
-    kids = {}
-    for attr in ("left", "right", "arg"):
-        child = getattr(t, attr, None)
-        if isinstance(child, S.Term):
-            kids[attr] = _subst_var_term(child, var, repl)
-    if not kids:
-        return t
-    fields = {k: getattr(t, k) for k in ("factor", "name") if hasattr(t, k)}
-    fields.update(kids)
-    return type(t)(**fields)
+def _subst_var(phi: S.Formula, var: S.Term, repl: S.Term) -> S.Formula:
+    """phi with every occurrence of the variable var replaced by repl."""
 
+    def go(n):
+        if n == var:
+            return repl
+        return S.rebuild(n, tuple(map(go, S.children(n))))
 
-def _subst_var(f: S.Formula, var: S.Term, repl: S.Term) -> S.Formula:
-    if isinstance(f, (S.GLeq, S.GEq, S.LBelow, S.LEq)):
-        return type(f)(
-            _subst_var_term(f.left, var, repl), _subst_var_term(f.right, var, repl)
-        )
-    if isinstance(f, S.Not):
-        return S.Not(_subst_var(f.arg, var, repl))
-    if isinstance(f, (S.And, S.Or, S.Implies)):
-        return type(f)(
-            _subst_var(f.left, var, repl), _subst_var(f.right, var, repl)
-        )
-    if isinstance(f, (S.Exists, S.Forall)):
-        return type(f)(f.var, f.sort, _subst_var(f.body, var, repl))
-    return f
+    return go(phi)
 
 
 def _conjuncts(f: S.Formula):
@@ -359,14 +192,10 @@ def one_point(phi: S.Formula) -> S.Formula:
     with t substituted for x; requires the binders to be non-shadowing
     (run rename_bound first if unsure).
     """
-    if isinstance(phi, S.Not):
-        return S.Not(one_point(phi.arg))
-    if isinstance(phi, (S.And, S.Or, S.Implies)):
-        return type(phi)(one_point(phi.left), one_point(phi.right))
-    if isinstance(phi, S.Forall):
-        return S.Forall(phi.var, phi.sort, one_point(phi.body))
-    if not isinstance(phi, S.Exists):
+    if isinstance(phi, S.ATOMS):
         return phi
+    if not isinstance(phi, S.Exists):
+        return S.rebuild(phi, tuple(map(one_point, S.children(phi))))
     body = one_point(phi.body)
     var = S.GVar(phi.var) if phi.sort == S.G else S.LVar(phi.var)
     eq_cls = S.GEq if phi.sort == S.G else S.LEq

@@ -1,17 +1,16 @@
 """Two-sorted terms and formulas for the valued l-group language.
 
 Sorts are G (group) and L (lattice). All nodes are immutable; rewriting
-passes build fresh trees. RatScale and linear-combination terms are
-engine-internal: the surface grammar only has integer scaling.
+passes build fresh trees. children, rebuild and map_children are the one
+generic walk over both sorts of node.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 from .errors import SortError
-from .rationals import format_rat
 
 G = "G"
 L = "L"
@@ -59,14 +58,6 @@ class GJoin(Term):
 @dataclass(frozen=True)
 class IntScale(Term):
     factor: int
-    arg: Term
-
-
-@dataclass(frozen=True)
-class RatScale(Term):
-    """Engine-internal rational scaling; never produced by the parser."""
-
-    factor: Fraction
     arg: Term
 
 
@@ -191,8 +182,61 @@ class FalseF(Formula):
 TRUE = TrueF()
 FALSE = FalseF()
 
-_G_NODES = (GVar, Zero, Add, Neg, GMeet, GJoin, IntScale, RatScale)
-_L_NODES = (LVar, Bot, Top, LMeet, LJoin, Compl, Val)
+ATOMS = (GLeq, GEq, LBelow, LEq)
+
+
+def _child_getter(names: tuple[str, ...]):
+    """A function from a node to the tuple of its fields named in names."""
+    if len(names) > 1:
+        return attrgetter(*names)
+    if names:
+        name = names[0]
+        return lambda node: (getattr(node, name),)
+    return lambda node: ()
+
+
+# node class -> (all field names, getter of its Term/Formula fields),
+# both in dataclass field order
+_FIELDS = {
+    cls: (
+        tuple(f.name for f in fields(cls)),
+        _child_getter(
+            tuple(f.name for f in fields(cls) if f.type in ("Term", "Formula"))
+        ),
+    )
+    for cls in (*Term.__subclasses__(), *Formula.__subclasses__())
+}
+
+
+def children(node: Term | Formula) -> tuple:
+    """The Term and Formula fields of a node, in dataclass field order."""
+    return _FIELDS[type(node)][1](node)
+
+
+def rebuild(node: Term | Formula, new_children: tuple) -> Term | Formula:
+    """The node with its children replaced, in field order, by
+    new_children; its other fields (name, factor, var, sort) are kept.
+
+    A recursive pass computes new_children in its own frame,
+    rebuild(n, tuple(map(go, children(n)))), so that each tree level
+    costs one Python frame: the trees ba_qe builds are deep.
+    """
+    names = _FIELDS[type(node)][0]
+    if len(new_children) == len(names):
+        return type(node)(*new_children)
+    new = iter(new_children)
+    args = []
+    for name in names:
+        value = getattr(node, name)
+        args.append(next(new) if isinstance(value, (Term, Formula)) else value)
+    return type(node)(*args)
+
+
+def map_children(node: Term | Formula, fn) -> Term | Formula:
+    """The node rebuilt with fn applied to each child in field order;
+    its other fields are kept. Recursing through map_children costs two
+    frames per tree level; recursive passes use rebuild."""
+    return rebuild(node, tuple(map(fn, children(node))))
 
 
 def term_sort(t: Term, context: dict[str, str] | None = None) -> str:
@@ -215,7 +259,7 @@ def term_sort(t: Term, context: dict[str, str] | None = None) -> str:
             if term_sort(side, context) != G:
                 raise SortError(f"G-operator over L-sorted operand: {print_term(side)}")
         return G
-    if isinstance(t, (Neg, IntScale, RatScale)):
+    if isinstance(t, (Neg, IntScale)):
         if term_sort(t.arg, context) != G:
             raise SortError(f"G-operator over L-sorted operand: {print_term(t.arg)}")
         return G
@@ -271,10 +315,8 @@ def term_vars(t: Term) -> set[str]:
     if isinstance(t, (GVar, LVar)):
         return {t.name}
     out: set[str] = set()
-    for attr in ("left", "right", "arg"):
-        child = getattr(t, attr, None)
-        if isinstance(child, Term):
-            out |= term_vars(child)
+    for child in children(t):
+        out |= term_vars(child)
     return out
 
 
@@ -282,32 +324,17 @@ def free_vars(phi: Formula) -> dict[str, str]:
     """Free variables with their sorts (sorts inferred from use sites)."""
     out: dict[str, str] = {}
 
-    def visit_term(t: Term, bound: dict[str, str], sort_hint: str):
-        if isinstance(t, (GVar, LVar)):
-            s = G if isinstance(t, GVar) else L
-            if t.name not in bound:
-                out.setdefault(t.name, s)
-            return
-        for attr in ("left", "right", "arg"):
-            child = getattr(t, attr, None)
-            if isinstance(child, Term):
-                visit_term(child, bound, sort_hint)
+    def visit(n, bound: frozenset):
+        if isinstance(n, (GVar, LVar)):
+            if n.name not in bound:
+                out.setdefault(n.name, G if isinstance(n, GVar) else L)
+        elif isinstance(n, (Exists, Forall)):
+            visit(n.body, bound | {n.var})
+        else:
+            for child in children(n):
+                visit(child, bound)
 
-    def visit(f: Formula, bound: dict[str, str]):
-        if isinstance(f, (GLeq, GEq, LBelow, LEq)):
-            visit_term(f.left, bound, "")
-            visit_term(f.right, bound, "")
-        elif isinstance(f, Not):
-            visit(f.arg, bound)
-        elif isinstance(f, (And, Or, Implies)):
-            visit(f.left, bound)
-            visit(f.right, bound)
-        elif isinstance(f, (Exists, Forall)):
-            inner = dict(bound)
-            inner[f.var] = f.sort
-            visit(f.body, inner)
-
-    visit(phi, {})
+    visit(phi, frozenset())
     return out
 
 
@@ -337,9 +364,6 @@ def print_term(t: Term) -> str:
             return f"({s})" if prec > 2 else s
         if isinstance(t, IntScale):
             s = f"{t.factor}*{go(t.arg, 4)}"
-            return f"({s})" if prec > 3 else s
-        if isinstance(t, RatScale):
-            s = f"{format_rat(t.factor)}*{go(t.arg, 4)}"
             return f"({s})" if prec > 3 else s
         if isinstance(t, Compl):
             return f"compl({go(t.arg, 0)})"

@@ -53,6 +53,16 @@ class TestExitCodes:
         code, _, err = run(capsys, "eval", "-n", "9", "exists a:G. a <= 0")
         assert code == 4 and "resource" in err
 
+    def test_internal_error(self, capsys, monkeypatch):
+        # a crash must not read as "false" (exit 1)
+        def crash(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr("dvlg.cli.reduce", crash)
+        code, out, err = run(capsys, "decide", "top = bot")
+        assert code == 5 and out == ""
+        assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"
+
     def test_eval_true(self, capsys):
         code, out, _ = run(
             capsys, "eval", "-n", "2", "forall l:L. exists a:G. P(a) = l"

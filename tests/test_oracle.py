@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from dvlg import syntax as S
-from dvlg.corpus import named_rng
+from dvlg.corpus import load_known_answers, named_rng
 from dvlg.errors import ResourceLimit, UnboundVariable
 from dvlg.oracle import Assignment, decide_finite, eval_qf
 from dvlg.parser import parse
@@ -88,6 +88,16 @@ class TestDecideFinite:
         )
         for n in (1, 2):
             assert decide_finite(FinStdStructure(n), phi) is True
+
+    def test_known_answers_expected_finite(self):
+        checked = 0
+        for entry in load_known_answers():
+            phi = parse(entry["formula"])
+            for n, expected in entry["expected_finite"].items():
+                got = decide_finite(FinStdStructure(int(n)), phi)
+                assert got == expected, (entry["name"], n)
+                checked += 1
+        assert checked == 42
 
     def test_agrees_with_eval_qf(self):
         rng = named_rng(9, "oracle-qf")

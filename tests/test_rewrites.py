@@ -14,10 +14,8 @@ from dvlg.rewrites import (
     linearize_group_term,
     one_point,
     push_valuation_formula,
-    remove_complement,
     rename_bound,
     simplify,
-    to_prenex,
 )
 from dvlg.standard import FinStdStructure, GroupVector, SubsetL
 
@@ -87,21 +85,6 @@ class TestSemanticPreservation:
         for text in QUANT_SAMPLES:
             phi = parse(text, CTX)
             self._equiv(phi, rename_bound(phi))
-
-    def test_prenex(self):
-        samples = [
-            "(exists x:G. x <= a) & b <= a",
-            "~(forall x:G. x <= a)",
-            "(exists x:G. a <= x) -> (exists w:G. b <= w)",
-        ]
-        for text in samples:
-            phi = parse(text, CTX)
-            self._equiv(phi, to_prenex(phi))
-
-    def test_remove_complement(self):
-        for text in ["m cap compl(l) << P(-a)", "compl(compl(l)) = l"]:
-            phi = parse(text, CTX)
-            self._equiv(phi, remove_complement(phi))
 
 
 class TestOnePoint:

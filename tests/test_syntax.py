@@ -1,12 +1,23 @@
-"""Parser and printer: round trips, sort checking, error positions."""
+"""Parser and printer: round trips, sort checking, error positions;
+the generic tree walk."""
+
+from dataclasses import fields
 
 import pytest
 
 from dvlg import syntax as S
-from dvlg.corpus import gen_lattice_corpus, gen_tplus_corpus
+from dvlg.corpus import gen_lattice_corpus, gen_tplus_corpus, load_known_answers
 from dvlg.errors import FormulaSyntaxError, SortError
 from dvlg.parser import parse
-from dvlg.syntax import free_vars, print_formula, sort_check, term_sort
+from dvlg.syntax import (
+    children,
+    free_vars,
+    map_children,
+    print_formula,
+    rebuild,
+    sort_check,
+    term_sort,
+)
 
 CTX = {"a": S.G, "b": S.G, "l": S.L, "m": S.L}
 
@@ -61,6 +72,17 @@ class TestSorts:
         phi = parse("exists x:G. x <= a & l << P(b)", CTX)
         assert free_vars(phi) == {"a": S.G, "b": S.G, "l": S.L}
 
+    def test_free_vars_shadowing(self):
+        cases = [
+            ("(exists x:G. x <= a) & x <= a", {"x": S.G, "a": S.G}),
+            ("x <= a & (forall x:G. x <= a)", {"x": S.G, "a": S.G}),
+            ("exists x:G. (exists x:G. x <= a) & x <= b", {"a": S.G, "b": S.G}),
+            ("(exists y:L. y << l) | y << l", {"y": S.L, "l": S.L}),
+            ("forall x:G. exists x:G. x <= 0", {}),
+        ]
+        for text, expected in cases:
+            assert free_vars(parse(text, {**CTX, "y": S.L})) == expected, text
+
 
 class TestRoundTrip:
     def _check(self, phi, context=None):
@@ -98,3 +120,62 @@ class TestRoundTrip:
             assert parse(print_formula(phi), ctx) == phi
         for text, phi in gen_lattice_corpus(11, count=200):
             assert parse(print_formula(phi)) == phi
+
+
+def _corpus_formulas():
+    out = [phi for _, phi, _ in gen_tplus_corpus(11, count=300)]
+    out += [phi for _, phi in gen_lattice_corpus(11, count=200)]
+    out += [parse(e["formula"]) for e in load_known_answers()]
+    return out
+
+
+def _subnodes(node):
+    todo = [node]
+    while todo:
+        n = todo.pop()
+        yield n
+        todo.extend(children(n))
+
+
+def _copy(node):
+    """A fresh tree equal to node: new leaves, so every node is rebuilt."""
+    if not children(node):
+        return type(node)(*(getattr(node, f.name) for f in fields(node)))
+    return map_children(node, _copy)
+
+
+class TestWalker:
+    def test_children_are_node_fields_in_order(self):
+        for phi in _corpus_formulas():
+            for n in _subnodes(phi):
+                values = [getattr(n, f.name) for f in fields(n)]
+                nodes = [v for v in values if isinstance(v, (S.Term, S.Formula))]
+                assert children(n) == tuple(nodes)
+
+    def test_identity_map_is_identity(self):
+        for phi in _corpus_formulas():
+            for n in _subnodes(phi):
+                assert map_children(n, lambda c: c) == n
+            again = _copy(phi)
+            assert again == phi and again is not phi
+            assert print_formula(again) == print_formula(phi)
+
+    def test_keeps_other_fields(self):
+        node = map_children(parse("exists x:G. 3*x <= 0"), lambda c: S.TRUE)
+        assert node == S.Exists("x", S.G, S.TRUE)
+        scaled = map_children(S.IntScale(3, S.GVar("x")), lambda c: S.Zero())
+        assert scaled == S.IntScale(3, S.Zero())
+        assert map_children(S.GVar("x"), lambda c: S.Zero()) == S.GVar("x")
+
+    def test_rebuild(self):
+        phi = parse("exists x:G. 3*x <= a", CTX)
+        assert rebuild(phi, children(phi)) == phi
+        scaled = phi.body.left
+        assert rebuild(scaled, (S.GVar("y"),)) == S.IntScale(3, S.GVar("y"))
+        atom = rebuild(phi.body, (S.Zero(), S.GVar("b")))
+        assert atom == S.GLeq(S.Zero(), S.GVar("b"))
+
+    def test_applies_fn_left_before_right(self):
+        seen = []
+        map_children(parse("a <= b", CTX), lambda c: seen.append(c) or c)
+        assert seen == [S.GVar("a"), S.GVar("b")]
