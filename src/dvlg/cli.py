@@ -8,6 +8,11 @@ search), selftest (acceptance corpus and property suites).
 Exit codes: 0 true/pass, 1 false, 2 parse or sort error,
 3 unsupported fragment, 4 resource limit, 5 internal error (any other
 exception, RecursionError included, with one line on stderr).
+
+Output is deterministic: the same command and seed give the same bytes.
+Wall-clock times appear only with --timings: stats.elapsed_ms in the
+--json report (null without the flag) and the seconds after each
+selftest line.
 """
 
 from __future__ import annotations
@@ -66,6 +71,11 @@ def _build_parser() -> argparse.ArgumentParser:
             help="resource caps as k=v pairs, comma separated",
         )
         p.add_argument("--trace", action="store_true")
+        p.add_argument(
+            "--timings",
+            action="store_true",
+            help="report wall-clock times (stats.elapsed_ms, selftest lines)",
+        )
 
     p = sub.add_parser("decide", help="truth in the existentially closed theory")
     p.add_argument("--mode", choices=["ec", "tplus"], default="ec")
@@ -129,6 +139,13 @@ def _load_env(text: str) -> Assignment:
     return Assignment(genv, lenv)
 
 
+def _stats(args, start: float, eliminations: int, atoms: int) -> dict:
+    """The stats block. elapsed_ms is wall-clock time, so it is null
+    unless --timings asks for it; the rest is deterministic."""
+    elapsed = int((time.time() - start) * 1000) if args.timings else None
+    return {"elapsed_ms": elapsed, "eliminations": eliminations, "atoms": atoms}
+
+
 def _report(args, command, source, verdict, stats, trace, exit_code):
     if args.json:
         doc = {
@@ -160,11 +177,7 @@ def _cmd_decide(args) -> int:
     start = time.time()
     out = reduce(phi, mode=args.mode)
     verdict = ba_decide(out.chi)
-    stats = {
-        "elapsed_ms": int((time.time() - start) * 1000),
-        "eliminations": out.eliminations,
-        "atoms": count_atoms(phi),
-    }
+    stats = _stats(args, start, out.eliminations, count_atoms(phi))
     trace = [
         f"mode: {args.mode}",
         f"chi: {print_formula(out.chi)}",
@@ -181,11 +194,7 @@ def _cmd_reduce(args) -> int:
     phi = parse(source)
     start = time.time()
     out = reduce(phi, mode=args.mode)
-    stats = {
-        "elapsed_ms": int((time.time() - start) * 1000),
-        "eliminations": out.eliminations,
-        "atoms": count_atoms(phi),
-    }
+    stats = _stats(args, start, out.eliminations, count_atoms(phi))
     trace = [f"mode: {args.mode}"]
     return _report(args, "reduce", source, out.to_json(), stats, trace, EXIT_TRUE)
 
@@ -198,11 +207,7 @@ def _cmd_eval(args) -> int:
     verdict = decide_finite(
         FinStdStructure(args.n), phi, env, limits=_parse_limits(args.limits) or None
     )
-    stats = {
-        "elapsed_ms": int((time.time() - start) * 1000),
-        "eliminations": 0,
-        "atoms": count_atoms(phi),
-    }
+    stats = _stats(args, start, 0, count_atoms(phi))
     trace = [f"n: {args.n}"]
     return _report(
         args, "eval", source, verdict, stats, trace,
@@ -248,11 +253,7 @@ def _cmd_model(args) -> int:
             verdict = P.shift(_periodic_from_json(operands[0])).to_json()
         else:
             raise DvlgError(f"unknown op {op}")
-    stats = {
-        "elapsed_ms": int((time.time() - start) * 1000),
-        "eliminations": 0,
-        "atoms": atoms,
-    }
+    stats = _stats(args, start, 0, atoms)
     return _report(args, "model", source, verdict, stats, trace, exit_code)
 
 
@@ -262,7 +263,9 @@ def _cmd_selftest(args) -> int:
     lines = []
 
     def report(name, ok, detail, elapsed):
-        line = f"{'PASS' if ok else 'FAIL'} {name}: {detail} ({elapsed:.1f}s)"
+        line = f"{'PASS' if ok else 'FAIL'} {name}: {detail}"
+        if args.timings:
+            line += f" ({elapsed:.1f}s)"
         lines.append(line)
         if not args.json:
             print(line)
@@ -272,11 +275,7 @@ def _cmd_selftest(args) -> int:
     verdict = passed == len(results)
     if not args.json:
         print(f"{passed}/{len(results)} criteria passed")
-    stats = {
-        "elapsed_ms": int((time.time() - start) * 1000),
-        "eliminations": 0,
-        "atoms": 0,
-    }
+    stats = _stats(args, start, 0, 0)
     return _report(
         args, "selftest", f"seed={seed}", verdict, stats, lines,
         EXIT_TRUE if verdict else EXIT_FALSE,

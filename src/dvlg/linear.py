@@ -3,13 +3,23 @@
 A Lin is a formal rational combination of variables with no constant
 part in the group language; the oracle layer reuses it with synthetic
 per-point unknowns plus a dedicated constant slot named CONST.
+
+A LinConstraint (lhs >= 0, > 0 or = 0) is kept in a primitive integer
+normal form: lhs scaled by a positive rational to integer coefficients
+with gcd 1, stored up to sign as a `key` together with the set of signs
+the key may take. Scaling by a positive factor keeps every truth value,
+so constraints that differ by a positive factor compare and hash equal,
+a constraint and its negation share a key, and hashing is plain int and
+str work.
+Fourier-Motzkin elimination works on these keys in integers: no step
+divides.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .rationals import rat
 
@@ -74,16 +84,8 @@ class Lin:
     def primitive(self) -> "Lin":
         """Scale by the unique positive rational giving integer
         coefficients with gcd 1. Signs are unchanged."""
-        if not self.coeffs:
-            return self
-        denom_lcm = 1
-        for _, c in self.coeffs:
-            denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-        nums = [c * denom_lcm for _, c in self.coeffs]
-        g = 0
-        for n in nums:
-            g = gcd(g, int(n))
-        return self.scale(Fraction(denom_lcm, g))
+        key, sign = _primitive_key(self.coeffs)
+        return Lin.make({v: sign * c for v, c in key})
 
     def eval(self, env: dict[str, Fraction]) -> Fraction:
         total = Fraction(0)
@@ -95,97 +97,193 @@ class Lin:
         return total
 
 
-@dataclass(frozen=True)
+# Sign sets: the signs a linear form may take under a constraint.
+NEG, ZERO, POS = 1, 2, 4
+ALL_SIGNS = NEG | ZERO | POS
+_REL_MASK = {">=": ZERO | POS, ">": POS, "=": ZERO}
+# mask -> (relation, lhs is the negated key)
+_MASK_REL = {
+    ZERO | POS: (">=", False), POS: (">", False), ZERO: ("=", False),
+    NEG | ZERO: (">=", True), NEG: (">", True),
+}
+
+
+def _flip(mask: int) -> int:
+    """The sign set of -x for x in mask."""
+    return (mask & NEG) << 2 | (mask & ZERO) | (mask & POS) >> 2
+
+
+def _int_key(items) -> tuple[tuple, int]:
+    """(key, sign) with sign * key equal to the integer form `items`
+    divided by the gcd of its coefficients; the key is sorted, has no
+    zero coefficient, and its first coefficient is positive."""
+    items = sorted(item for item in items if item[1])
+    if not items:
+        return (), 1
+    g = gcd(*[c for _, c in items])
+    if items[0][1] < 0:
+        g = -g
+    if g != 1:
+        items = [(v, c // g) for v, c in items]
+    return tuple(items), (1 if g > 0 else -1)
+
+
+def _primitive_key(coeffs) -> tuple[tuple, int]:
+    """_int_key of rational coefficients, cleared of denominators."""
+    den = lcm(*[c.denominator for _, c in coeffs])
+    return _int_key(
+        [(v, c.numerator * (den // c.denominator)) for v, c in coeffs]
+    )
+
+
 class LinConstraint:
-    """lhs REL 0 with REL one of >=, >, =."""
+    """lhs REL 0 with REL one of >=, >, =, kept in a normal form.
 
-    lhs: Lin
-    rel: str  # ">=", ">", "="
+    The constructor scales lhs by the positive rational that gives it
+    integer coefficients with gcd 1, which changes no truth value.
+    Internally a constraint is a pair: `key`, that integer form up to
+    sign (its first coefficient is positive), and `mask`, the set of
+    signs (NEG | ZERO | POS bits) that key may take. So a constraint and
+    its negation share one key, and constraints that differ only by a
+    positive factor are equal. `lhs` and `rel` give the normal form back
+    with its sign (an equality takes the sign of its key).
+    """
 
-    def __post_init__(self):
-        if self.rel not in (">=", ">", "="):
-            raise ValueError(f"bad relation {self.rel!r}")
+    __slots__ = ("key", "mask")
+
+    def __init__(self, lhs: Lin, rel: str):
+        if rel not in _REL_MASK:
+            raise ValueError(f"bad relation {rel!r}")
+        key, sign = _primitive_key(lhs.coeffs)
+        mask = _REL_MASK[rel]
+        self.key = key
+        self.mask = mask if sign > 0 else _flip(mask)
+
+    @classmethod
+    def from_key(cls, key: tuple, mask: int) -> "LinConstraint":
+        """The constraint `key` in `mask`; key must already be normal."""
+        c = object.__new__(cls)
+        c.key = key
+        c.mask = mask
+        return c
+
+    @classmethod
+    def from_ints(cls, coeffs: dict, mask: int) -> "LinConstraint":
+        """The constraint `coeffs` in `mask`, for integer coefficients."""
+        key, sign = _int_key(coeffs.items())
+        return cls.from_key(key, mask if sign > 0 else _flip(mask))
+
+    @property
+    def lhs(self) -> Lin:
+        if _MASK_REL[self.mask][1]:
+            return Lin(tuple((v, -c) for v, c in self.key))
+        return Lin(self.key)
+
+    @property
+    def rel(self) -> str:
+        return _MASK_REL[self.mask][0]
+
+    def __eq__(self, other):
+        if not isinstance(other, LinConstraint):
+            return NotImplemented
+        return self.key == other.key and self.mask == other.mask
+
+    def __hash__(self):
+        return hash((self.key, self.mask))
+
+    def __repr__(self):
+        return f"LinConstraint({self.lhs!r}, {self.rel!r})"
 
     def holds(self, env: dict[str, Fraction]) -> bool:
-        v = self.lhs.eval(env)
-        if self.rel == ">=":
-            return v >= 0
-        if self.rel == ">":
-            return v > 0
-        return v == 0
+        value = sum(c if v == CONST else c * env[v] for v, c in self.key)
+        return bool(self.mask & (POS if value > 0 else NEG if value < 0 else ZERO))
 
     def constant_truth(self):
-        """Truth value if variable-free, else None."""
-        if self.lhs.vars():
-            return None
-        return self.holds({})
+        """Truth value if variable-free, else None. The only
+        variable-free keys are () and ((CONST, 1),)."""
+        key = self.key
+        if not key:
+            return bool(self.mask & ZERO)
+        if len(key) == 1 and key[0][0] == CONST:
+            return bool(self.mask & POS)
+        return None
 
     def negated(self) -> list["LinConstraint"]:
         """Negation as a disjunction of atomic constraints."""
-        if self.rel == ">=":
-            return [LinConstraint(-self.lhs, ">")]
-        if self.rel == ">":
-            return [LinConstraint(-self.lhs, ">=")]
-        return [LinConstraint(self.lhs, ">"), LinConstraint(-self.lhs, ">")]
+        mask = ALL_SIGNS ^ self.mask
+        if mask == NEG | POS:
+            return [LinConstraint.from_key(self.key, POS),
+                    LinConstraint.from_key(self.key, NEG)]
+        return [LinConstraint.from_key(self.key, mask)]
+
+
+def _coeff(key: tuple, var: str) -> int:
+    for v, c in key:
+        if v == var:
+            return c
+    return 0
+
+
+def _combine(k1: tuple, m1: int, k2: tuple, m2: int) -> dict:
+    """m1 * k1 + m2 * k2 as a mapping with integer coefficients."""
+    out = {v: m1 * c for v, c in k1}
+    for v, c in k2:
+        out[v] = out.get(v, 0) + m2 * c
+    return out
 
 
 def fm_eliminate_conj(var: str, constraints: list[LinConstraint]) -> list[LinConstraint] | None:
     """Eliminate var from a conjunction; None means plainly unsatisfiable.
 
-    Equalities mentioning the variable are substituted first; remaining
-    bounds are paired lower-vs-upper with strictness ORed.
+    Works on the integer keys only. An equality a*var + E = 0 that
+    mentions the variable is substituted first: it turns b*var + D into
+    |a|*D - sgn(a)*b*E, a positive multiple of D with var solved away.
+    Otherwise a lower bound a*var + L >= 0 (a > 0) and an upper bound
+    b*var + U >= 0 (b < 0) combine to |b|*L + a*U >= 0, strict when
+    either bound is strict.
     """
-    work = list(constraints)
+    out = []
 
-    # substitute an equality if present
-    for i, c in enumerate(work):
-        a = c.lhs.get(var)
-        if c.rel == "=" and a != 0:
-            # var = -(rest)/a
-            rest = c.lhs + Lin.make({var: -a})
-            sol = rest.scale(Fraction(-1) / a)
-            out = []
-            for j, d in enumerate(work):
+    def keep(c: LinConstraint) -> bool:
+        t = c.constant_truth()
+        if t is None:
+            out.append(c)
+        return t is not False
+
+    for i, c in enumerate(constraints):
+        a = _coeff(c.key, var)
+        if c.mask == ZERO and a:
+            s = 1 if a > 0 else -1
+            for j, d in enumerate(constraints):
                 if j == i:
                     continue
-                b = d.lhs.get(var)
-                newlhs = d.lhs + Lin.make({var: -b}) + sol.scale(b)
-                nd = LinConstraint(newlhs, d.rel)
-                t = nd.constant_truth()
-                if t is False:
+                b = _coeff(d.key, var)
+                if b:
+                    d = LinConstraint.from_ints(
+                        _combine(d.key, s * a, c.key, -s * b), d.mask
+                    )
+                if not keep(d):
                     return None
-                if t is None:
-                    out.append(nd)
             return out
 
-    lowers, uppers, rest = [], [], []
-    for c in work:
-        a = c.lhs.get(var)
-        if a == 0:
-            t = c.constant_truth()
-            if t is False:
+    lowers, uppers = [], []
+    for c in constraints:
+        a = _coeff(c.key, var)
+        if not a:
+            if not keep(c):
                 return None
-            if t is None:
-                rest.append(c)
-        else:
-            # normalize to  var REL bound  /  bound REL var
-            bound = (c.lhs + Lin.make({var: -a})).scale(Fraction(-1) / a)
-            strict = c.rel == ">"
-            if a > 0:
-                lowers.append((bound, strict))  # var >= bound
-            else:
-                uppers.append((bound, strict))  # var <= bound
-    for lo, lo_strict in lowers:
-        for up, up_strict in uppers:
-            diff = up - lo
-            rel = ">" if (lo_strict or up_strict) else ">="
-            c = LinConstraint(diff, rel)
-            t = c.constant_truth()
-            if t is False:
+            continue
+        # the bound sign * key >= 0, or > 0 when strict
+        sign = -1 if c.mask & NEG else 1
+        bound = (abs(a), sign, c.key, c.mask in (POS, NEG))
+        (lowers if a * sign > 0 else uppers).append(bound)
+    for a, s_lo, k_lo, strict_lo in lowers:
+        for b, s_up, k_up, strict_up in uppers:
+            mask = POS if strict_lo or strict_up else ZERO | POS
+            c = LinConstraint.from_ints(_combine(k_lo, b * s_lo, k_up, a * s_up), mask)
+            if not keep(c):
                 return None
-            if t is None:
-                rest.append(c)
-    return rest
+    return out
 
 
 def fm_eliminate(var: str, dnf: list[list[LinConstraint]]) -> list[list[LinConstraint]]:

@@ -5,6 +5,14 @@ group-quantified variable becomes one rational unknown per ground
 point, and membership atoms compile pointwise to linear constraints
 decided by Fourier-Motzkin elimination. Sound and complete at small
 sizes, and completely independent of the reduction engine.
+
+Constraints are in the primitive integer normal form of linear.py. A
+conjunction is a store from constraint key to the signs still allowed,
+so contradictions and duplicates show up as plain dict work. One
+decide_finite call compiles each valuation atom once per point and
+eliminates each (variable, Boolean formula) pair once: the compiler
+memoizes both, keyed on structure, and is dropped when the call ends.
+Assignment sizes are checked once, on entry.
 """
 
 from __future__ import annotations
@@ -14,7 +22,10 @@ from fractions import Fraction
 
 from . import syntax as S
 from .errors import PreconditionViolated, ResourceLimit, UnboundVariable
-from .linear import CONST, Lin, LinConstraint, fm_eliminate, fm_eliminate_conj
+from .linear import (
+    ALL_SIGNS, CONST, NEG, POS, ZERO, Lin, LinConstraint, fm_eliminate,
+    fm_eliminate_conj,
+)
 from .rewrites import linearize_group_term, one_point, rename_bound
 from .standard import FinStdStructure, GroupVector, SubsetL, std_valuation
 
@@ -126,9 +137,12 @@ def eval_lterm(t: S.Term, n: int, genv, lenv) -> SubsetL:
 
 def eval_qf(struct: FinStdStructure, env: Assignment, phi: S.Formula) -> bool:
     """Tarskian truth of a quantifier-free formula under a full assignment."""
-    n = struct.ground_size
-    env.check_sizes(n)
-    genv, lenv = env.group_env, env.lattice_env
+    env.check_sizes(struct.ground_size)
+    return _eval_qf(struct.ground_size, env.group_env, env.lattice_env, phi)
+
+
+def _eval_qf(n: int, genv, lenv, phi: S.Formula) -> bool:
+    """eval_qf with the sizes of genv and lenv already checked against n."""
 
     def go(f: S.Formula) -> bool:
         if isinstance(f, S.TrueF):
@@ -206,34 +220,43 @@ def b_not(f):
     return ("not", f)
 
 
+# A conjunction store maps a constraint key to the sign mask that the
+# conjunction allows it; a constraint and its negation share a key, so
+# a conjunction is contradictory exactly when some mask becomes empty.
+
 def _conj_insert(store: dict, c: LinConstraint):
     """Add a constraint to a conjunction store; False on contradiction."""
     t = c.constant_truth()
     if t is not None:
         return t
-    lhs, rel = c.lhs, c.rel
-    nrel = store.get(-lhs)
-    if nrel is not None and (rel == ">" or nrel == ">"):
+    mask = store.get(c.key, ALL_SIGNS) & c.mask
+    if not mask:
         return False
-    cur = store.get(lhs)
-    if cur is None or cur == rel:
-        store[lhs] = rel
-        return True
-    pair = {cur, rel}
-    if pair == {">=", ">"}:
-        store[lhs] = ">"
-        return True
-    if pair == {">=", "="}:
-        store[lhs] = "="
-        return True
-    return False  # {">", "="} is unsatisfiable
+    store[c.key] = mask
+    return True
+
+
+def _store_and(store: dict, other: dict) -> bool:
+    """Conjoin other into store, in place; False on contradiction."""
+    for key, mask in other.items():
+        mask &= store.get(key, ALL_SIGNS)
+        if not mask:
+            return False
+        store[key] = mask
+    return True
 
 
 def _store_to_conj(store: dict) -> list[LinConstraint]:
-    return [
-        LinConstraint(l, r)
-        for l, r in sorted(store.items(), key=lambda kv: kv[0].coeffs)
-    ]
+    return [LinConstraint.from_key(k, m) for k, m in sorted(store.items())]
+
+
+def _excluded(store: dict) -> frozenset:
+    """The (key, sign) pairs a store rules out. One store implies another
+    exactly when it rules out a superset of the other's pairs."""
+    return frozenset(
+        (key, sign) for key, mask in store.items() for sign in (NEG, ZERO, POS)
+        if not mask & sign
+    )
 
 
 def prune_dnf(dnf):
@@ -248,7 +271,7 @@ def prune_dnf(dnf):
                 ok = False
                 break
         if ok:
-            stores.setdefault(frozenset(store.items()), store)
+            stores.setdefault(_excluded(store), store)
     items = list(stores.items())
     if len(items) <= 800:
         keys = [k for k, _ in items]
@@ -302,16 +325,14 @@ def to_dnf(f, cap: int):
             out = [{}]
             for p in f[1]:
                 branches = dist(p)
+                last = len(branches) - 1
                 merged = []
                 for a in out:
-                    for b in branches:
-                        combo = dict(a)
-                        ok = True
-                        for lhs, rel in b.items():
-                            if not _conj_insert(combo, LinConstraint(lhs, rel)):
-                                ok = False
-                                break
-                        if ok:
+                    # every store here is this call's own: the last branch
+                    # can extend a itself instead of a copy
+                    for i, b in enumerate(branches):
+                        combo = a if i == last else dict(a)
+                        if _store_and(combo, b):
                             merged.append(combo)
                         if len(merged) > cap:
                             raise ResourceLimit("DNF size limit exceeded")
@@ -326,34 +347,50 @@ def _dnf_to_bform(dnf):
     return b_or([b_and(list(conj)) for conj in dnf])
 
 
+_MISS = object()
+
+
 class _Compiler:
+    """Compiles formulas over one structure and one assignment of the free
+    group variables. Its memos are keyed on structure (terms and Boolean
+    formulas compare by value), so they hold for the compiler's lifetime,
+    one decide_finite call, and go with it."""
+
     def __init__(self, struct: FinStdStructure, genv, limits):
         self.n = struct.ground_size
         self.genv = genv  # concrete values for free group variables
         self.cap = limits["max_dnf"]
         self.struct = struct
+        self.linear = {}  # G-term -> join of meets of Lin
+        self.nonneg = {}  # (G-term, point) -> Boolean constraint formula
+        self.eliminated = {}  # (variable, Boolean formula) -> formula
 
     def point_constraint(self, lin: Lin, x: int) -> "LinConstraint | bool":
         """ lin(x) >= 0 with free group variables folded to constants."""
         out: dict[str, Fraction] = {}
         for var, c in lin.coeffs:
             if var == CONST:
-                out[CONST] = out.get(CONST, Fraction(0)) + c
+                out[CONST] = out.get(CONST, 0) + c
             elif var in self.genv:
-                out[CONST] = out.get(CONST, Fraction(0)) + c * self.genv[var].values[x]
+                out[CONST] = out.get(CONST, 0) + c * self.genv[var].values[x]
             else:
                 key = f"{var}@{x}"
-                out[key] = out.get(key, Fraction(0)) + c
-        c = LinConstraint(Lin.make(out), ">=")
+                out[key] = out.get(key, 0) + c
+        c = LinConstraint(Lin(tuple(out.items())), ">=")
         t = c.constant_truth()
         return c if t is None else t
 
     def nonneg_at(self, t: S.Term, x: int):
         """Boolean constraint formula for t(x) >= 0."""
-        jom = linearize_group_term(t)
-        return b_or(
-            [b_and([self.point_constraint(l, x) for l in meet]) for meet in jom]
-        )
+        f = self.nonneg.get((t, x), _MISS)
+        if f is _MISS:
+            jom = self.linear.get(t)
+            if jom is None:
+                jom = self.linear[t] = linearize_group_term(t)
+            f = self.nonneg[t, x] = b_or(
+                [b_and([self.point_constraint(l, x) for l in meet]) for meet in jom]
+            )
+        return f
 
     def member_at(self, t: S.Term, x: int, lenv):
         if isinstance(t, S.LVar):
@@ -426,12 +463,15 @@ class _Compiler:
         raise PreconditionViolated(f"unknown formula node {f!r}")
 
     def eliminate_exists(self, var: str, bform):
-        dnf = to_dnf(bform, self.cap)
-        for x in range(self.n):
-            dnf = prune_dnf(fm_eliminate(f"{var}@{x}", dnf))
-            if len(dnf) > self.cap:
-                raise ResourceLimit("DNF size limit exceeded")
-        return _dnf_to_bform(dnf)
+        out = self.eliminated.get((var, bform), _MISS)
+        if out is _MISS:
+            dnf = to_dnf(bform, self.cap)
+            for x in range(self.n):
+                dnf = prune_dnf(fm_eliminate(f"{var}@{x}", dnf))
+                if len(dnf) > self.cap:
+                    raise ResourceLimit("DNF size limit exceeded")
+            out = self.eliminated[var, bform] = _dnf_to_bform(dnf)
+        return out
 
 
 def _bform_truth(f) -> bool:
@@ -467,13 +507,15 @@ def decide_finite(
             f"ground size {struct.ground_size} exceeds cap {lim['max_n']}"
         )
     env = env or Assignment()
-    env.check_sizes(struct.ground_size)
+    n = struct.ground_size
+    env.check_sizes(n)
     phi = one_point(rename_bound(phi, prefix="_d"))
     if _count_quantifiers(phi) > lim["max_quantifiers"]:
         raise ResourceLimit("quantifier count exceeds cap")
     if count_atoms(phi) > lim["max_atoms"]:
         raise ResourceLimit("atom count exceeds cap")
-    comp = _Compiler(struct, env.group_env, lim)
+    genv = env.group_env
+    comp = _Compiler(struct, genv, lim)
 
     def go(f: S.Formula, lenv) -> bool:
         # stay concrete (with short-circuiting) until a group quantifier
@@ -492,8 +534,6 @@ def decide_finite(
             return all(go(f.body, {**lenv, f.var: s}) for s in subsets)
         if isinstance(f, (S.Exists, S.Forall)):
             return _bform_truth(comp.compile(f, lenv))
-        return eval_qf(
-            struct, Assignment(env.group_env, dict(lenv)), f
-        )
+        return _eval_qf(n, genv, lenv, f)
 
     return go(phi, dict(env.lattice_env))

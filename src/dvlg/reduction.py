@@ -95,10 +95,6 @@ def eliminate_group_var(block: PrimitiveBlock) -> S.Formula:
     return simplify(out)
 
 
-def _formula_has_var(f: S.Formula, var: str) -> bool:
-    return var in S.free_vars(f)
-
-
 def _collect_val_atoms(n, var: str, out: list[S.Term]):
     """Distinct Val terms whose argument mentions var, by first occurrence."""
     if isinstance(n, S.Val):
@@ -175,7 +171,7 @@ class _Reducer:
                 body.var, S.L, self.eliminate_exists(var, body.body)
             )
         body = self.resolve_lattice_quantifiers(var, body)
-        if not _formula_has_var(body, var):
+        if not S.occurs_free(var, body):
             return body
         val_terms: list[S.Term] = []
         _collect_val_atoms(body, var, val_terms)
@@ -219,7 +215,7 @@ class _Reducer:
         tplus mode rejects them; ec mode removes the quantifiers with
         ba_qe, which is sound in the existentially closed theory."""
         if isinstance(f, (S.Exists, S.Forall)):
-            if not _formula_has_var(f, var):
+            if not S.occurs_free(var, f):
                 return f  # opaque: var-free subformulas pass through
             if self.mode == "tplus":
                 raise UnsupportedFragment(

@@ -301,8 +301,7 @@ def simplify(phi: S.Formula) -> S.Formula:
         body = simplify(phi.body)
         if isinstance(body, (S.TrueF, S.FalseF)):
             return body  # both sorts are inhabited
-        fv = S.free_vars(body)
-        if phi.var not in fv:
+        if not S.occurs_free(phi.var, body):
             return body
         return type(phi)(phi.var, phi.sort, body)
     return phi

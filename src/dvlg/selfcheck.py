@@ -16,7 +16,7 @@ from . import standard as ST
 from . import syntax as S
 from .boolalg import ba_decide, interval_check
 from .corpus import gen_lattice_corpus, gen_tplus_corpus, load_known_answers, named_rng
-from .errors import PreconditionViolated
+from .errors import PreconditionViolated, ResourceLimit
 from .linear import Lin, LinConstraint, fm_eliminate_conj
 from .oracle import Assignment, decide_finite, eval_qf
 from .parser import parse
@@ -91,6 +91,10 @@ def eval_qf_periodic(env: dict, phi: S.Formula) -> bool:
 WITNESS_GRID = (
     Fraction(-2), Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)
 )
+# Candidates periodic_witness_search tries before it raises ResourceLimit
+# (about half a second of search). The existential known answers need 17
+# in all; a sentence with no witness reaches the cap at period 2^3.
+WITNESS_MAX_CANDIDATES = 10_000
 
 
 def is_purely_existential_g(phi: S.Formula) -> bool:
@@ -116,21 +120,31 @@ def _has_quantifier(phi: S.Formula) -> bool:
 def periodic_witness_search(phi: S.Formula, max_period_exp: int = 6, grid=WITNESS_GRID):
     """Witnesses in the periodic model for a purely existential sentence.
 
-    Searches value lists over the coefficient grid at increasing period
-    exponents; returns {var: PeriodicFn} or None if the bound is hit.
+    Tries value lists over the coefficient grid, one per variable, at
+    increasing period exponents, generating them as it goes; returns
+    {var: PeriodicFn}, or None once every exponent up to max_period_exp
+    is searched. Raises ResourceLimit after WITNESS_MAX_CANDIDATES
+    candidates.
     """
     names = []
     while isinstance(phi, S.Exists) and phi.sort == S.G:
         names.append(phi.var)
         phi = phi.body
     matrix = phi
+    tried = 0
     for k in range(max_period_exp + 1):
-        per_var = [
-            P.normalize(k, vals)
-            for vals in itertools.product(grid, repeat=1 << k)
-        ]
-        for combo in itertools.product(per_var, repeat=len(names)):
-            env = dict(zip(names, combo))
+        period = 1 << k
+        for vals in itertools.product(grid, repeat=period * len(names)):
+            if tried == WITNESS_MAX_CANDIDATES:
+                raise ResourceLimit(
+                    f"witness search: candidate cap {WITNESS_MAX_CANDIDATES} reached "
+                    f"at period exponent {k} (max {max_period_exp})"
+                )
+            tried += 1
+            env = {
+                name: P.normalize(k, vals[i * period:(i + 1) * period])
+                for i, name in enumerate(names)
+            }
             if eval_qf_periodic(env, matrix):
                 return env
     return None

@@ -320,6 +320,19 @@ def term_vars(t: Term) -> set[str]:
     return out
 
 
+def occurs_free(name: str, node: Term | Formula) -> bool:
+    """Whether a variable called name occurs free in node. Stops at the
+    first occurrence, and does not look below a binder of name."""
+    if isinstance(node, (GVar, LVar)):
+        return node.name == name
+    if isinstance(node, (Exists, Forall)) and node.var == name:
+        return False
+    for child in children(node):
+        if occurs_free(name, child):
+            return True
+    return False
+
+
 def free_vars(phi: Formula) -> dict[str, str]:
     """Free variables with their sorts (sorts inferred from use sites)."""
     out: dict[str, str] = {}

@@ -1,6 +1,7 @@
 """Fourier-Motzkin elimination over exact rationals."""
 
 from fractions import Fraction
+from math import gcd
 
 from dvlg.corpus import named_rng
 from dvlg.linear import (
@@ -102,3 +103,101 @@ class TestPrimitive:
     def test_sign_preserved(self):
         lin = Lin.make({"x": Fraction(-1, 2)})
         assert lin.primitive() == Lin.make({"x": -1})
+
+
+def rand_lin(rng, names, den=4):
+    return Lin.make(
+        {v: Fraction(rng.randint(-6, 6), rng.randint(1, den)) for v in names}
+    )
+
+
+class TestNormalForm:
+    NAMES = ["x", "y", "1"]
+
+    def test_integer_coefficients_gcd_one(self):
+        rng = named_rng(5, "fm-normal")
+        for _ in range(300):
+            lin = rand_lin(rng, self.NAMES)
+            k = LinConstraint(lin, rng.choice([">=", ">", "="]))
+            coeffs = [q for _, q in k.lhs.coeffs]
+            assert all(type(q) is int and q != 0 for q in coeffs)
+            if coeffs:
+                assert gcd(*coeffs) == 1
+
+    def test_sign_and_relation_kept(self):
+        k = LinConstraint(Lin.make({"x": Fraction(-2, 3), "1": 2}), ">")
+        assert k.lhs == Lin.make({"x": -1, "1": 3}) and k.rel == ">"
+
+    def test_positive_scaling_gives_equal_constraint(self):
+        rng = named_rng(6, "fm-scale")
+        for _ in range(300):
+            lin = rand_lin(rng, self.NAMES)
+            rel = rng.choice([">=", ">", "="])
+            q = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            a, b = LinConstraint(lin, rel), LinConstraint(lin.scale(q), rel)
+            assert a == b and hash(a) == hash(b)
+            # the negated side is a different constraint unless it is an equality
+            flipped = LinConstraint(lin.scale(-q), rel)
+            assert (flipped == a) == (rel == "=" or lin.is_zero())
+
+    def test_holds_unchanged(self):
+        rng = named_rng(7, "fm-holds")
+        for _ in range(300):
+            lin = rand_lin(rng, ["x", "y", "z", "1"])
+            rel = rng.choice([">=", ">", "="])
+            env = {v: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for v in "xyz"}
+            value = lin.eval(env)
+            expected = {">=": value >= 0, ">": value > 0, "=": value == 0}[rel]
+            assert LinConstraint(lin, rel).holds(env) is expected
+
+    def test_negation_complements(self):
+        rng = named_rng(8, "fm-neg")
+        for _ in range(200):
+            k = LinConstraint(rand_lin(rng, ["x", "1"]), rng.choice([">=", ">", "="]))
+            env = {"x": Fraction(rng.randint(-4, 4), rng.randint(1, 2))}
+            assert any(n.holds(env) for n in k.negated()) is not k.holds(env)
+
+
+def _fix(conj, env):
+    """The conjunction with the variables in env replaced by their values."""
+    out = []
+    for k in conj:
+        mapping = {}
+        for v, q in k.lhs.coeffs:
+            if v in env:
+                mapping["1"] = mapping.get("1", 0) + q * env[v]
+            else:
+                mapping[v] = mapping.get(v, 0) + q
+        out.append(LinConstraint(Lin.make(mapping), k.rel))
+    return out
+
+
+class TestIntegerFm:
+    # x has coefficient 0, +-1 or +-2 and the rest are integers in
+    # [-2, 2], so at y, z in {-1, 0, 1} every bound on x is a multiple of
+    # 1/2 in [-6, 6]; quarter steps then meet any nonempty interval
+    X_GRID = [Fraction(i, 4) for i in range(-28, 29)]
+
+    def test_agrees_with_grid(self):
+        rng = named_rng(11, "fm-integer-grid")
+        for _ in range(200):
+            conj = [
+                LinConstraint(
+                    Lin.make({
+                        "x": rng.choice([0, 1, -1, 2, -2]),
+                        "y": rng.randint(-2, 2),
+                        "z": rng.randint(-2, 2),
+                        "1": rng.randint(-2, 2),
+                    }),
+                    rng.choice([">=", ">=", ">", "="]),
+                )
+                for _ in range(rng.randint(1, 4))
+            ]
+            out = fm_eliminate_conj("x", conj)
+            assert out is None or all("x" not in k.lhs.vars() for k in out)
+            for y in (-1, 0, 1):
+                for z in (-1, 0, 1):
+                    env = {"y": Fraction(y), "z": Fraction(z)}
+                    direct = dnf_satisfiable_grid([_fix(conj, env)], ["x"], self.X_GRID)
+                    after = out is not None and all(k.holds(env) for k in out)
+                    assert direct == after, (conj, env)

@@ -134,6 +134,18 @@ class TestDecideFinite:
             )
 
 
+class TestPerCallMemos:
+    def test_assignments_do_not_leak_between_calls(self):
+        # the compiler memoizes per call; a second call with another value
+        # of the free variable f must not reuse the first call's constraints
+        phi = parse("exists b:G. 0 <= b & b <= f & ~(b = 0)", CTX)
+        struct = FinStdStructure(2)
+        yes, no = env3(f=gv(1, 2)), env3(f=gv(1, -1))
+        for order in ((yes, no), (no, yes)):
+            got = [decide_finite(struct, phi, env) for env in order]
+            assert got == [env is yes for env in order]
+
+
 class TestResourceLimits:
     def test_ground_size_cap(self):
         with pytest.raises(ResourceLimit):

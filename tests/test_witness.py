@@ -1,0 +1,51 @@
+"""Witness search in the periodic model: candidates and budget."""
+
+import pytest
+
+from dvlg import selfcheck
+from dvlg.cli import main
+from dvlg.corpus import load_known_answers
+from dvlg.errors import ResourceLimit
+from dvlg.parser import parse
+
+NO_WITNESS = "exists a:G. a + a = a & ~(a = 0)"
+
+
+class TestWitnessSearch:
+    def test_known_answers_candidates(self, monkeypatch):
+        calls = []
+        evaluate = selfcheck.eval_qf_periodic
+
+        def counted(env, phi):
+            calls.append(env)
+            return evaluate(env, phi)
+
+        monkeypatch.setattr(selfcheck, "eval_qf_periodic", counted)
+        found = 0
+        for entry in load_known_answers():
+            phi = parse(entry["formula"])
+            if entry["expected_ec"] and selfcheck.is_purely_existential_g(phi):
+                assert selfcheck.periodic_witness_search(phi) is not None
+                found += 1
+        # the matrix evaluation recurses with the same env; count envs
+        assert (found, len({id(env) for env in calls})) == (6, 17)
+
+    def test_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(selfcheck, "WITNESS_MAX_CANDIDATES", 50)
+        with pytest.raises(ResourceLimit, match="cap 50 reached at period exponent 2"):
+            selfcheck.periodic_witness_search(parse(NO_WITNESS))
+
+    def test_period_bound_without_cap(self):
+        # 6 + 36 candidates at exponents 0 and 1, all below the cap
+        assert selfcheck.periodic_witness_search(parse(NO_WITNESS), 1) is None
+
+    def test_default_cap_ends_search(self):
+        with pytest.raises(ResourceLimit, match="period exponent 3"):
+            selfcheck.periodic_witness_search(parse(NO_WITNESS))
+
+
+def test_cli_no_witness_exits_resource_limit(capsys):
+    code = main(["model", "--op", "witness", NO_WITNESS])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert "candidate cap" in captured.err
