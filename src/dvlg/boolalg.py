@@ -7,7 +7,8 @@ bottom, and an existential over y reduces to emptiness and
 non-emptiness assertions over the parameter minterms, using
 atomlessness to split any non-bottom element into two non-bottom
 halves. interval_check is an independent bounded checker in a concrete
-atomless algebra of rational half-open subintervals of [0, 1).
+atomless algebra of rational half-open subintervals of [0, 1), INTERVALS,
+where syntax.holds evaluates its atoms; ba_decide does not use holds.
 """
 
 from __future__ import annotations
@@ -218,49 +219,18 @@ def ba_qe(phi: S.Formula, cap: int = 20000) -> S.Formula:
     return simplify(go(phi))
 
 
-def _ground_truth(f: S.Formula) -> bool:
-    """Evaluate a variable-free lattice formula (nontrivial algebra)."""
-
-    def term(t: S.Term) -> bool:
-        if isinstance(t, S.Bot):
-            return False
-        if isinstance(t, S.Top):
-            return True
-        if isinstance(t, S.LMeet):
-            return term(t.left) and term(t.right)
-        if isinstance(t, S.LJoin):
-            return term(t.left) or term(t.right)
-        if isinstance(t, S.Compl):
-            return not term(t.arg)
-        raise NotSentence(f"free symbol remains: {S.print_term(t)}")
-
-    if isinstance(f, S.TrueF):
-        return True
-    if isinstance(f, S.FalseF):
-        return False
-    if isinstance(f, S.LBelow):
-        return (not term(f.left)) or term(f.right)
-    if isinstance(f, S.LEq):
-        return term(f.left) == term(f.right)
-    if isinstance(f, S.Not):
-        return not _ground_truth(f.arg)
-    if isinstance(f, S.And):
-        return _ground_truth(f.left) and _ground_truth(f.right)
-    if isinstance(f, S.Or):
-        return _ground_truth(f.left) or _ground_truth(f.right)
-    if isinstance(f, S.Implies):
-        return (not _ground_truth(f.left)) or _ground_truth(f.right)
-    raise NotSentence(f"not a ground formula: {S.print_formula(f)}")
-
-
 def ba_decide(sigma: S.Formula, cap: int = 20000) -> bool:
     """Truth of a lattice sentence in the theory of nontrivial atomless
-    Boolean algebras."""
+    Boolean algebras. ba_qe ends in simplify, which folds a variable-free
+    lattice formula to TRUE or FALSE; what is left holds a P term."""
     if S.free_vars(sigma):
         raise NotSentence(
             f"free variables: {sorted(S.free_vars(sigma))}"
         )
-    return _ground_truth(ba_qe(sigma, cap))
+    out = ba_qe(sigma, cap)
+    if not isinstance(out, (S.TrueF, S.FalseF)):
+        raise NotSentence(f"not a ground formula: {S.print_formula(out)}")
+    return isinstance(out, S.TrueF)
 
 
 # --- the concrete interval algebra ---
@@ -333,20 +303,23 @@ INTERVAL_BOT = IntervalAlgebraElem(())
 INTERVAL_TOP = IntervalAlgebraElem(((Fraction(0), Fraction(1)),))
 
 
-def _interval_term(t: S.Term, env) -> IntervalAlgebraElem:
-    if isinstance(t, S.LVar):
-        return env[t.name]
-    if isinstance(t, S.Bot):
-        return INTERVAL_BOT
-    if isinstance(t, S.Top):
-        return INTERVAL_TOP
-    if isinstance(t, S.LMeet):
-        return _interval_term(t.left, env).meet(_interval_term(t.right, env))
-    if isinstance(t, S.LJoin):
-        return _interval_term(t.left, env).join(_interval_term(t.right, env))
-    if isinstance(t, S.Compl):
-        return _interval_term(t.arg, env).complement()
-    raise NotLatticeSorted(f"not an interval-algebra term: {S.print_term(t)}")
+class IntervalModel:
+    """The interval algebra as a model for syntax.holds. It has no group
+    sort: the group operations raise NotLatticeSorted."""
+
+    bot = INTERVAL_BOT
+    top = INTERVAL_TOP
+
+    def set_op(self, kind: str, c, d=None):
+        return c.complement() if kind == "complement" else getattr(c, kind)(d)
+
+    def _no_group(self, *args):
+        raise NotLatticeSorted("the interval algebra has no group sort")
+
+    zero = group_op = scale = leq = val = _no_group
+
+
+INTERVALS = IntervalModel()
 
 
 def _interval_candidates(env) -> list[IntervalAlgebraElem]:
@@ -386,14 +359,6 @@ def interval_check(sigma: S.Formula, depth: int) -> bool:
     sigma = rename_bound(sigma, prefix="_i")
 
     def go(f: S.Formula, env, remaining: int) -> bool:
-        if isinstance(f, S.TrueF):
-            return True
-        if isinstance(f, S.FalseF):
-            return False
-        if isinstance(f, S.LBelow):
-            return _interval_term(f.left, env).below(_interval_term(f.right, env))
-        if isinstance(f, S.LEq):
-            return _interval_term(f.left, env) == _interval_term(f.right, env)
         if isinstance(f, S.Not):
             return not go(f.arg, env, remaining)
         if isinstance(f, S.And):
@@ -410,6 +375,6 @@ def interval_check(sigma: S.Formula, depth: int) -> bool:
                 go(f.body, {**env, f.var: y}, remaining - 1) for y in cands
             )
             return any(results) if isinstance(f, S.Exists) else all(results)
-        raise NotLatticeSorted(f"unknown formula {f!r}")
+        return S.holds(INTERVALS, {}, env, f)
 
     return go(sigma, {}, depth)

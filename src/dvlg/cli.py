@@ -5,9 +5,10 @@ Subcommands: decide (truth in the existentially closed theory), reduce
 standard structure), model (periodic-model computations and witness
 search), selftest (acceptance corpus and property suites).
 
-Exit codes: 0 true/pass, 1 false, 2 parse or sort error,
-3 unsupported fragment, 4 resource limit, 5 internal error (any other
-exception, RecursionError included, with one line on stderr).
+Exit codes: 0 true/pass, 1 false, 2 parse or sort error (also an open
+formula where a sentence is needed, or an --env assignment that does
+not fit -n), 3 unsupported fragment, 4 resource limit, 5 internal error
+(any other exception, RecursionError included, with one line on stderr).
 
 Output is deterministic: the same command and seed give the same bytes.
 Wall-clock times appear only with --timings: stats.elapsed_ms in the
@@ -26,6 +27,7 @@ import time
 from . import periodic as P
 from .boolalg import ba_decide
 from .errors import (
+    BadAssignment,
     DepthExceeded,
     DvlgError,
     FormulaSyntaxError,
@@ -38,11 +40,10 @@ from .errors import (
 )
 from .oracle import Assignment, count_atoms, decide_finite
 from .parser import parse
-from .rationals import rat
 from .reduction import reduce
 from .selfcheck import periodic_witness_search, run_all
 from .standard import FinStdStructure, GroupVector, SubsetL
-from .syntax import free_vars, print_formula
+from .syntax import G, L, free_vars, print_formula
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -127,16 +128,21 @@ def _read_formula(args) -> str:
     raise FormulaSyntaxError("no formula given (positional or --file)")
 
 
-def _load_env(text: str) -> Assignment:
+def _load_env(text: str, n: int) -> Assignment:
+    """The --env assignment over the structure of size n: a vector of n
+    rationals per group variable, a list of indices in 0..n-1 per
+    lattice variable."""
     data = json.loads(text)
-    genv = {
-        k: GroupVector.from_json(v) for k, v in data.get("group", {}).items()
-    }
-    lenv = {}
-    for k, v in data.get("lattice", {}).items():
-        width = max(v, default=-1) + 1
-        lenv[k] = SubsetL.from_indices(v, max(width, 1))
-    return Assignment(genv, lenv)
+    try:
+        env = Assignment(
+            {k: GroupVector.from_json(v) for k, v in data.get("group", {}).items()},
+            {k: SubsetL.from_indices(v, n) for k, v in data.get("lattice", {}).items()},
+        )
+        env.check_sizes(n)
+    except (AttributeError, TypeError, ValueError, DvlgError) as e:
+        # a value of the wrong shape, a bad rational or index, a wrong size
+        raise BadAssignment(f"--env: {e}") from None
+    return env
 
 
 def _stats(args, start: float, eliminations: int, atoms: int) -> dict:
@@ -201,8 +207,9 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_eval(args) -> int:
     source = _read_formula(args)
-    phi = parse(source)
-    env = _load_env(args.env)
+    env = _load_env(args.env, args.n)
+    sorts = {**dict.fromkeys(env.group_env, G), **dict.fromkeys(env.lattice_env, L)}
+    phi = parse(source, sorts)
     start = time.time()
     verdict = decide_finite(
         FinStdStructure(args.n), phi, env, limits=_parse_limits(args.limits) or None
@@ -228,10 +235,9 @@ def _cmd_model(args) -> int:
         source = _read_formula(args)
         phi = parse(source)
         witness = periodic_witness_search(phi, args.max_period)
-        verdict = (
-            {k: v.to_json() for k, v in witness.items()} if witness else False
-        )
-        exit_code = EXIT_TRUE if witness else EXIT_FALSE
+        found = witness is not None
+        verdict = {k: v.to_json() for k, v in witness.items()} if found else False
+        exit_code = EXIT_TRUE if found else EXIT_FALSE
         atoms = count_atoms(phi)
     else:
         source = json.dumps(operands)
@@ -298,7 +304,7 @@ def main(argv=None) -> int:
     try:
         return _DISPATCH[args.command](args)
     except (FormulaSyntaxError, SortError, NotSentence, NotLatticeSorted,
-            UnboundVariable, json.JSONDecodeError) as e:
+            UnboundVariable, BadAssignment, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except UnsupportedFragment as e:

@@ -53,6 +53,11 @@ class UnboundVariable(DvlgError):
     pass
 
 
+class BadAssignment(DvlgError):
+    """A variable assignment given on the command line that does not fit
+    the structure: a vector of the wrong length, an index out of range."""
+
+
 class ResourceLimit(DvlgError):
     pass
 

@@ -12,7 +12,8 @@ so contradictions and duplicates show up as plain dict work. One
 decide_finite call compiles each valuation atom once per point and
 eliminates each (variable, Boolean formula) pair once: the compiler
 memoizes both, keyed on structure, and is dropped when the call ends.
-Assignment sizes are checked once, on entry.
+Assignment sizes are checked once, on entry. Quantifier-free parts
+are evaluated by syntax.holds, with the structure as the model.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .linear import (
     fm_eliminate_conj,
 )
 from .rewrites import linearize_group_term, one_point, rename_bound
-from .standard import FinStdStructure, GroupVector, SubsetL, std_valuation
+from .standard import FinStdStructure, GroupVector, SubsetL
 
 __all__ = [
     "Assignment",
@@ -84,94 +85,10 @@ def count_atoms(phi: S.Formula) -> int:
     return count
 
 
-# --- direct quantifier-free evaluation ---
-
-def eval_gterm(t: S.Term, n: int, genv: dict[str, GroupVector]) -> GroupVector:
-    if isinstance(t, S.GVar):
-        if t.name not in genv:
-            raise UnboundVariable(f"group variable {t.name} not assigned")
-        return genv[t.name]
-    if isinstance(t, S.Zero):
-        return GroupVector((Fraction(0),) * n)
-    if isinstance(t, S.Add):
-        a, b = eval_gterm(t.left, n, genv), eval_gterm(t.right, n, genv)
-        return GroupVector(tuple(x + y for x, y in zip(a.values, b.values)))
-    if isinstance(t, S.Neg):
-        a = eval_gterm(t.arg, n, genv)
-        return GroupVector(tuple(-x for x in a.values))
-    if isinstance(t, S.GMeet):
-        a, b = eval_gterm(t.left, n, genv), eval_gterm(t.right, n, genv)
-        return GroupVector(tuple(min(x, y) for x, y in zip(a.values, b.values)))
-    if isinstance(t, S.GJoin):
-        a, b = eval_gterm(t.left, n, genv), eval_gterm(t.right, n, genv)
-        return GroupVector(tuple(max(x, y) for x, y in zip(a.values, b.values)))
-    if isinstance(t, S.IntScale):
-        a = eval_gterm(t.arg, n, genv)
-        q = Fraction(t.factor)
-        return GroupVector(tuple(q * x for x in a.values))
-    raise PreconditionViolated(f"not a G-term: {t!r}")
-
-
-def eval_lterm(t: S.Term, n: int, genv, lenv) -> SubsetL:
-    if isinstance(t, S.LVar):
-        if t.name not in lenv:
-            raise UnboundVariable(f"lattice variable {t.name} not assigned")
-        return lenv[t.name]
-    if isinstance(t, S.Bot):
-        return SubsetL(0, n)
-    if isinstance(t, S.Top):
-        return SubsetL((1 << n) - 1, n)
-    if isinstance(t, S.LMeet):
-        a, b = eval_lterm(t.left, n, genv, lenv), eval_lterm(t.right, n, genv, lenv)
-        return SubsetL(a.bits & b.bits, n)
-    if isinstance(t, S.LJoin):
-        a, b = eval_lterm(t.left, n, genv, lenv), eval_lterm(t.right, n, genv, lenv)
-        return SubsetL(a.bits | b.bits, n)
-    if isinstance(t, S.Compl):
-        a = eval_lterm(t.arg, n, genv, lenv)
-        return SubsetL((1 << n) - 1 & ~a.bits, n)
-    if isinstance(t, S.Val):
-        return std_valuation(eval_gterm(t.arg, n, genv))
-    raise PreconditionViolated(f"not an L-term: {t!r}")
-
-
 def eval_qf(struct: FinStdStructure, env: Assignment, phi: S.Formula) -> bool:
-    """Tarskian truth of a quantifier-free formula under a full assignment."""
+    """Truth of a quantifier-free formula: syntax.holds in struct."""
     env.check_sizes(struct.ground_size)
-    return _eval_qf(struct.ground_size, env.group_env, env.lattice_env, phi)
-
-
-def _eval_qf(n: int, genv, lenv, phi: S.Formula) -> bool:
-    """eval_qf with the sizes of genv and lenv already checked against n."""
-
-    def go(f: S.Formula) -> bool:
-        if isinstance(f, S.TrueF):
-            return True
-        if isinstance(f, S.FalseF):
-            return False
-        if isinstance(f, S.GLeq):
-            a = eval_gterm(f.left, n, genv)
-            b = eval_gterm(f.right, n, genv)
-            return all(x <= y for x, y in zip(a.values, b.values))
-        if isinstance(f, S.GEq):
-            return eval_gterm(f.left, n, genv) == eval_gterm(f.right, n, genv)
-        if isinstance(f, S.LBelow):
-            a = eval_lterm(f.left, n, genv, lenv)
-            b = eval_lterm(f.right, n, genv, lenv)
-            return a.bits & ~b.bits == 0
-        if isinstance(f, S.LEq):
-            return eval_lterm(f.left, n, genv, lenv) == eval_lterm(f.right, n, genv, lenv)
-        if isinstance(f, S.Not):
-            return not go(f.arg)
-        if isinstance(f, S.And):
-            return go(f.left) and go(f.right)
-        if isinstance(f, S.Or):
-            return go(f.left) or go(f.right)
-        if isinstance(f, S.Implies):
-            return (not go(f.left)) or go(f.right)
-        raise PreconditionViolated(f"eval_qf requires a quantifier-free formula, got {f!r}")
-
-    return go(phi)
+    return S.holds(struct, env.group_env, env.lattice_env, phi)
 
 
 # --- symbolic compilation for group quantifiers ---
@@ -507,8 +424,7 @@ def decide_finite(
             f"ground size {struct.ground_size} exceeds cap {lim['max_n']}"
         )
     env = env or Assignment()
-    n = struct.ground_size
-    env.check_sizes(n)
+    env.check_sizes(struct.ground_size)
     phi = one_point(rename_bound(phi, prefix="_d"))
     if _count_quantifiers(phi) > lim["max_quantifiers"]:
         raise ResourceLimit("quantifier count exceeds cap")
@@ -534,6 +450,6 @@ def decide_finite(
             return all(go(f.body, {**lenv, f.var: s}) for s in subsets)
         if isinstance(f, (S.Exists, S.Forall)):
             return _bform_truth(comp.compile(f, lenv))
-        return _eval_qf(n, genv, lenv, f)
+        return S.holds(struct, genv, lenv, f)
 
     return go(phi, dict(env.lattice_env))

@@ -198,6 +198,35 @@ def set_op(kind: str, c: PeriodicSet, d: PeriodicSet | None = None):
     raise ValueError(f"unknown set op {kind!r}")
 
 
+class PeriodicModel:
+    """The periodic model for syntax.holds. Its methods look the module
+    functions up when called, so a tracer that rebinds them sees every call."""
+
+    bot = PERIODIC_BOT
+    top = PERIODIC_TOP
+
+    def zero(self) -> PeriodicFn:
+        return PeriodicFn(0, (Fraction(0),))
+
+    def group_op(self, kind: str, a: PeriodicFn, b: PeriodicFn | None = None):
+        return periodic_op(kind, a, b)
+
+    def scale(self, k: int, a: PeriodicFn) -> PeriodicFn:
+        return periodic_scale(k, a)
+
+    def leq(self, a: PeriodicFn, b: PeriodicFn) -> bool:
+        return periodic_leq(a, b)
+
+    def set_op(self, kind: str, c: PeriodicSet, d: PeriodicSet | None = None):
+        return set_op(kind, c, d)
+
+    def val(self, a: PeriodicFn) -> PeriodicSet:
+        return periodic_valuation(a)
+
+
+PERIODIC = PeriodicModel()
+
+
 def alpha_embed(v: StageVector) -> StageVector:
     """Stage embedding: repeat the value list into the next stage."""
     return StageVector(v.n + 1, v.vals + v.vals)

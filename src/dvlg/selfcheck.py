@@ -2,7 +2,8 @@
 
 Each criterion function returns (passed, detail). The CLI selftest
 command and the acceptance test suite both dispatch through run_all so
-the two surfaces can never disagree about what is checked.
+the two surfaces can never disagree about what is checked. Witness
+candidates are evaluated by syntax.holds in the periodic model.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from . import standard as ST
 from . import syntax as S
 from .boolalg import ba_decide, interval_check
 from .corpus import gen_lattice_corpus, gen_tplus_corpus, load_known_answers, named_rng
-from .errors import PreconditionViolated, ResourceLimit
+from .errors import NotSentence, ResourceLimit, UnsupportedFragment
 from .linear import Lin, LinConstraint, fm_eliminate_conj
-from .oracle import Assignment, decide_finite, eval_qf
+from .oracle import Assignment, decide_finite
 from .parser import parse
 from .reduction import assemble_reduct, decide_ec, reduce
 
@@ -27,65 +28,10 @@ __all__ = ["run_all", "eval_qf_periodic", "periodic_witness_search"]
 
 # --- evaluation in the periodic model ---
 
-def _periodic_gterm(t: S.Term, env) -> P.PeriodicFn:
-    if isinstance(t, S.GVar):
-        return env[t.name]
-    if isinstance(t, S.Zero):
-        return P.PeriodicFn(0, (Fraction(0),))
-    if isinstance(t, S.Add):
-        return P.periodic_op("add", _periodic_gterm(t.left, env), _periodic_gterm(t.right, env))
-    if isinstance(t, S.Neg):
-        return P.periodic_op("neg", _periodic_gterm(t.arg, env))
-    if isinstance(t, S.GMeet):
-        return P.periodic_op("meet", _periodic_gterm(t.left, env), _periodic_gterm(t.right, env))
-    if isinstance(t, S.GJoin):
-        return P.periodic_op("join", _periodic_gterm(t.left, env), _periodic_gterm(t.right, env))
-    if isinstance(t, S.IntScale):
-        return P.periodic_scale(t.factor, _periodic_gterm(t.arg, env))
-    raise PreconditionViolated(f"not a G-term: {t!r}")
-
-
-def _periodic_lterm(t: S.Term, env) -> P.PeriodicSet:
-    if isinstance(t, S.LVar):
-        return env[t.name]
-    if isinstance(t, S.Bot):
-        return P.PERIODIC_BOT
-    if isinstance(t, S.Top):
-        return P.PERIODIC_TOP
-    if isinstance(t, S.LMeet):
-        return P.set_op("meet", _periodic_lterm(t.left, env), _periodic_lterm(t.right, env))
-    if isinstance(t, S.LJoin):
-        return P.set_op("join", _periodic_lterm(t.left, env), _periodic_lterm(t.right, env))
-    if isinstance(t, S.Compl):
-        return P.set_op("complement", _periodic_lterm(t.arg, env))
-    if isinstance(t, S.Val):
-        return P.periodic_valuation(_periodic_gterm(t.arg, env))
-    raise PreconditionViolated(f"not an L-term: {t!r}")
-
-
 def eval_qf_periodic(env: dict, phi: S.Formula) -> bool:
-    """Quantifier-free truth over the 2^n-periodic model."""
-    if isinstance(phi, S.TrueF):
-        return True
-    if isinstance(phi, S.FalseF):
-        return False
-    if isinstance(phi, S.GLeq):
-        return P.periodic_leq(_periodic_gterm(phi.left, env), _periodic_gterm(phi.right, env))
-    if isinstance(phi, S.GEq):
-        return _periodic_gterm(phi.left, env) == _periodic_gterm(phi.right, env)
-    if isinstance(phi, S.LBelow):
-        return P.set_op("below", _periodic_lterm(phi.left, env), _periodic_lterm(phi.right, env))
-    if isinstance(phi, S.LEq):
-        return _periodic_lterm(phi.left, env) == _periodic_lterm(phi.right, env)
-    if isinstance(phi, S.Not):
-        return not eval_qf_periodic(env, phi.arg)
-    if isinstance(phi, S.And):
-        return eval_qf_periodic(env, phi.left) and eval_qf_periodic(env, phi.right)
-    if isinstance(phi, S.Or):
-        return eval_qf_periodic(env, phi.left) or eval_qf_periodic(env, phi.right)
-    if isinstance(phi, S.Implies):
-        return (not eval_qf_periodic(env, phi.left)) or eval_qf_periodic(env, phi.right)
-    raise PreconditionViolated(f"quantifier-free formula required, got {phi!r}")
+    """Quantifier-free truth over the 2^n-periodic model: syntax.holds in
+    periodic.PERIODIC, with env assigning the variables of both sorts."""
+    return S.holds(P.PERIODIC, env, env, phi)
 
 
 WITNESS_GRID = (
@@ -124,13 +70,25 @@ def periodic_witness_search(phi: S.Formula, max_period_exp: int = 6, grid=WITNES
     increasing period exponents, generating them as it goes; returns
     {var: PeriodicFn}, or None once every exponent up to max_period_exp
     is searched. Raises ResourceLimit after WITNESS_MAX_CANDIDATES
-    candidates.
+    candidates. Before any candidate, raises NotSentence if phi has a
+    free variable and UnsupportedFragment if a quantifier follows the
+    existential group prefix.
     """
+    free = S.free_vars(phi)
+    if free:
+        raise NotSentence(
+            f"witness search needs a sentence; free variables: {sorted(free)}"
+        )
     names = []
     while isinstance(phi, S.Exists) and phi.sort == S.G:
         names.append(phi.var)
         phi = phi.body
     matrix = phi
+    if _has_quantifier(matrix):
+        raise UnsupportedFragment(
+            "witness search needs an existential group prefix over a "
+            "quantifier-free matrix"
+        )
     tried = 0
     for k in range(max_period_exp + 1):
         period = 1 << k

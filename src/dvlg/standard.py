@@ -84,33 +84,6 @@ class SubsetL:
         return self.indices()
 
 
-@dataclass(frozen=True)
-class FinStdStructure:
-    """The standard structure over a ground set of a given finite size."""
-
-    ground_size: int
-
-    def __post_init__(self):
-        if self.ground_size < 1:
-            raise LengthMismatch("ground size must be at least 1")
-
-    @property
-    def top(self) -> SubsetL:
-        return SubsetL((1 << self.ground_size) - 1, self.ground_size)
-
-    @property
-    def bot(self) -> SubsetL:
-        return SubsetL(0, self.ground_size)
-
-    def zero(self) -> GroupVector:
-        return GroupVector((Fraction(0),) * self.ground_size)
-
-    def all_subsets(self):
-        n = self.ground_size
-        for bits in range(1 << n):
-            yield SubsetL(bits, n)
-
-
 def _check_lengths(f: GroupVector, g: GroupVector):
     if len(f) != len(g):
         raise LengthMismatch(f"operand lengths differ: {len(f)} vs {len(g)}")
@@ -166,6 +139,42 @@ def subset_op(kind: str, c: SubsetL, d: SubsetL | None = None):
     if kind == "below":
         return c.bits & ~d.bits == 0
     raise ValueError(f"unknown subset op {kind!r}")
+
+
+@dataclass(frozen=True)
+class FinStdStructure:
+    """The standard structure over a ground set of a given finite size,
+    and a model for syntax.holds."""
+
+    ground_size: int
+
+    def __post_init__(self):
+        if self.ground_size < 1:
+            raise LengthMismatch("ground size must be at least 1")
+
+    @property
+    def top(self) -> SubsetL:
+        return SubsetL((1 << self.ground_size) - 1, self.ground_size)
+
+    @property
+    def bot(self) -> SubsetL:
+        return SubsetL(0, self.ground_size)
+
+    def zero(self) -> GroupVector:
+        return GroupVector((Fraction(0),) * self.ground_size)
+
+    def all_subsets(self):
+        n = self.ground_size
+        for bits in range(1 << n):
+            yield SubsetL(bits, n)
+
+    group_op = staticmethod(pointwise_op)
+    scale = staticmethod(scale)
+    set_op = staticmethod(subset_op)
+    val = staticmethod(std_valuation)
+
+    def leq(self, a: GroupVector, b: GroupVector) -> bool:
+        return all(x <= y for x, y in zip(a.values, b.values))
 
 
 def patch(c: SubsetL, d: SubsetL, f: GroupVector, g: GroupVector) -> GroupVector:

@@ -3,6 +3,15 @@
 Sorts are G (group) and L (lattice). All nodes are immutable; rewriting
 passes build fresh trees. children, rebuild and map_children are the one
 generic walk over both sorts of node.
+
+eval_term and holds are the one Tarskian evaluator of terms and
+quantifier-free formulas. A model gives them zero(), bot, top, val(a)
+(the valuation P), scale(k, a), leq(a, b) (the group order),
+group_op(kind, a, b=None) for add, neg (b absent), meet and join, and
+set_op(kind, c, d=None) for meet, join, complement (d absent) and below
+(the lattice order, a bool). Elements of both sorts compare with ==.
+The models are standard.FinStdStructure (the stages Stan(Q^n)),
+periodic.PERIODIC and boolalg.INTERVALS (no group sort).
 """
 
 from __future__ import annotations
@@ -10,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from operator import attrgetter
 
-from .errors import SortError
+from .errors import PreconditionViolated, SortError, UnboundVariable
 
 G = "G"
 L = "L"
@@ -349,6 +358,68 @@ def free_vars(phi: Formula) -> dict[str, str]:
 
     visit(phi, frozenset())
     return out
+
+
+# --- Tarskian evaluation over a model ---
+
+_GROUP_OPS = {Add: "add", Neg: "neg", GMeet: "meet", GJoin: "join"}
+_SET_OPS = {LMeet: "meet", LJoin: "join", Compl: "complement"}
+
+
+def eval_term(model, genv: dict, lenv: dict, t: Term):
+    """The value of t in model; genv and lenv assign the group and the
+    lattice variables."""
+    cls = type(t)
+    if cls is GVar or cls is LVar:
+        env = genv if cls is GVar else lenv
+        if t.name not in env:
+            raise UnboundVariable(f"variable {t.name} not assigned")
+        return env[t.name]
+    args = [eval_term(model, genv, lenv, c) for c in children(t)]
+    if cls in _GROUP_OPS:
+        return model.group_op(_GROUP_OPS[cls], *args)
+    if cls in _SET_OPS:
+        return model.set_op(_SET_OPS[cls], *args)
+    if cls is IntScale:
+        return model.scale(t.factor, *args)
+    if cls is Val:
+        return model.val(*args)
+    if cls is Zero:
+        return model.zero()
+    if cls is Bot:
+        return model.bot
+    if cls is Top:
+        return model.top
+    raise PreconditionViolated(f"not a term: {t!r}")
+
+
+def holds(model, genv: dict, lenv: dict, phi: Formula) -> bool:
+    """Tarskian truth of a quantifier-free formula in model under genv
+    and lenv."""
+
+    def go(f: Formula) -> bool:
+        cls = type(f)
+        if cls in ATOMS:
+            a = eval_term(model, genv, lenv, f.left)
+            b = eval_term(model, genv, lenv, f.right)
+            if cls is GLeq:
+                return model.leq(a, b)
+            if cls is LBelow:
+                return model.set_op("below", a, b)
+            return a == b
+        if cls is Not:
+            return not go(f.arg)
+        if cls is And:
+            return go(f.left) and go(f.right)
+        if cls is Or:
+            return go(f.left) or go(f.right)
+        if cls is Implies:
+            return (not go(f.left)) or go(f.right)
+        if cls is TrueF or cls is FalseF:
+            return cls is TrueF
+        raise PreconditionViolated(f"quantifier-free formula required, got {f!r}")
+
+    return go(phi)
 
 
 # --- printing ---

@@ -78,6 +78,41 @@ class TestExitCodes:
         assert code == 0
 
 
+    def test_eval_lattice_env(self, capsys):
+        env = json.dumps({"lattice": {"l": [1]}})
+        code, out, _ = run(capsys, "eval", "-n", "2", "--env", env, "l = bot")
+        assert code == 1 and out.strip() == "false"
+        code, out, _ = run(
+            capsys, "eval", "-n", "2", "--env", env, "exists a:G. P(a) = l"
+        )
+        assert code == 0 and out.strip() == "true"
+
+    def test_eval_env_subsets_have_width_n(self, capsys):
+        # {0} is not top at n = 2, though its largest index is 0
+        code, out, _ = run(
+            capsys,
+            "eval", "-n", "2", "--env", json.dumps({"lattice": {"l": [0]}}),
+            "~(l = top)",
+        )
+        assert code == 0 and out.strip() == "true"
+
+    @pytest.mark.parametrize("env", [
+        {"group": {"f": ["1"]}},
+        {"group": {"f": ["1", "2", "3"]}},
+        {"group": {"f": ["x", "1"]}},
+        {"lattice": {"l": [2]}},
+        {"lattice": {"l": [-1]}},
+        {"lattice": ["l"]},
+        [],
+    ])
+    def test_eval_env_malformed(self, capsys, env):
+        code, out, err = run(
+            capsys, "eval", "-n", "2", "--env", json.dumps(env), "0 <= 0"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: --env:") and err.count("\n") == 1
+
+
 class TestJsonReports:
     def test_schema(self, capsys):
         code, out, _ = run(

@@ -5,7 +5,7 @@ import pytest
 from dvlg import selfcheck
 from dvlg.cli import main
 from dvlg.corpus import load_known_answers
-from dvlg.errors import ResourceLimit
+from dvlg.errors import NotSentence, ResourceLimit, UnsupportedFragment
 from dvlg.parser import parse
 
 NO_WITNESS = "exists a:G. a + a = a & ~(a = 0)"
@@ -49,3 +49,36 @@ def test_cli_no_witness_exits_resource_limit(capsys):
     captured = capsys.readouterr()
     assert code == 4 and captured.out == ""
     assert "candidate cap" in captured.err
+
+
+def test_cli_empty_prefix_prints_empty_witness(capsys):
+    # a true sentence with no group prefix has the empty witness
+    code = main(["model", "--op", "witness", "0 <= 0"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.out.strip() == "{}"
+
+
+@pytest.mark.parametrize("text", [
+    "forall a:G. a <= a",
+    "exists a:G. exists l:L. P(a) = l",
+])
+def test_quantified_matrix_unsupported(text, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(selfcheck, "eval_qf_periodic", lambda env, phi: calls.append(env))
+    with pytest.raises(UnsupportedFragment):
+        selfcheck.periodic_witness_search(parse(text))
+    assert calls == []  # raised before the first candidate
+    code = main(["model", "--op", "witness", text])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("unsupported fragment:")
+
+
+def test_free_variable_not_a_sentence(capsys):
+    text = "exists a:G. a <= b"
+    with pytest.raises(NotSentence, match="b"):
+        selfcheck.periodic_witness_search(parse(text))
+    code = main(["model", "--op", "witness", text])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1
