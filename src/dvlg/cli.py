@@ -6,9 +6,11 @@ standard structure), model (periodic-model computations and witness
 search), selftest (acceptance corpus and property suites).
 
 Exit codes: 0 true/pass, 1 false, 2 parse or sort error (also an open
-formula where a sentence is needed, or an --env assignment that does
-not fit -n), 3 unsupported fragment, 4 resource limit, 5 internal error
-(any other exception, RecursionError included, with one line on stderr).
+formula where a sentence is needed, an --env assignment that does not
+fit -n, a -n below 1, a --limits value that is not an integer, or
+--args operands of the wrong shape or outside the op's domain), 3
+unsupported fragment, 4 resource limit, 5 internal error (any other
+exception, RecursionError included, with one line on stderr).
 
 Output is deterministic: the same command and seed give the same bytes.
 Wall-clock times appear only with --timings: stats.elapsed_ms in the
@@ -27,12 +29,14 @@ import time
 from . import periodic as P
 from .boolalg import ba_decide
 from .errors import (
-    BadAssignment,
+    BadArgument,
     DepthExceeded,
     DvlgError,
+    EmptyInput,
     FormulaSyntaxError,
     NotLatticeSorted,
     NotSentence,
+    PreconditionViolated,
     ResourceLimit,
     SortError,
     UnboundVariable,
@@ -115,7 +119,10 @@ def _parse_limits(text: str) -> dict:
         part = part.strip()
         if part:
             k, _, v = part.partition("=")
-            out[k.strip()] = int(v)
+            try:
+                out[k.strip()] = int(v)
+            except ValueError:
+                raise BadArgument(f"--limits: {part!r} is not key=integer") from None
     return out
 
 
@@ -141,7 +148,7 @@ def _load_env(text: str, n: int) -> Assignment:
         env.check_sizes(n)
     except (AttributeError, TypeError, ValueError, DvlgError) as e:
         # a value of the wrong shape, a bad rational or index, a wrong size
-        raise BadAssignment(f"--env: {e}") from None
+        raise BadArgument(f"--env: {e}") from None
     return env
 
 
@@ -207,6 +214,8 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_eval(args) -> int:
     source = _read_formula(args)
+    if args.n < 1:
+        raise BadArgument(f"-n: the ground set needs at least 1 point, not {args.n}")
     env = _load_env(args.env, args.n)
     sorts = {**dict.fromkeys(env.group_env, G), **dict.fromkeys(env.lattice_env, L)}
     phi = parse(source, sorts)
@@ -222,8 +231,32 @@ def _cmd_eval(args) -> int:
     )
 
 
-def _periodic_from_json(data) -> P.PeriodicFn:
-    return P.PeriodicFn.from_json(data)
+# op -> (number of operands, the op on the decoded operands)
+_MODEL_OPS = {
+    "add": (2, lambda f, g: P.periodic_op("add", f, g).to_json()),
+    "meet": (2, lambda f, g: P.periodic_op("meet", f, g).to_json()),
+    "join": (2, lambda f, g: P.periodic_op("join", f, g).to_json()),
+    "neg": (1, lambda f: P.periodic_op("neg", f).to_json()),
+    "valuation": (1, lambda f: P.periodic_valuation(f).to_json()),
+    "split": (1, lambda c: P.split_nonempty(c).to_json()),
+    "archimedean": (2, lambda f, g: P.archimedean_bound(f, g)),
+    "shift": (1, lambda f: P.shift(f).to_json()),
+}
+
+
+def _model_operands(op: str, operands) -> list:
+    """The --args operands of a model op: one periodic set for split,
+    periodic functions otherwise."""
+    arity = _MODEL_OPS[op][0]
+    decode = P.PeriodicSet.from_json if op == "split" else P.PeriodicFn.from_json
+    try:
+        if not isinstance(operands, list) or len(operands) != arity:
+            raise ValueError(f"{op} takes a list of {arity} operand(s)")
+        return [decode(x) for x in operands]
+    except KeyError as e:
+        raise BadArgument(f"--args: an operand has no field {e}") from None
+    except (TypeError, ValueError, DvlgError) as e:
+        raise BadArgument(f"--args: {e}") from None
 
 
 def _cmd_model(args) -> int:
@@ -243,22 +276,12 @@ def _cmd_model(args) -> int:
         source = json.dumps(operands)
         atoms = 0
         exit_code = EXIT_TRUE
-        if op in ("add", "meet", "join"):
-            f, g = (_periodic_from_json(x) for x in operands)
-            verdict = P.periodic_op(op, f, g).to_json()
-        elif op == "neg":
-            verdict = P.periodic_op("neg", _periodic_from_json(operands[0])).to_json()
-        elif op == "valuation":
-            verdict = P.periodic_valuation(_periodic_from_json(operands[0])).to_json()
-        elif op == "split":
-            verdict = P.split_nonempty(P.PeriodicSet.from_json(operands[0])).to_json()
-        elif op == "archimedean":
-            f, g = (_periodic_from_json(x) for x in operands)
-            verdict = P.archimedean_bound(f, g)
-        elif op == "shift":
-            verdict = P.shift(_periodic_from_json(operands[0])).to_json()
-        else:
-            raise DvlgError(f"unknown op {op}")
+        operands = _model_operands(op, operands)
+        try:
+            verdict = _MODEL_OPS[op][1](*operands)
+        except (EmptyInput, PreconditionViolated) as e:
+            # split needs a nonempty set, archimedean positive operands
+            raise BadArgument(f"--args: {e}") from None
     stats = _stats(args, start, 0, atoms)
     return _report(args, "model", source, verdict, stats, trace, exit_code)
 
@@ -304,7 +327,7 @@ def main(argv=None) -> int:
     try:
         return _DISPATCH[args.command](args)
     except (FormulaSyntaxError, SortError, NotSentence, NotLatticeSorted,
-            UnboundVariable, BadAssignment, json.JSONDecodeError) as e:
+            UnboundVariable, BadArgument, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except UnsupportedFragment as e:

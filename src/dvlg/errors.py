@@ -53,9 +53,10 @@ class UnboundVariable(DvlgError):
     pass
 
 
-class BadAssignment(DvlgError):
-    """A variable assignment given on the command line that does not fit
-    the structure: a vector of the wrong length, an index out of range."""
+class BadArgument(DvlgError):
+    """A command-line value that does not fit: an --env assignment with a
+    vector of the wrong length or an index out of range, a -n below 1, a
+    --limits value that is not an integer, or malformed --args operands."""
 
 
 class ResourceLimit(DvlgError):

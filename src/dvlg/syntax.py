@@ -228,7 +228,8 @@ def rebuild(node: Term | Formula, new_children: tuple) -> Term | Formula:
 
     A recursive pass computes new_children in its own frame,
     rebuild(n, tuple(map(go, children(n)))), so that each tree level
-    costs one Python frame: the trees ba_qe builds are deep.
+    costs one Python frame: the recursion limit bounds the depth of
+    the trees a pass can walk.
     """
     names = _FIELDS[type(node)][0]
     if len(new_children) == len(names):

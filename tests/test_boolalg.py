@@ -1,20 +1,33 @@
 """Atomless-Boolean-algebra engine and the interval-algebra checker."""
 
+import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from dvlg import reduction
 from dvlg import syntax as S
 from dvlg.boolalg import (
     INTERVAL_BOT,
     INTERVAL_TOP,
     IntervalAlgebraElem,
+    _conj,
+    _dnf,
+    _exists,
+    _full,
+    _lift,
+    _mask_term,
+    _pattern,
+    _term_mask,
     ba_decide,
     ba_qe,
     interval_check,
 )
-from dvlg.errors import DepthExceeded, NotLatticeSorted
+from dvlg.cli import main
+from dvlg.errors import DepthExceeded, NotLatticeSorted, ResourceLimit
 from dvlg.parser import parse
+from dvlg.reduction import reduce
 from dvlg.syntax import free_vars
 
 ATOMLESS = (
@@ -59,6 +72,100 @@ class TestBaQe:
         with pytest.raises(NotLatticeSorted):
             ba_qe(parse("exists a:G. a <= 0"))
 
+    def test_cap_names_phase_and_size(self):
+        # three two-way disjunctions over six bases: 8 distinct conjunctions
+        phi = parse(
+            "(a = bot | b = bot) & (c = bot | d = bot) & (e = bot | f = bot)",
+            dict.fromkeys("abcdef", S.L),
+        )
+        ba_qe(phi, cap=8)  # exactly at the cap: no error
+        with pytest.raises(ResourceLimit, match=(
+            r"^ba_qe: minterm DNF cap 4 reached at \d+ conjunctions "
+            r"over 6 bases$"
+        )):
+            ba_qe(phi, cap=4)
+
+
+def _bases(width):
+    return tuple(S.LVar(f"b{j}") for j in range(width))
+
+
+def _random_conj(rng, width):
+    full = _full(width)
+    return _conj(
+        rng.getrandbits(1 << width) & rng.getrandbits(1 << width),
+        [rng.getrandbits(1 << width) for _ in range(rng.randint(0, 3))],
+        full,
+    )
+
+
+class TestMaskKernels:
+    """The mask operations against per-minterm loops: minterm i of
+    bases b_0..b_m-1 lies inside b_j exactly when bit j of i is set."""
+
+    def test_patterns(self):
+        for width in range(7):
+            for j in range(width):
+                ref = sum(1 << i for i in range(1 << width) if i >> j & 1)
+                assert _pattern(j, width) == ref
+
+    def test_lift_and_reorder(self):
+        rng = random.Random(20261018)
+        for width in range(7):
+            for extra in range(7 - width):
+                old = _bases(width)
+                new = list(_bases(width + extra))
+                rng.shuffle(new)
+                mask = rng.getrandbits(1 << width)
+                [(lifted, _)] = _lift((old, ((mask, ()),)), tuple(new))
+                ref = 0
+                for i in range(1 << len(new)):
+                    k = sum((i >> new.index(b) & 1) << p for p, b in enumerate(old))
+                    ref |= (mask >> k & 1) << i
+                assert lifted == ref
+
+    def test_exists_projection(self):
+        rng = random.Random(5)
+        for width in range(1, 7):
+            bases = _bases(width)
+            for j, y in enumerate(bases):
+                for _ in range(12):
+                    conj = _random_conj(rng, width)
+                    out = _exists(y, _dnf(bases, [conj]))
+                    if conj is None:
+                        assert out == _dnf((), [])
+                        continue
+                    e, ns = conj
+                    # the parameters in the output's order; y is 0 or 1
+                    params = out[0] or tuple(b for b in bases if b != y)
+                    pos = [bases.index(b) for b in params]
+
+                    def halves(i):
+                        lo = sum((i >> k & 1) << p for k, p in enumerate(pos))
+                        return lo, lo | 1 << j
+
+                    idx = range(1 << len(params))
+                    forced = sum(
+                        all(e >> h & 1 for h in halves(i)) << i for i in idx
+                    )
+                    negs = [
+                        sum(any(n >> h & 1 and not e >> h & 1
+                                for h in halves(i)) << i for i in idx)
+                        for n in ns
+                    ]
+                    ref = _dnf(params, [_conj(forced, negs, _full(len(params)))])
+                    assert out == ref
+
+    def test_render_round_trip(self):
+        rng = random.Random(7)
+        for width in range(7):
+            bases = _bases(width)
+            for _ in range(40):
+                mask = rng.getrandbits(1 << width)
+                term = _mask_term(mask, bases)
+                assert _term_mask(term, list(bases), width) == mask
+                assert _depth(term) <= 2 * width + 1
+
 
 class TestBaDecide:
     def test_atomless(self):
@@ -84,6 +191,55 @@ class TestBaDecide:
             "x cap (y cup z) = (x cap y) cup (x cap z)"
         )
         assert ba_decide(phi) is True
+
+
+# Sentences on which ba_qe once built minterm joins so deep that
+# simplify raised RecursionError: 3-way patching, the cyclic chain at
+# k=5 and the alternation chain at k=6. All three are true.
+PATCHING_3 = (
+    "forall f1:G. forall f2:G. forall f3:G. "
+    "forall c1:L. forall c2:L. forall c3:L. "
+    "(c1 cap c2 << P(f1 - f2) cap P(f2 - f1) & "
+    "c1 cap c3 << P(f1 - f3) cap P(f3 - f1) & "
+    "c2 cap c3 << P(f2 - f3) cap P(f3 - f2)) -> "
+    "(exists h:G. c1 << P(h - f1) cap P(f1 - h) & "
+    "c2 << P(h - f2) cap P(f2 - h) & c3 << P(h - f3) cap P(f3 - h))"
+)
+CYCLIC_5 = (
+    "forall l0:L. forall l1:L. forall l2:L. forall l3:L. forall l4:L. "
+    "exists x0:G. exists x1:G. exists x2:G. exists x3:G. exists x4:G. "
+    "l0 << P(x0 - x1) & l1 << P(x1 - x2) & l2 << P(x2 - x3) & "
+    "l3 << P(x3 - x4) & l4 << P(x4 - x0)"
+)
+CHAIN_6 = (
+    "forall l0:L. exists x0:G. forall l1:L. exists x1:G. "
+    "forall l2:L. exists x2:G. forall l3:L. exists x3:G. "
+    "forall l4:L. exists x4:G. forall l5:L. exists x5:G. "
+    "l0 << P(x0) & l1 << P(x1) & l2 << P(x2) & l3 << P(x3) & "
+    "l4 << P(x4) & l5 << P(x5) & P(x0) << l0 cup P(x1) & "
+    "P(x1) << l1 cup P(x2) & P(x2) << l2 cup P(x3) & "
+    "P(x3) << l3 cup P(x4) & P(x4) << l4 cup P(x5)"
+)
+
+
+class TestDeepFamilies:
+    @pytest.mark.parametrize("text", [PATCHING_3, CYCLIC_5, CHAIN_6])
+    def test_decided_with_shallow_output(self, text, monkeypatch):
+        assert sys.getrecursionlimit() == 1000
+        depths = []
+
+        def traced(phi, *args):
+            out = ba_qe(phi, *args)
+            depths.append(_depth(out))
+            return out
+
+        monkeypatch.setattr(reduction, "ba_qe", traced)
+        assert ba_decide(reduce(parse(text), "ec").chi) is True
+        assert max(depths, default=0) <= 64
+
+    def test_cli_decides_patching(self, capsys):
+        assert main(["decide", PATCHING_3]) == 0
+        assert capsys.readouterr().out == "true\n"
 
 
 class TestIntervalAlgebra:
@@ -120,6 +276,16 @@ class TestIntervalAlgebra:
     def test_depth_exceeded(self):
         with pytest.raises(DepthExceeded):
             interval_check(parse(ATOMLESS), 5)
+
+
+def _depth(node):
+    """Depth of a term or formula tree, counted without recursion."""
+    deepest, todo = 0, [(node, 1)]
+    while todo:
+        n, d = todo.pop()
+        deepest = max(deepest, d)
+        todo.extend((c, d + 1) for c in S.children(n))
+    return deepest
 
 
 def _has_quantifier(phi):

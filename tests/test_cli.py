@@ -112,6 +112,21 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("error: --env:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("eval", "-n", "0", "0 <= 0"),
+        ("eval", "--limits", "max_n=x", "0 <= 0"),
+        ("model", "--op", "add", "--args", "[1]"),
+        ("model", "--op", "add", "--args", "[1, 2]"),
+        ("model", "--op", "split", "--args", '[{"k": 0}]'),
+        ("model", "--op", "split", "--args", '[{"k": 0, "mask": []}]'),
+        ("model", "--op", "archimedean", "--args",
+         '[{"k": 0, "vals": ["0"]}, {"k": 0, "vals": ["1"]}]'),
+    ])
+    def test_malformed_arguments(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestJsonReports:
     def test_schema(self, capsys):
