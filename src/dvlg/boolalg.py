@@ -1,21 +1,18 @@
 """Decision procedures for nontrivial atomless Boolean algebras.
 
-ba_qe eliminates lattice quantifiers on minterm bitmasks. Over an
-ordered tuple of bases b_0..b_m-1 (lattice variables and opaque
-valuation terms) there are 2^m full minterms; minterm i lies inside b_j
-exactly when bit j of i is set, and an int mask holds a set of
-minterms. Every subformula, from the atoms to the end, is a mask DNF:
-a disjunction of conjunctions (E, Ns), each read "the union of the
-minterms in E is bot, and each union in Ns is not". An atom's mask is
-built from the base patterns (blocks of 2^j zeros and 2^j ones). And,
-Or and Not work on DNFs once their base tuples are aligned: a mask is
-repeated for the bases added after its own and its bases are then
-swapped into place. An existential over y moves y to the top bit and
-projects each conjunction with a few big-int operations, using
-atomlessness to split any non-bottom element into two non-bottom
-halves; a universal is not-exists-not. The final DNF is rendered once,
-each mask as a term split on one base per level, so a term over m
-bases is at most 2m + 1 deep.
+ba_qe eliminates lattice quantifiers on reduced ordered BDDs (Bryant,
+1986). Each call orders the bases of its formula (lattice variables and
+opaque valuation terms) by first occurrence and keeps one hash-consed
+store of nodes over them, so equal functions of the bases have equal
+node ids and a node does not depend on a base it does not test. Every
+subformula, from the atoms to the end, is a DNF: a disjunction of
+conjunctions (E, Ns) of nodes, each read "E is bot, and each N is not".
+And, Or and Not on DNFs use one memoized if-then-else on nodes. An
+existential over y maps E to the meet of its two cofactors at y, and
+each N to the join of its two, using atomlessness to split any
+non-bottom element into two non-bottom halves; a universal is
+not-exists-not. The final DNF is rendered once, each node as a term
+split on its base, so a term over m bases is at most 2m + 1 deep.
 
 interval_check is an independent bounded checker in a concrete atomless
 algebra of rational half-open subintervals of [0, 1), INTERVALS, where
@@ -45,95 +42,154 @@ __all__ = [
 ]
 
 
-def _check_lattice_sorted(phi: S.Formula):
-    if isinstance(phi, (S.GLeq, S.GEq)):
+def _lattice_bases(n, out: dict) -> dict:
+    """Lattice variables and Val terms below n, by first occurrence, in
+    out; a group atom or group quantifier raises NotLatticeSorted."""
+    if isinstance(n, (S.GLeq, S.GEq)):
         raise NotLatticeSorted(
-            f"group atom in lattice-sort formula: {S.print_formula(phi)}"
+            f"group atom in lattice-sort formula: {S.print_formula(n)}"
         )
-    if isinstance(phi, S.ATOMS):
-        return
-    for child in S.children(phi):
-        _check_lattice_sorted(child)
-    if isinstance(phi, (S.Exists, S.Forall)) and phi.sort != S.L:
-        raise NotLatticeSorted(
-            f"group quantifier in lattice-sort formula: {phi.var}"
-        )
-
-
-def _full(width: int) -> int:
-    """The mask of all 2^width minterms."""
-    return (1 << (1 << width)) - 1
-
-
-def _repeat(mask: int, size: int, times: int) -> int:
-    """`times` copies, a power of two, of a `size`-bit mask end to end."""
-    while times > 1:
-        mask |= mask << size
-        size <<= 1
-        times >>= 1
-    return mask
-
-
-def _pattern(j: int, width: int) -> int:
-    """The minterms of `width` bases that lie inside base j: a block of
-    2^j zeros and then 2^j ones, repeated."""
-    block = 1 << j
-    return _repeat(((1 << block) - 1) << block, 2 * block, 1 << (width - j - 1))
-
-
-def _swap(mask: int, i: int, j: int, width: int) -> int:
-    """The mask with bases i < j exchanged (a delta swap): minterms in i
-    and not in j trade places with those in j and not in i."""
-    sel = _pattern(i, width) & ~_pattern(j, width)
-    d = (1 << j) - (1 << i)
-    return mask & ~(sel | sel << d) | (mask & sel) << d | (mask >> d) & sel
-
-
-def _collect_bases(n, out: list[S.Term]):
-    """Lattice variables and Val terms below n, by first occurrence."""
     if isinstance(n, (S.LVar, S.Val)):
-        if n not in out:
-            out.append(n)
-        return
+        out[n] = None
+        return out
     for child in S.children(n):
-        _collect_bases(child, out)
+        _lattice_bases(child, out)
+    if isinstance(n, (S.Exists, S.Forall)) and n.sort != S.L:
+        raise NotLatticeSorted(
+            f"group quantifier in lattice-sort formula: {n.var}"
+        )
+    return out
 
 
-def _term_mask(t: S.Term, bases: list[S.Term], width: int) -> int:
-    """Bitmask over the 2^width full minterms where the term holds."""
-    if isinstance(t, (S.LVar, S.Val)):
-        return _pattern(bases.index(t), width)
-    if isinstance(t, S.Bot):
-        return 0
-    if isinstance(t, S.Top):
-        return _full(width)
-    if isinstance(t, S.LMeet):
-        return _term_mask(t.left, bases, width) & _term_mask(t.right, bases, width)
-    if isinstance(t, S.LJoin):
-        return _term_mask(t.left, bases, width) | _term_mask(t.right, bases, width)
-    if isinstance(t, S.Compl):
-        return _full(width) & ~_term_mask(t.arg, bases, width)
-    raise NotLatticeSorted(f"not an L-term: {S.print_term(t)}")
+class _BDD:
+    """One store of reduced ordered BDDs over a fixed tuple of bases.
+
+    Node 0 is bot and node 1 is top; node u > 1 is (level, lo, hi), the
+    function that is hi inside bases[level] and lo outside it, where lo
+    and hi have greater levels (the terminals' is the greatest). The
+    unique table keeps one id per function, so equal functions have
+    equal ids."""
+
+    def __init__(self, bases: tuple):
+        self.bases = bases
+        self.level = {b: i for i, b in enumerate(bases)}
+        leaf = len(bases)
+        self.nodes = [(leaf, 0, 0), (leaf, 1, 1)]
+        self.unique: dict = {}
+        # the two memo tables have keys of the same shape: keep them apart
+        self.ite_memo: dict = {}
+        self.cof_memo: dict = {}
+        self.terms: dict = {}
+
+    def mk(self, level: int, lo: int, hi: int) -> int:
+        if lo == hi:
+            return lo
+        key = (level, lo, hi)
+        u = self.unique.get(key)
+        if u is None:
+            u = self.unique[key] = len(self.nodes)
+            self.nodes.append(key)
+        return u
+
+    def ite(self, f: int, g: int, h: int) -> int:
+        """The node of (f and g) or (not f and h): f and g is
+        ite(f, g, 0), f or g is ite(f, 1, g), not f is ite(f, 0, 1)."""
+        if f < 2:
+            return g if f else h
+        if g == h:
+            return g
+        if g == 1 and h == 0:
+            return f
+        key = (f, g, h)
+        u = self.ite_memo.get(key)
+        if u is None:
+            nodes = self.nodes
+            lf, f0, f1 = nodes[f]
+            lg, g0, g1 = nodes[g]
+            lh, h0, h1 = nodes[h]
+            top = min(lf, lg, lh)
+            if lf != top:
+                f0 = f1 = f
+            if lg != top:
+                g0 = g1 = g
+            if lh != top:
+                h0 = h1 = h
+            u = self.ite_memo[key] = self.mk(
+                top, self.ite(f0, g0, h0), self.ite(f1, g1, h1)
+            )
+        return u
+
+    def cofactor(self, f: int, level: int, bit: int) -> int:
+        """f with the base at level fixed to bot (bit 0) or top (bit 1)."""
+        lf, lo, hi = self.nodes[f]
+        if lf > level:  # terminals too: f does not test the base
+            return f
+        if lf == level:
+            return hi if bit else lo
+        key = (f, level, bit)
+        u = self.cof_memo.get(key)
+        if u is None:
+            u = self.cof_memo[key] = self.mk(
+                lf, self.cofactor(lo, level, bit), self.cofactor(hi, level, bit)
+            )
+        return u
+
+    def node(self, t: S.Term) -> int:
+        """The node of an L-term."""
+        if isinstance(t, (S.LVar, S.Val)):
+            return self.mk(self.level[t], 0, 1)
+        if isinstance(t, S.Bot):
+            return 0
+        if isinstance(t, S.Top):
+            return 1
+        if isinstance(t, S.LMeet):
+            return self.ite(self.node(t.left), self.node(t.right), 0)
+        if isinstance(t, S.LJoin):
+            return self.ite(self.node(t.left), 1, self.node(t.right))
+        if isinstance(t, S.Compl):
+            return self.ite(self.node(t.arg), 0, 1)
+        raise NotLatticeSorted(f"not an L-term: {S.print_term(t)}")
+
+    def term(self, u: int) -> S.Term:
+        """The node as a term split on its base b (Shannon): b meet the
+        part inside b, joined with compl(b) meet the part outside it.
+        Each level adds at most two term levels, so the depth is at most
+        2 * width + 1; simplify folds the top leaves."""
+        if u < 2:
+            return S.Top() if u else S.Bot()
+        t = self.terms.get(u)
+        if t is None:
+            level, lo, hi = self.nodes[u]
+            b = self.bases[level]
+            inside = S.LMeet(b, self.term(hi))
+            outside = S.LMeet(S.Compl(b), self.term(lo))
+            if not lo:
+                t = inside
+            else:
+                t = S.LJoin(inside, outside) if hi else outside
+            self.terms[u] = t
+        return t
 
 
-# A mask DNF is a pair (bases, conjs): a tuple of bases and a tuple of
-# conjunctions (E, Ns), with Ns a sorted tuple of masks disjoint from E.
-# The conjunctions of TRUE and FALSE mean the same at every width.
-_TRUE = ((), ((0, ()),))
-_FALSE = ((), ())
+# A DNF is a tuple of conjunctions (E, Ns) of nodes, each read "E is bot
+# and each N is not", with Ns a sorted tuple of nodes disjoint from E.
+_TRUE = ((0, ()),)
+_FALSE = ()
 
 
-def _conj(e: int, ns, full: int):
+def _conj(bdd: _BDD, e: int, ns):
     """The conjunction (E, Ns) normalized, or None if it cannot hold.
-    The minterms in E are empty, so each N shrinks to N - E. An N that
-    is then empty cannot hold. As top is not bot, E = full cannot hold
-    either, and an N equal to full - E always holds."""
-    rest = full & ~e
-    if not rest:
+    E is bot, so each N shrinks to N - E. An N that is then bot cannot
+    hold. As top is not bot, E = top cannot hold either, and an N equal
+    to top - E always holds."""
+    if e == 1:
         return None
+    if not ns:
+        return e, ()
+    rest = bdd.ite(e, 0, 1)
     out = set()
     for n in ns:
-        n &= rest
+        n = bdd.ite(n, rest, 0)
         if not n:
             return None
         if n != rest:
@@ -141,120 +197,51 @@ def _conj(e: int, ns, full: int):
     return e, tuple(sorted(out))
 
 
-def _dnf(bases: tuple, conjs) -> tuple:
+def _dnf(conjs) -> tuple:
     """The DNF of the normalized conjunctions (None for one that cannot
-    hold), without duplicates; TRUE and FALSE keep no bases."""
+    hold), without duplicates."""
     conjs = tuple(dict.fromkeys(c for c in conjs if c is not None))
-    if not conjs:
-        return _FALSE
-    if (0, ()) in conjs:
-        return _TRUE
-    return bases, conjs
+    return _TRUE if (0, ()) in conjs else conjs
 
 
-def _product(bases: tuple, left, right, cap: int) -> tuple:
-    """The conjunctions of every pair, over the same bases."""
-    full = _full(len(bases))
+def _product(bdd: _BDD, left, right, cap: int) -> tuple:
+    """The conjunctions of every pair."""
     out: dict = {}
     for e, ns in left:
         for f, ms in right:
-            out[_conj(e | f, ns + ms, full)] = None
+            out[_conj(bdd, bdd.ite(e, 1, f), ns + ms)] = None
         if len(out) > cap:
             raise ResourceLimit(
                 f"ba_qe: minterm DNF cap {cap} reached at {len(out)} "
-                f"conjunctions over {len(bases)} bases"
+                f"conjunctions over {len(bdd.bases)} bases"
             )
-    return _dnf(bases, out)
+    return _dnf(out)
 
 
-def _lift(dnf: tuple, target: tuple) -> tuple:
-    """The conjunctions of dnf over target, a base tuple that holds all
-    of its bases: each mask is repeated for the added bases, then its
-    bases are swapped into target's order."""
-    bases, conjs = dnf
-    if bases == target:
-        return conjs
-    order = [*bases, *(b for b in target if b not in bases)]
-    swaps = []
-    for p, b in enumerate(target):
-        q = order.index(b)
-        if q != p:  # q > p: positions before p are settled
-            swaps.append((p, q))
-            order[p], order[q] = b, order[p]
-    width = len(target)
-    size, times = 1 << len(bases), 1 << (width - len(bases))
-
-    def lift(m: int) -> int:
-        m = _repeat(m, size, times)
-        for p, q in swaps:
-            m = _swap(m, p, q, width)
-        return m
-
-    return tuple((lift(e), tuple(sorted(map(lift, ns)))) for e, ns in conjs)
-
-
-def _align(a: tuple, b: tuple):
-    """A common base tuple, the wider DNF's bases first, and the
-    conjunctions of both over it."""
-    if len(b[0]) > len(a[0]):
-        a, b = b, a
-    bases = a[0] + tuple(x for x in b[0] if x not in a[0])
-    return bases, _lift(a, bases), _lift(b, bases)
-
-
-def _or(a: tuple, b: tuple) -> tuple:
-    bases, left, right = _align(a, b)
-    return _dnf(bases, left + right)
-
-
-def _not(a: tuple, cap: int) -> tuple:
+def _not(bdd: _BDD, a: tuple, cap: int) -> tuple:
     """The conjunction of the negated conjunctions: not (E, Ns) is
     'E is not bot' or 'some N is bot'."""
-    bases, conjs = a
-    full = _full(len(bases))
     out = _TRUE
-    for e, ns in conjs:
-        lits = [_conj(0, (e,), full), *(_conj(n, (), full) for n in ns)]
-        out = _product(bases, out[1], [c for c in lits if c], cap)
+    for e, ns in a:
+        lits = [_conj(bdd, 0, (e,)), *(_conj(bdd, n, ()) for n in ns)]
+        out = _product(bdd, out, [c for c in lits if c], cap)
     return out
 
 
-def _exists(y: S.Term, a: tuple) -> tuple:
-    """Eliminate 'exists y' after moving y to the top bit. A parameter
-    minterm is forced empty when both of its halves are; an N holds when
-    some half of it outside E is nonempty, since atomlessness splits a
-    nonempty region into two nonempty parts."""
-    bases = a[0]
-    if y not in bases:
-        return a
-    order = list(bases)
-    order[bases.index(y)], order[-1] = order[-1], y
-    half = 1 << (len(bases) - 1)
-    low = (1 << half) - 1
-    return _dnf(tuple(order[:-1]), (
-        _conj(e & e >> half, [(n | n >> half) & low for n in ns], low)
-        for e, ns in _lift(a, tuple(order))
-    ))
-
-
-def _mask_term(mask: int, bases: tuple) -> S.Term:
-    """The mask as a term split on its highest base b (Shannon): b meet
-    the part inside b, joined with compl(b) meet the part outside it.
-    Each base adds at most two levels, so the depth is at most
-    2 * width + 1; simplify folds the top leaves."""
-    width = len(bases)
-    if not mask or mask == _full(width):
-        return S.Top() if mask else S.Bot()
-    half = 1 << (width - 1)
-    rest, b = bases[:-1], bases[-1]
-    lo, hi = mask & ((1 << half) - 1), mask >> half
-    if lo == hi:
-        return _mask_term(lo, rest)
-    inside = S.LMeet(b, _mask_term(hi, rest))
-    outside = S.LMeet(S.Compl(b), _mask_term(lo, rest))
-    if not lo:
-        return inside
-    return S.LJoin(inside, outside) if hi else outside
+def _exists(bdd: _BDD, level: int, a: tuple) -> tuple:
+    """Eliminate 'exists y' for the base y at level. E is bot for some y
+    when both of its cofactors are; an N is not bot for some y when one
+    of its cofactors is not, since atomlessness splits a nonempty region
+    outside E into two nonempty parts."""
+    cof = bdd.cofactor
+    return _dnf(
+        _conj(
+            bdd,
+            bdd.ite(cof(e, level, 0), cof(e, level, 1), 0),
+            [bdd.ite(cof(n, level, 0), 1, cof(n, level, 1)) for n in ns],
+        )
+        for e, ns in a
+    )
 
 
 def _balanced(op, items: list, empty: S.Formula) -> S.Formula:
@@ -268,71 +255,70 @@ def _balanced(op, items: list, empty: S.Formula) -> S.Formula:
     return items[0]
 
 
-def _render(dnf: tuple) -> S.Formula:
-    bases, conjs = dnf
-
-    def empty(m: int) -> S.Formula:
-        return S.LEq(_mask_term(m, bases), S.Bot())
+def _render(bdd: _BDD, dnf: tuple) -> S.Formula:
+    def empty(u: int) -> S.Formula:
+        return S.LEq(bdd.term(u), S.Bot())
 
     return _balanced(S.Or, [
         _balanced(S.And, [empty(e)] * bool(e) + [S.Not(empty(n)) for n in ns], S.TRUE)
-        for e, ns in conjs
+        for e, ns in dnf
     ], S.FALSE)
 
 
-def _qe(phi: S.Formula, cap: int) -> tuple:
-    """The mask DNF of phi with its lattice quantifiers eliminated."""
-    _check_lattice_sorted(phi)
-    phi = rename_bound(phi, prefix="_b")
+def _qe(phi: S.Formula, cap: int):
+    """A BDD store over the bases of phi, and the DNF of phi with its
+    lattice quantifiers eliminated. Bound names need not be fresh: the
+    DNF of a quantifier tests no node at its variable's level, so that
+    level can stand for another variable of the name outside the scope."""
+    bdd = _BDD(tuple(_lattice_bases(phi, {})))
 
     def go(f: S.Formula) -> tuple:
         if isinstance(f, (S.LBelow, S.LEq)):
-            bases: list[S.Term] = []
-            _collect_bases(f, bases)
-            width = len(bases)
-            lm = _term_mask(f.left, bases, width)
-            rm = _term_mask(f.right, bases, width)
-            e = lm & ~rm if isinstance(f, S.LBelow) else lm ^ rm
-            return _dnf(tuple(bases), [_conj(e, (), _full(width))])
+            l, r = bdd.node(f.left), bdd.node(f.right)
+            # E is l - r for l << r, and l xor r for l = r
+            e = bdd.ite(l, bdd.ite(r, 0, 1), 0 if isinstance(f, S.LBelow) else r)
+            return _dnf([_conj(bdd, e, ())])
         if isinstance(f, S.TrueF):
             return _TRUE
         if isinstance(f, S.FalseF):
             return _FALSE
         if isinstance(f, S.Not):
-            return _not(go(f.arg), cap)
+            return _not(bdd, go(f.arg), cap)
         if isinstance(f, S.And):
-            return _product(*_align(go(f.left), go(f.right)), cap)
+            return _product(bdd, go(f.left), go(f.right), cap)
         if isinstance(f, S.Or):
-            return _or(go(f.left), go(f.right))
+            return _dnf(go(f.left) + go(f.right))
         if isinstance(f, S.Implies):
-            return _or(_not(go(f.left), cap), go(f.right))
-        y = S.LVar(f.var)
+            return _dnf(_not(bdd, go(f.left), cap) + go(f.right))
+        level = bdd.level.get(S.LVar(f.var))
+        if level is None:  # y does not occur
+            return go(f.body)
         if isinstance(f, S.Exists):
-            return _exists(y, go(f.body))
-        return _not(_exists(y, _not(go(f.body), cap)), cap)
+            return _exists(bdd, level, go(f.body))
+        return _not(bdd, _exists(bdd, level, _not(bdd, go(f.body), cap)), cap)
 
-    return go(phi)
+    return bdd, go(phi)
 
 
 def ba_qe(phi: S.Formula, cap: int = 20000) -> S.Formula:
     """Quantifier-free equivalent of phi over nontrivial atomless
     Boolean algebras; valuation applications are opaque constants."""
-    return simplify(_render(_qe(phi, cap)))
+    return simplify(_render(*_qe(phi, cap)))
 
 
 def ba_decide(sigma: S.Formula, cap: int = 20000) -> bool:
     """Truth of a lattice sentence in the theory of nontrivial atomless
-    Boolean algebras, read from the eliminated DNF: TRUE and FALSE keep
-    no bases, and a DNF that keeps one depends on a P term."""
+    Boolean algebras, read from the eliminated DNF: any DNF but TRUE and
+    FALSE has a node that tests a base, which here is a P term."""
     if S.free_vars(sigma):
         raise NotSentence(
             f"free variables: {sorted(S.free_vars(sigma))}"
         )
-    dnf = _qe(sigma, cap)
-    if dnf[0]:
-        out = S.print_formula(simplify(_render(dnf)))
+    bdd, dnf = _qe(sigma, cap)
+    if dnf not in (_TRUE, _FALSE):
+        out = S.print_formula(simplify(_render(bdd, dnf)))
         raise NotSentence(f"not a ground formula: {out}")
-    return dnf is _TRUE
+    return dnf == _TRUE
 
 
 # --- the concrete interval algebra ---
@@ -457,7 +443,7 @@ def interval_check(sigma: S.Formula, depth: int) -> bool:
         raise DepthExceeded("interval_check supports quantifier depth <= 4")
     if S.free_vars(sigma):
         raise NotSentence(f"free variables: {sorted(S.free_vars(sigma))}")
-    _check_lattice_sorted(sigma)
+    _lattice_bases(sigma, {})
     sigma = rename_bound(sigma, prefix="_i")
 
     def go(f: S.Formula, env, remaining: int) -> bool:

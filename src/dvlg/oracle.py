@@ -200,6 +200,10 @@ def prune_dnf(dnf):
     return [_store_to_conj(store) for _, store in items]
 
 
+def _cap_message(phase: str, cap: int, size: int) -> str:
+    return f"oracle: {phase}: DNF cap {cap} reached at {size} conjunctions"
+
+
 def to_dnf(f, cap: int):
     """Pruned DNF as a list of LinConstraint conjunctions, bounded by cap."""
 
@@ -236,7 +240,7 @@ def to_dnf(f, cap: int):
             for p in f[1]:
                 out.extend(dist(p))
                 if len(out) > cap:
-                    raise ResourceLimit("DNF size limit exceeded")
+                    raise ResourceLimit(_cap_message("to_dnf or", cap, len(out)))
             return out
         if tag == "and":
             out = [{}]
@@ -252,7 +256,9 @@ def to_dnf(f, cap: int):
                         if _store_and(combo, b):
                             merged.append(combo)
                         if len(merged) > cap:
-                            raise ResourceLimit("DNF size limit exceeded")
+                            raise ResourceLimit(
+                                _cap_message("to_dnf and", cap, len(merged))
+                            )
                 out = merged
             return out
         raise ValueError(f"bad boolean node {f!r}")
@@ -386,7 +392,9 @@ class _Compiler:
             for x in range(self.n):
                 dnf = prune_dnf(fm_eliminate(f"{var}@{x}", dnf))
                 if len(dnf) > self.cap:
-                    raise ResourceLimit("DNF size limit exceeded")
+                    raise ResourceLimit(_cap_message(
+                        f"fm_eliminate {var}@{x}", self.cap, len(dnf)
+                    ))
             out = self.eliminated[var, bform] = _dnf_to_bform(dnf)
         return out
 

@@ -222,7 +222,7 @@ class _Reducer:
                     f"group variable {var} crosses the lattice quantifier "
                     f"over {f.var} in: {S.print_formula(f)}"
                 )
-            return simplify(ba_qe(f))
+            return ba_qe(f)  # ba_qe ends in simplify
         if isinstance(f, S.ATOMS):
             return f
         resolve = self.resolve_lattice_quantifiers

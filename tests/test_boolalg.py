@@ -12,14 +12,10 @@ from dvlg.boolalg import (
     INTERVAL_BOT,
     INTERVAL_TOP,
     IntervalAlgebraElem,
+    _BDD,
     _conj,
     _dnf,
     _exists,
-    _full,
-    _lift,
-    _mask_term,
-    _pattern,
-    _term_mask,
     ba_decide,
     ba_qe,
     interval_check,
@@ -68,6 +64,12 @@ class TestBaQe:
         assert not _has_quantifier(out)
         assert set(free_vars(out)) <= {"l"}
 
+    def test_shadowed_names(self):
+        # the inner y is top and the outer one is not; l is free outside
+        assert ba_decide(parse("exists y:L. ~(y = top) & (exists y:L. y = top)"))
+        phi = parse("l = top & (forall l:L. l cup compl(l) = top)", {"l": S.L})
+        assert _equivalent(ba_qe(phi), parse("l = top", {"l": S.L}))
+
     def test_group_atoms_rejected(self):
         with pytest.raises(NotLatticeSorted):
             ba_qe(parse("exists a:G. a <= 0"))
@@ -90,80 +92,141 @@ def _bases(width):
     return tuple(S.LVar(f"b{j}") for j in range(width))
 
 
-def _random_conj(rng, width):
-    full = _full(width)
-    return _conj(
-        rng.getrandbits(1 << width) & rng.getrandbits(1 << width),
-        [rng.getrandbits(1 << width) for _ in range(rng.randint(0, 3))],
-        full,
-    )
+def _random_term(rng, bases, depth=4):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice([*bases, S.Bot(), S.Top()])
+    kind = rng.choice([S.LMeet, S.LJoin, S.Compl])
+    if kind is S.Compl:
+        return S.Compl(_random_term(rng, bases, depth - 1))
+    return kind(_random_term(rng, bases, depth - 1),
+                _random_term(rng, bases, depth - 1))
 
 
-class TestMaskKernels:
-    """The mask operations against per-minterm loops: minterm i of
-    bases b_0..b_m-1 lies inside b_j exactly when bit j of i is set."""
+def _holds(t, bases, i):
+    """Whether minterm i lies inside term t: minterm i of bases
+    b_0..b_m-1 lies inside b_j exactly when bit j of i is set."""
+    if isinstance(t, S.LVar):
+        return bool(i >> bases.index(t) & 1)
+    if isinstance(t, (S.Bot, S.Top)):
+        return isinstance(t, S.Top)
+    if isinstance(t, S.Compl):
+        return not _holds(t.arg, bases, i)
+    left, right = _holds(t.left, bases, i), _holds(t.right, bases, i)
+    return left and right if isinstance(t, S.LMeet) else left or right
 
-    def test_patterns(self):
-        for width in range(7):
-            for j in range(width):
-                ref = sum(1 << i for i in range(1 << width) if i >> j & 1)
-                assert _pattern(j, width) == ref
 
-    def test_lift_and_reorder(self):
+def _table(bdd, u):
+    """The truth table of node u as a mask over the minterms, read by
+    walking the node from its root for each minterm."""
+    mask = 0
+    for i in range(1 << len(bdd.bases)):
+        v = u
+        while v > 1:
+            level, lo, hi = bdd.nodes[v]
+            v = hi if i >> level & 1 else lo
+        mask |= v << i
+    return mask
+
+
+def _from_table(bdd, mask):
+    """The node of the join of the minterms in mask, built with node()."""
+    bases = bdd.bases
+    minterms = [
+        [b if i >> j & 1 else S.Compl(b) for j, b in enumerate(bases)]
+        for i in range(1 << len(bases)) if mask >> i & 1
+    ]
+    term = S.Bot()
+    for lits in minterms:
+        m = S.Top()
+        for lit in lits:
+            m = S.LMeet(m, lit)
+        term = S.LJoin(term, m)
+    return bdd.node(term)
+
+
+def _restrict(mask, width, j, bit):
+    """The truth table with base j fixed to bit."""
+    return sum((mask >> (i & ~(1 << j) | bit << j) & 1) << i
+               for i in range(1 << width))
+
+
+class TestBddKernels:
+    """The BDD operations against per-minterm truth tables."""
+
+    def test_term_nodes_match_minterms(self):
         rng = random.Random(20261018)
         for width in range(7):
-            for extra in range(7 - width):
-                old = _bases(width)
-                new = list(_bases(width + extra))
-                rng.shuffle(new)
-                mask = rng.getrandbits(1 << width)
-                [(lifted, _)] = _lift((old, ((mask, ()),)), tuple(new))
-                ref = 0
-                for i in range(1 << len(new)):
-                    k = sum((i >> new.index(b) & 1) << p for p, b in enumerate(old))
-                    ref |= (mask >> k & 1) << i
-                assert lifted == ref
+            bdd = _BDD(_bases(width))
+            for _ in range(40):
+                t = _random_term(rng, bdd.bases)
+                ref = sum(_holds(t, bdd.bases, i) << i for i in range(1 << width))
+                assert _table(bdd, bdd.node(t)) == ref
+
+    def test_canonical(self):
+        rng = random.Random(3)
+        for width in range(7):
+            bdd = _BDD(_bases(width))
+            ids = {}
+            for _ in range(200):
+                u = bdd.node(_random_term(rng, bdd.bases, depth=5))
+                ids.setdefault(_table(bdd, u), set()).add(u)
+            # one id per truth table, and one truth table per id
+            assert all(len(us) == 1 for us in ids.values())
+            assert len(set().union(*ids.values())) == len(ids)
 
     def test_exists_projection(self):
         rng = random.Random(5)
         for width in range(1, 7):
-            bases = _bases(width)
-            for j, y in enumerate(bases):
+            bdd = _BDD(_bases(width))
+            for j in range(width):
                 for _ in range(12):
-                    conj = _random_conj(rng, width)
-                    out = _exists(y, _dnf(bases, [conj]))
+                    e = rng.getrandbits(1 << width) & rng.getrandbits(1 << width)
+                    ns = [rng.getrandbits(1 << width) for _ in range(rng.randint(0, 3))]
+                    nodes = [_from_table(bdd, n) for n in ns]
+                    conj = _conj(bdd, _from_table(bdd, e), nodes)
+                    for m, u in zip([e, *ns], [_from_table(bdd, e), *nodes]):
+                        for bit in (0, 1):
+                            ref = _restrict(m, width, j, bit)
+                            assert _table(bdd, bdd.cofactor(u, j, bit)) == ref
+                    out = _exists(bdd, j, _dnf([conj]))
                     if conj is None:
-                        assert out == _dnf((), [])
+                        assert out == _dnf([])
                         continue
-                    e, ns = conj
-                    # the parameters in the output's order; y is 0 or 1
-                    params = out[0] or tuple(b for b in bases if b != y)
-                    pos = [bases.index(b) for b in params]
 
                     def halves(i):
-                        lo = sum((i >> k & 1) << p for k, p in enumerate(pos))
-                        return lo, lo | 1 << j
+                        return i & ~(1 << j), i | 1 << j
 
-                    idx = range(1 << len(params))
-                    forced = sum(
-                        all(e >> h & 1 for h in halves(i)) << i for i in idx
-                    )
+                    idx = range(1 << width)
+                    forced = sum(all(e >> h & 1 for h in halves(i)) << i for i in idx)
                     negs = [
                         sum(any(n >> h & 1 and not e >> h & 1
                                 for h in halves(i)) << i for i in idx)
                         for n in ns
                     ]
-                    ref = _dnf(params, [_conj(forced, negs, _full(len(params)))])
-                    assert out == ref
+                    ref = _conj(bdd, _from_table(bdd, forced),
+                                [_from_table(bdd, n) for n in negs])
+                    assert out == _dnf([ref])
+
+    def test_memo_tables_apart(self):
+        # an ite key (f, g, h) and a cofactor key (f, level, bit) can be
+        # equal tuples: fill the ite memo, then check every cofactor
+        bdd = _BDD(_bases(4))
+        us = [bdd.node(b) for b in bdd.bases]
+        us += [bdd.ite(f, g, h) for f in us for g in us for h in (0, 1)]
+        for u in us:
+            for j in range(4):
+                for bit in (0, 1):
+                    ref = _restrict(_table(bdd, u), 4, j, bit)
+                    assert _table(bdd, bdd.cofactor(u, j, bit)) == ref
 
     def test_render_round_trip(self):
         rng = random.Random(7)
         for width in range(7):
-            bases = _bases(width)
+            bdd = _BDD(_bases(width))
             for _ in range(40):
-                mask = rng.getrandbits(1 << width)
-                term = _mask_term(mask, bases)
-                assert _term_mask(term, list(bases), width) == mask
+                u = _from_table(bdd, rng.getrandbits(1 << width))
+                term = bdd.term(u)
+                assert bdd.node(term) == u
                 assert _depth(term) <= 2 * width + 1
 
 
@@ -193,9 +256,11 @@ class TestBaDecide:
         assert ba_decide(phi) is True
 
 
-# Sentences on which ba_qe once built minterm joins so deep that
-# simplify raised RecursionError: 3-way patching, the cyclic chain at
-# k=5 and the alternation chain at k=6. All three are true.
+# Sentences on which ba_qe once built joins so deep that simplify raised
+# RecursionError (3-way patching, the cyclic chain at k=5, the
+# alternation chain at k=6), and the cyclic chain at k=8 and k=10, which
+# took seconds on minterm masks, whose size doubles with each base, and
+# which BDDs decide in well under a second. All are true.
 PATCHING_3 = (
     "forall f1:G. forall f2:G. forall f3:G. "
     "forall c1:L. forall c2:L. forall c3:L. "
@@ -222,8 +287,19 @@ CHAIN_6 = (
 )
 
 
+
+def _cyclic(k):
+    prefix = "".join(f"forall l{i}:L. " for i in range(k))
+    prefix += "".join(f"exists x{i}:G. " for i in range(k))
+    return prefix + " & ".join(f"l{i} << P(x{i} - x{(i + 1) % k})" for i in range(k))
+
+
 class TestDeepFamilies:
-    @pytest.mark.parametrize("text", [PATCHING_3, CYCLIC_5, CHAIN_6])
+    @pytest.mark.parametrize("text", [
+        PATCHING_3, CYCLIC_5, CHAIN_6,
+        pytest.param(_cyclic(8), id="cyclic-8"),
+        pytest.param(_cyclic(10), id="cyclic-10"),
+    ])
     def test_decided_with_shallow_output(self, text, monkeypatch):
         assert sys.getrecursionlimit() == 1000
         depths = []

@@ -158,6 +158,17 @@ class TestResourceLimits:
         with pytest.raises(ResourceLimit):
             decide_finite(FinStdStructure(2), parse(text))
 
+    @pytest.mark.parametrize("text, cap, phase", [
+        ("exists a:G. a <= 0 | 0 <= a", 1, "to_dnf or"),
+        ("exists a:G. (a <= 0 | 0 <= a) & (a <= a + a | a + a <= a)", 2,
+         "to_dnf and"),
+    ])
+    def test_dnf_cap_names_phase_and_size(self, text, cap, phase):
+        with pytest.raises(ResourceLimit, match=(
+            rf"^oracle: {phase}: DNF cap {cap} reached at \d+ conjunctions$"
+        )):
+            decide_finite(FinStdStructure(2), parse(text), limits={"max_dnf": cap})
+
     def test_caps_overridable(self):
         phi = parse("exists a:G. a <= 0")
         assert decide_finite(FinStdStructure(5), phi, limits={"max_n": 5})
