@@ -263,7 +263,9 @@ def to_dnf(f, cap: int):
             return out
         raise ValueError(f"bad boolean node {f!r}")
 
-    return prune_dnf([_store_to_conj(s) for s in dist(nnf(f, False))])
+    # a root "or" checks the cap on the root's own output too
+    root = ("or", (nnf(f, False),))
+    return prune_dnf([_store_to_conj(s) for s in dist(root)])
 
 
 def _dnf_to_bform(dnf):
@@ -390,11 +392,8 @@ class _Compiler:
         if out is _MISS:
             dnf = to_dnf(bform, self.cap)
             for x in range(self.n):
+                # no cap check: no step here adds a conjunction
                 dnf = prune_dnf(fm_eliminate(f"{var}@{x}", dnf))
-                if len(dnf) > self.cap:
-                    raise ResourceLimit(_cap_message(
-                        f"fm_eliminate {var}@{x}", self.cap, len(dnf)
-                    ))
             out = self.eliminated[var, bform] = _dnf_to_bform(dnf)
         return out
 

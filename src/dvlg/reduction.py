@@ -8,6 +8,13 @@ candidate regions carry lower/upper bound conditions whose pairwise
 compatibility is expressible without the group variable. The result is
 a lattice formula chi together with group terms t_i bound through
 p_i = P(t_i).
+
+Neither mode eliminates a lattice quantifier. tplus mode refuses one
+that a group variable crosses; ec mode keeps it in chi, and ba_decide
+removes all of them in its one QE pass. That is sound because in an
+existentially closed model P is onto an atomless Boolean algebra and
+each Val term is an opaque base, so lattice QE commutes with renaming
+Val terms to fresh lattice variables.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import syntax as S
+# ba_qe is not called here; perfbench/tracing.py rebinds reduction.ba_qe
 from .boolalg import ba_decide, ba_qe
 from .errors import NotPrimitive, NotSentence, UnsupportedFragment
 from .linear import Lin
@@ -95,18 +103,18 @@ def eliminate_group_var(block: PrimitiveBlock) -> S.Formula:
     return simplify(out)
 
 
-def _collect_val_atoms(n, var: str, out: list[S.Term]):
-    """Distinct Val terms whose argument mentions var, by first occurrence."""
+def _collect_val_atoms(n, out: dict) -> dict:
+    """Distinct Val terms below n, by first occurrence, as keys of out."""
     if isinstance(n, S.Val):
-        if var in S.term_vars(n.arg) and n not in out:
-            out.append(n)
-        return
+        out[n] = None
+        return out
     if isinstance(n, (S.GLeq, S.GEq)):
         raise NotPrimitive(
             f"group atom survived normalization: {S.print_formula(n)}"
         )
     for child in S.children(n):
-        _collect_val_atoms(child, var, out)
+        _collect_val_atoms(child, out)
+    return out
 
 
 def _subst_terms(f: S.Formula, mapping: dict[S.Term, S.Term]) -> S.Formula:
@@ -118,6 +126,21 @@ def _subst_terms(f: S.Formula, mapping: dict[S.Term, S.Term]) -> S.Formula:
         return S.rebuild(n, tuple(map(go, S.children(n))))
 
     return go(f)
+
+
+def _reject_crossing(var: str, f: S.Formula) -> None:
+    """tplus mode: raise UnsupportedFragment if a lattice quantifier in f
+    has var free. ec mode keeps it in chi for ba_decide's one QE pass:
+    lattice QE commutes with renaming the opaque Val bases below it."""
+    if isinstance(f, (S.Exists, S.Forall)):
+        if S.occurs_free(var, f):
+            raise UnsupportedFragment(
+                f"group variable {var} crosses the lattice quantifier "
+                f"over {f.var} in: {S.print_formula(f)}"
+            )
+    elif not isinstance(f, S.ATOMS):
+        for child in S.children(f):
+            _reject_crossing(var, child)
 
 
 class _Reducer:
@@ -170,11 +193,13 @@ class _Reducer:
             return S.Exists(
                 body.var, S.L, self.eliminate_exists(var, body.body)
             )
-        body = self.resolve_lattice_quantifiers(var, body)
+        if self.mode == "tplus":
+            _reject_crossing(var, body)
         if not S.occurs_free(var, body):
             return body
-        val_terms: list[S.Term] = []
-        _collect_val_atoms(body, var, val_terms)
+        val_terms = [
+            v for v in _collect_val_atoms(body, {}) if var in S.term_vars(v.arg)
+        ]
         if not val_terms:
             raise NotPrimitive(
                 f"variable {var} occurs outside valuation atoms"
@@ -209,39 +234,12 @@ class _Reducer:
             chi = S.Exists(mapping[vt].name, S.L, chi)
         return simplify(one_point(chi))
 
-    def resolve_lattice_quantifiers(self, var: str, f: S.Formula) -> S.Formula:
-        """Deal with lattice-quantified subformulas mentioning var.
-
-        tplus mode rejects them; ec mode removes the quantifiers with
-        ba_qe, which is sound in the existentially closed theory."""
-        if isinstance(f, (S.Exists, S.Forall)):
-            if not S.occurs_free(var, f):
-                return f  # opaque: var-free subformulas pass through
-            if self.mode == "tplus":
-                raise UnsupportedFragment(
-                    f"group variable {var} crosses the lattice quantifier "
-                    f"over {f.var} in: {S.print_formula(f)}"
-                )
-            return ba_qe(f)  # ba_qe ends in simplify
-        if isinstance(f, S.ATOMS):
-            return f
-        resolve = self.resolve_lattice_quantifiers
-        kids = tuple(map(resolve, itertools.repeat(var), S.children(f)))
-        return S.rebuild(f, kids)
-
 
 def _extract_terms(phi: S.Formula):
     """Replace Val atoms over free group variables by fresh p_i."""
-    terms: list[S.Term] = []
-
-    def go(n):
-        if isinstance(n, S.Val):
-            if n.arg not in terms:
-                terms.append(n.arg)
-            return S.LVar(f"p{terms.index(n.arg) + 1}")
-        return S.rebuild(n, tuple(map(go, S.children(n))))
-
-    return go(phi), terms
+    vals = list(_collect_val_atoms(phi, {}))
+    mapping = {v: S.LVar(f"p{i}") for i, v in enumerate(vals, start=1)}
+    return _subst_terms(phi, mapping), [v.arg for v in vals]
 
 
 def reduce(phi: S.Formula, mode: str = "tplus") -> ReductionOutput:

@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from dvlg import reduction
 from dvlg import syntax as S
 from dvlg.boolalg import (
     INTERVAL_BOT,
@@ -258,9 +257,12 @@ class TestBaDecide:
 
 # Sentences on which ba_qe once built joins so deep that simplify raised
 # RecursionError (3-way patching, the cyclic chain at k=5, the
-# alternation chain at k=6), and the cyclic chain at k=8 and k=10, which
+# alternation chain at k=6), the cyclic chain at k=8 and k=10, which
 # took seconds on minterm masks, whose size doubles with each base, and
-# which BDDs decide in well under a second. All are true.
+# which BDDs decide in well under a second, and the alternation chain at
+# k=16, which timed out while reduce still ran ba_qe at each crossing
+# lattice quantifier. All are true. The depth bound is on the reduct chi,
+# which keeps its lattice quantifiers for ba_decide.
 PATCHING_3 = (
     "forall f1:G. forall f2:G. forall f3:G. "
     "forall c1:L. forall c2:L. forall c3:L. "
@@ -294,24 +296,25 @@ def _cyclic(k):
     return prefix + " & ".join(f"l{i} << P(x{i} - x{(i + 1) % k})" for i in range(k))
 
 
+def _chain(k):
+    prefix = "".join(f"forall l{i}:L. exists x{i}:G. " for i in range(k))
+    below = [f"l{i} << P(x{i})" for i in range(k)]
+    links = [f"P(x{i}) << l{i} cup P(x{i + 1})" for i in range(k - 1)]
+    return prefix + " & ".join(below + links)
+
+
 class TestDeepFamilies:
     @pytest.mark.parametrize("text", [
         PATCHING_3, CYCLIC_5, CHAIN_6,
         pytest.param(_cyclic(8), id="cyclic-8"),
         pytest.param(_cyclic(10), id="cyclic-10"),
+        pytest.param(_chain(16), id="chain-16"),
     ])
-    def test_decided_with_shallow_output(self, text, monkeypatch):
+    def test_decided_with_shallow_output(self, text):
         assert sys.getrecursionlimit() == 1000
-        depths = []
-
-        def traced(phi, *args):
-            out = ba_qe(phi, *args)
-            depths.append(_depth(out))
-            return out
-
-        monkeypatch.setattr(reduction, "ba_qe", traced)
-        assert ba_decide(reduce(parse(text), "ec").chi) is True
-        assert max(depths, default=0) <= 64
+        chi = reduce(parse(text), "ec").chi
+        assert ba_decide(chi) is True
+        assert _depth(chi) <= 64
 
     def test_cli_decides_patching(self, capsys):
         assert main(["decide", PATCHING_3]) == 0

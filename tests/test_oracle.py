@@ -162,6 +162,9 @@ class TestResourceLimits:
         ("exists a:G. a <= 0 | 0 <= a", 1, "to_dnf or"),
         ("exists a:G. (a <= 0 | 0 <= a) & (a <= a + a | a + a <= a)", 2,
          "to_dnf and"),
+        # the body compiles to True, a DNF of one conjunction: over a cap
+        # of 0 already in to_dnf
+        ("exists a:G. 0 <= 0", 0, "to_dnf or"),
     ])
     def test_dnf_cap_names_phase_and_size(self, text, cap, phase):
         with pytest.raises(ResourceLimit, match=(

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from dvlg import reduction
 from dvlg import syntax as S
 from dvlg.corpus import gen_tplus_corpus, named_rng
 from dvlg.errors import NotSentence, UnsupportedFragment
@@ -203,6 +204,32 @@ class TestDecideEc:
         for text in sentences:
             phi = parse(text)
             assert decide_ec(phi) == decide_ec(rename_bound(phi, prefix="_z"))
+
+
+class TestCrossingLatticeQuantifier:
+    """A group variable under a lattice quantifier: tplus refuses the
+    sentence, and ec leaves the quantifier to ba_decide."""
+
+    @pytest.mark.parametrize("text, verdict", [
+        # x = a gives P(x - a) = P(0) = top, above every y
+        ("forall a:G. exists x:G. forall y:L. y << P(x - a)", True),
+        # y = top forces P(x) cap P(-x) = top, so P(x) = top
+        ("exists x:G. ~(P(x) = top) & forall y:L. y << P(x) cap P(-x)",
+         False),
+        # x = 0 gives P(x) = top, above every y
+        ("exists x:G. forall y:L. y << P(x) | y cap P(x) = bot", True),
+        # P(x) would be an atom, and the P-image is atomless
+        ("exists x:G. ~(P(x) = bot) & "
+         "forall y:L. y << P(x) -> y = bot | y = P(x)", False),
+    ])
+    def test_ec_verdict_and_tplus_refusal(self, text, verdict, monkeypatch):
+        def no_qe(*args):
+            raise AssertionError("reduce eliminated a lattice quantifier")
+
+        monkeypatch.setattr(reduction, "ba_qe", no_qe)
+        assert decide_ec(parse(text)) is verdict
+        with pytest.raises(UnsupportedFragment):
+            reduce(parse(text), mode="tplus")
 
 
 def _positive_existential(f):
