@@ -297,7 +297,13 @@ def _qe(phi: S.Formula, cap: int):
             return _exists(bdd, level, go(f.body))
         return _not(bdd, _exists(bdd, level, _not(bdd, go(f.body), cap)), cap)
 
-    return bdd, go(phi)
+    try:
+        return bdd, go(phi)
+    finally:
+        # go reaches itself through its closure; clearing the name breaks
+        # that cycle, so the store goes when its last user drops it, not
+        # when the cyclic collector next runs
+        del go
 
 
 def ba_qe(phi: S.Formula, cap: int = 20000) -> S.Formula:

@@ -11,7 +11,8 @@ the key may take. Scaling by a positive factor keeps every truth value,
 so constraints that differ by a positive factor compare and hash equal,
 a constraint and its negation share a key, and hashing is plain int and
 str work.
-Fourier-Motzkin elimination works on these keys in integers: no step
+Fourier-Motzkin elimination works on conjunction stores, dicts from a
+key to the signs the conjunction allows it, in integers: no step
 divides.
 """
 
@@ -167,12 +168,6 @@ class LinConstraint:
         c.mask = mask
         return c
 
-    @classmethod
-    def from_ints(cls, coeffs: dict, mask: int) -> "LinConstraint":
-        """The constraint `coeffs` in `mask`, for integer coefficients."""
-        key, sign = _int_key(coeffs.items())
-        return cls.from_key(key, mask if sign > 0 else _flip(mask))
-
     @property
     def lhs(self) -> Lin:
         if _MASK_REL[self.mask][1]:
@@ -199,14 +194,8 @@ class LinConstraint:
         return bool(self.mask & (POS if value > 0 else NEG if value < 0 else ZERO))
 
     def constant_truth(self):
-        """Truth value if variable-free, else None. The only
-        variable-free keys are () and ((CONST, 1),)."""
-        key = self.key
-        if not key:
-            return bool(self.mask & ZERO)
-        if len(key) == 1 and key[0][0] == CONST:
-            return bool(self.mask & POS)
-        return None
+        """Truth value if variable-free, else None."""
+        return _key_truth(self.key, self.mask)
 
     def negated(self) -> list["LinConstraint"]:
         """Negation as a disjunction of atomic constraints."""
@@ -215,6 +204,32 @@ class LinConstraint:
             return [LinConstraint.from_key(self.key, POS),
                     LinConstraint.from_key(self.key, NEG)]
         return [LinConstraint.from_key(self.key, mask)]
+
+
+def _key_truth(key: tuple, mask: int):
+    """Truth value of `key` in `mask` if the key is variable-free, else
+    None. The only variable-free keys are () and ((CONST, 1),)."""
+    if not key:
+        return bool(mask & ZERO)
+    if len(key) == 1 and key[0][0] == CONST:
+        return bool(mask & POS)
+    return None
+
+
+def store_insert(store: dict, key: tuple, mask: int) -> bool:
+    """Conjoin `key` in `mask` into a conjunction store, in place.
+
+    A store maps a normal key to the signs the conjunction still allows
+    it. A variable-free constraint is not stored. False means the
+    conjunction became contradictory; the store is then left partial."""
+    t = _key_truth(key, mask)
+    if t is not None:
+        return t
+    mask &= store.get(key, ALL_SIGNS)
+    if not mask:
+        return False
+    store[key] = mask
+    return True
 
 
 def _coeff(key: tuple, var: str) -> int:
@@ -232,69 +247,78 @@ def _combine(k1: tuple, m1: int, k2: tuple, m2: int) -> dict:
     return out
 
 
-def fm_eliminate_conj(var: str, constraints: list[LinConstraint]) -> list[LinConstraint] | None:
-    """Eliminate var from a conjunction; None means plainly unsatisfiable.
+def _combined(k1: tuple, m1: int, k2: tuple, m2: int, mask: int) -> tuple:
+    """(key, mask) of the constraint m1 * k1 + m2 * k2 in `mask`."""
+    key, sign = _int_key(_combine(k1, m1, k2, m2).items())
+    return key, (mask if sign > 0 else _flip(mask))
+
+
+def fm_eliminate_store(var: str, store: dict) -> dict | None:
+    """Eliminate var from a conjunction store; None means plainly
+    unsatisfiable.
 
     Works on the integer keys only. An equality a*var + E = 0 that
     mentions the variable is substituted first: it turns b*var + D into
     |a|*D - sgn(a)*b*E, a positive multiple of D with var solved away.
     Otherwise a lower bound a*var + L >= 0 (a > 0) and an upper bound
     b*var + U >= 0 (b < 0) combine to |b|*L + a*U >= 0, strict when
-    either bound is strict.
+    either bound is strict. The result is a new store.
     """
-    out = []
-
-    def keep(c: LinConstraint) -> bool:
-        t = c.constant_truth()
-        if t is None:
-            out.append(c)
-        return t is not False
-
-    for i, c in enumerate(constraints):
-        a = _coeff(c.key, var)
-        if c.mask == ZERO and a:
+    out: dict = {}
+    for key, mask in store.items():
+        a = _coeff(key, var)
+        if mask == ZERO and a:
             s = 1 if a > 0 else -1
-            for j, d in enumerate(constraints):
-                if j == i:
+            for k, m in store.items():
+                if k is key:
                     continue
-                b = _coeff(d.key, var)
+                b = _coeff(k, var)
                 if b:
-                    d = LinConstraint.from_ints(
-                        _combine(d.key, s * a, c.key, -s * b), d.mask
-                    )
-                if not keep(d):
+                    k, m = _combined(k, s * a, key, -s * b, m)
+                if not store_insert(out, k, m):
                     return None
             return out
 
     lowers, uppers = [], []
-    for c in constraints:
-        a = _coeff(c.key, var)
+    for key, mask in store.items():
+        a = _coeff(key, var)
         if not a:
-            if not keep(c):
-                return None
+            out[key] = mask
             continue
         # the bound sign * key >= 0, or > 0 when strict
-        sign = -1 if c.mask & NEG else 1
-        bound = (abs(a), sign, c.key, c.mask in (POS, NEG))
+        sign = -1 if mask & NEG else 1
+        bound = (abs(a), sign, key, mask in (POS, NEG))
         (lowers if a * sign > 0 else uppers).append(bound)
     for a, s_lo, k_lo, strict_lo in lowers:
         for b, s_up, k_up, strict_up in uppers:
             mask = POS if strict_lo or strict_up else ZERO | POS
-            c = LinConstraint.from_ints(_combine(k_lo, b * s_lo, k_up, a * s_up), mask)
-            if not keep(c):
+            if not store_insert(out, *_combined(k_lo, b * s_lo, k_up, a * s_up, mask)):
                 return None
     return out
 
 
-def fm_eliminate(var: str, dnf: list[list[LinConstraint]]) -> list[list[LinConstraint]]:
-    """Eliminate an existential variable from a DNF of constraint lists.
+def fm_eliminate_conj(var: str, constraints: list[LinConstraint]) -> list[LinConstraint] | None:
+    """fm_eliminate_store on a list of constraints; None means plainly
+    unsatisfiable."""
+    store: dict = {}
+    for c in constraints:
+        if not store_insert(store, c.key, c.mask):
+            return None
+    out = fm_eliminate_store(var, store)
+    if out is None:
+        return None
+    return [LinConstraint.from_key(k, m) for k, m in out.items()]
+
+
+def fm_eliminate(var: str, dnf: list[dict]) -> list[dict]:
+    """Eliminate an existential variable from a DNF of conjunction stores.
 
     Result is an equivalent DNF over the remaining variables; an empty
-    conjunction means True, an empty disjunction False.
+    store means True, an empty disjunction False.
     """
     out = []
-    for conj in dnf:
-        reduced = fm_eliminate_conj(var, conj)
+    for store in dnf:
+        reduced = fm_eliminate_store(var, store)
         if reduced is not None:
             out.append(reduced)
     return out

@@ -8,12 +8,21 @@ sizes, and completely independent of the reduction engine.
 
 Constraints are in the primitive integer normal form of linear.py. A
 conjunction is a store from constraint key to the signs still allowed,
-so contradictions and duplicates show up as plain dict work. One
-decide_finite call compiles each valuation atom once per point and
-eliminates each (variable, Boolean formula) pair once: the compiler
-memoizes both, keyed on structure, and is dropped when the call ends.
-Assignment sizes are checked once, on entry. Quantifier-free parts
-are evaluated by syntax.holds, with the structure as the model.
+so contradictions and duplicates show up as plain dict work. The DNF
+pipeline works on stores from start to end: to_dnf builds them and
+keeps only distinct stores while it multiplies, so the max_dnf cap
+counts distinct conjunctions; prune_dnf, the Fourier-Motzkin steps of
+linear.py and the final rendering take the stores as they are. An
+existential group variable is eliminated block by block: conjuncts
+that share no unknown v@x are eliminated apart, so pointwise formulas
+never take a DNF product across points.
+
+One decide_finite call compiles each valuation atom once per point
+and eliminates each (variable, Boolean formula) pair once: the
+compiler memoizes both, keyed on structure, and is dropped when the
+call ends. prepare normalizes a formula once for many decide_prepared
+calls. Assignment sizes are checked once, on entry. Quantifier-free
+parts are evaluated by syntax.holds, with the structure as the model.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from . import syntax as S
 from .errors import PreconditionViolated, ResourceLimit, UnboundVariable
 from .linear import (
     ALL_SIGNS, CONST, NEG, POS, ZERO, Lin, LinConstraint, fm_eliminate,
-    fm_eliminate_conj,
+    store_insert,
 )
 from .rewrites import linearize_group_term, one_point, rename_bound
 from .standard import FinStdStructure, GroupVector, SubsetL
@@ -34,8 +43,9 @@ __all__ = [
     "Assignment",
     "eval_qf",
     "decide_finite",
+    "decide_prepared",
+    "prepare",
     "fm_eliminate",
-    "fm_eliminate_conj",
     "DEFAULT_LIMITS",
 ]
 
@@ -137,21 +147,11 @@ def b_not(f):
     return ("not", f)
 
 
-# A conjunction store maps a constraint key to the sign mask that the
-# conjunction allows it; a constraint and its negation share a key, so
-# a conjunction is contradictory exactly when some mask becomes empty.
-
-def _conj_insert(store: dict, c: LinConstraint):
-    """Add a constraint to a conjunction store; False on contradiction."""
-    t = c.constant_truth()
-    if t is not None:
-        return t
-    mask = store.get(c.key, ALL_SIGNS) & c.mask
-    if not mask:
-        return False
-    store[c.key] = mask
-    return True
-
+# A DNF is a list of conjunction stores (linear.store_insert): dicts from
+# a constraint key to the sign mask the conjunction allows it. A
+# constraint and its negation share a key, so a conjunction is
+# contradictory exactly when some mask becomes empty, and two stores
+# with the same items are the same conjunction.
 
 def _store_and(store: dict, other: dict) -> bool:
     """Conjoin other into store, in place; False on contradiction."""
@@ -163,10 +163,6 @@ def _store_and(store: dict, other: dict) -> bool:
     return True
 
 
-def _store_to_conj(store: dict) -> list[LinConstraint]:
-    return [LinConstraint.from_key(k, m) for k, m in sorted(store.items())]
-
-
 def _excluded(store: dict) -> frozenset:
     """The (key, sign) pairs a store rules out. One store implies another
     exactly when it rules out a superset of the other's pairs."""
@@ -176,19 +172,11 @@ def _excluded(store: dict) -> frozenset:
     )
 
 
-def prune_dnf(dnf):
-    """Drop contradictory, duplicate, and subsumed conjunctions."""
+def prune_dnf(dnf: list[dict]) -> list[dict]:
+    """Drop duplicate and subsumed stores, keeping the first of each."""
     stores = {}
-    for conj in dnf:
-        store: dict = {}
-        ok = True
-        for c in conj:
-            r = _conj_insert(store, c)
-            if r is False:
-                ok = False
-                break
-        if ok:
-            stores.setdefault(_excluded(store), store)
+    for store in dnf:
+        stores.setdefault(_excluded(store), store)
     items = list(stores.items())
     if len(items) <= 800:
         keys = [k for k, _ in items]
@@ -197,15 +185,15 @@ def prune_dnf(dnf):
             for i in range(len(items))
             if not any(j != i and keys[j] < keys[i] for j in range(len(items)))
         ]
-    return [_store_to_conj(store) for _, store in items]
+    return [store for _, store in items]
 
 
 def _cap_message(phase: str, cap: int, size: int) -> str:
     return f"oracle: {phase}: DNF cap {cap} reached at {size} conjunctions"
 
 
-def to_dnf(f, cap: int):
-    """Pruned DNF as a list of LinConstraint conjunctions, bounded by cap."""
+def to_dnf(f, cap: int) -> list[dict]:
+    """Pruned DNF of f as a list of distinct stores, at most cap of them."""
 
     def nnf(f, neg: bool):
         if f is True or f is False:
@@ -226,50 +214,56 @@ def to_dnf(f, cap: int):
         raise ValueError(f"bad boolean node {f!r}")
 
     def dist(f) -> list[dict]:
-        """List of conjunction stores; contradictions pruned eagerly."""
+        """Distinct stores in first-seen order; contradictions dropped.
+        Stores are told apart by a frozenset of their items, which is
+        hashed and compared but never iterated."""
         if f is True:
             return [{}]
         if f is False:
             return []
         if isinstance(f, LinConstraint):
             store: dict = {}
-            return [store] if _conj_insert(store, f) else []
+            return [store] if store_insert(store, f.key, f.mask) else []
         tag = f[0]
         if tag == "or":
-            out = []
+            out = {}
             for p in f[1]:
-                out.extend(dist(p))
+                for store in dist(p):
+                    out.setdefault(frozenset(store.items()), store)
                 if len(out) > cap:
                     raise ResourceLimit(_cap_message("to_dnf or", cap, len(out)))
-            return out
+            return list(out.values())
         if tag == "and":
             out = [{}]
             for p in f[1]:
                 branches = dist(p)
                 last = len(branches) - 1
-                merged = []
+                merged = {}
                 for a in out:
                     # every store here is this call's own: the last branch
                     # can extend a itself instead of a copy
                     for i, b in enumerate(branches):
                         combo = a if i == last else dict(a)
                         if _store_and(combo, b):
-                            merged.append(combo)
-                        if len(merged) > cap:
-                            raise ResourceLimit(
-                                _cap_message("to_dnf and", cap, len(merged))
-                            )
-                out = merged
+                            merged.setdefault(frozenset(combo.items()), combo)
+                            if len(merged) > cap:
+                                raise ResourceLimit(
+                                    _cap_message("to_dnf and", cap, len(merged))
+                                )
+                out = list(merged.values())
             return out
         raise ValueError(f"bad boolean node {f!r}")
 
     # a root "or" checks the cap on the root's own output too
     root = ("or", (nnf(f, False),))
-    return prune_dnf([_store_to_conj(s) for s in dist(root)])
+    return prune_dnf(dist(root))
 
 
-def _dnf_to_bform(dnf):
-    return b_or([b_and(list(conj)) for conj in dnf])
+def _dnf_to_bform(dnf: list[dict]):
+    return b_or([
+        b_and([LinConstraint.from_key(k, m) for k, m in sorted(store.items())])
+        for store in dnf
+    ])
 
 
 _MISS = object()
@@ -327,9 +321,11 @@ class _Compiler:
         if isinstance(t, S.Top):
             return True
         if isinstance(t, S.LMeet):
-            return b_and([self.member_at(t.left, x, lenv), self.member_at(t.right, x, lenv)])
+            a = self.member_at(t.left, x, lenv)
+            return False if a is False else b_and([a, self.member_at(t.right, x, lenv)])
         if isinstance(t, S.LJoin):
-            return b_or([self.member_at(t.left, x, lenv), self.member_at(t.right, x, lenv)])
+            a = self.member_at(t.left, x, lenv)
+            return True if a is True else b_or([a, self.member_at(t.right, x, lenv)])
         if isinstance(t, S.Compl):
             return b_not(self.member_at(t.arg, x, lenv))
         if isinstance(t, S.Val):
@@ -352,11 +348,12 @@ class _Compiler:
                  self.compile(S.GLeq(f.right, f.left), lenv)]
             )
         if isinstance(f, S.LBelow):
-            return b_and(
-                [b_or([b_not(self.member_at(f.left, x, lenv)),
-                       self.member_at(f.right, x, lenv)])
-                 for x in points]
-            )
+            parts = []
+            for x in points:
+                a = self.member_at(f.left, x, lenv)
+                if a is not False:
+                    parts.append(b_or([b_not(a), self.member_at(f.right, x, lenv)]))
+            return b_and(parts)
         if isinstance(f, S.LEq):
             left = [self.member_at(f.left, x, lenv) for x in points]
             right = [self.member_at(f.right, x, lenv) for x in points]
@@ -388,14 +385,65 @@ class _Compiler:
         raise PreconditionViolated(f"unknown formula node {f!r}")
 
     def eliminate_exists(self, var: str, bform):
+        """bform with the unknowns var@x eliminated. The conjuncts fall
+        into blocks that share no unknown of var; pointwise operations
+        keep var@x apart from var@y, so a block is usually one point's.
+        With two or more blocks, each block is eliminated on its own,
+        the conjuncts without var stay as they are, and no DNF product
+        is taken across blocks. Otherwise bform goes through one DNF."""
         out = self.eliminated.get((var, bform), _MISS)
         if out is _MISS:
-            dnf = to_dnf(bform, self.cap)
-            for x in range(self.n):
-                # no cap check: no step here adds a conjunction
-                dnf = prune_dnf(fm_eliminate(f"{var}@{x}", dnf))
-            out = self.eliminated[var, bform] = _dnf_to_bform(dnf)
+            names = {f"{var}@{x}": x for x in range(self.n)}
+            rest, blocks = [], []  # blocks: [points, conjuncts]
+            for part in _conjuncts(bform):
+                points = _points(part, names, set())
+                if not points:
+                    rest.append(part)
+                    continue
+                joined = [b for b in blocks if b[0] & points]
+                blocks = [b for b in blocks if not b[0] & points]
+                for b in joined:
+                    points |= b[0]
+                blocks.append([points, [q for b in joined for q in b[1]] + [part]])
+            if len(blocks) > 1:
+                out = b_and(rest + [
+                    self.eliminate_exists(var, b_and(parts)) for _, parts in blocks
+                ])
+            else:
+                points = blocks[0][0] if blocks else ()
+                dnf = to_dnf(bform, self.cap)
+                for x in sorted(points):
+                    # no cap check: no step here adds a conjunction
+                    dnf = prune_dnf(fm_eliminate(f"{var}@{x}", dnf))
+                out = _dnf_to_bform(dnf)
+            self.eliminated[var, bform] = out
         return out
+
+
+def _conjuncts(f) -> list:
+    """The conjuncts of f, with nested "and" and "not or" flattened."""
+    if isinstance(f, tuple):
+        if f[0] == "and":
+            return [c for p in f[1] for c in _conjuncts(p)]
+        if f[0] == "not" and isinstance(f[1], tuple) and f[1][0] == "or":
+            return [c for p in f[1][1] for c in _conjuncts(b_not(p))]
+    return [f]
+
+
+def _points(f, names: dict, out: set) -> set:
+    """Add to out the points x of the unknowns names[x] that f mentions."""
+    if isinstance(f, LinConstraint):
+        for v, _ in f.key:
+            x = names.get(v)
+            if x is not None:
+                out.add(x)
+    elif isinstance(f, tuple):
+        if f[0] == "not":
+            _points(f[1], names, out)
+        else:
+            for p in f[1]:
+                _points(p, names, out)
+    return out
 
 
 def _bform_truth(f) -> bool:
@@ -416,6 +464,22 @@ def _bform_truth(f) -> bool:
     return any(_bform_truth(p) for p in f[1])
 
 
+@dataclass(frozen=True)
+class Prepared:
+    """A formula normalized for decide_prepared, with its size counts."""
+
+    phi: S.Formula
+    quantifiers: int
+    atoms: int
+
+
+def prepare(phi: S.Formula) -> Prepared:
+    """Bound variables renamed apart and pinned quantifiers inlined: the
+    work decide_finite does on its formula before any structure."""
+    phi = one_point(rename_bound(phi, prefix="_d"))
+    return Prepared(phi, _count_quantifiers(phi), count_atoms(phi))
+
+
 def decide_finite(
     struct: FinStdStructure,
     phi: S.Formula,
@@ -423,6 +487,17 @@ def decide_finite(
     limits: dict | None = None,
 ) -> bool:
     """Truth of an arbitrary sentence-with-parameters in the structure."""
+    return decide_prepared(struct, prepare(phi), env, limits)
+
+
+def decide_prepared(
+    struct: FinStdStructure,
+    prepared: Prepared,
+    env: Assignment | None = None,
+    limits: dict | None = None,
+) -> bool:
+    """decide_finite on a formula that prepare normalized, so that a
+    caller deciding one formula many times normalizes it once."""
     lim = dict(DEFAULT_LIMITS)
     if limits:
         lim.update(limits)
@@ -432,11 +507,11 @@ def decide_finite(
         )
     env = env or Assignment()
     env.check_sizes(struct.ground_size)
-    phi = one_point(rename_bound(phi, prefix="_d"))
-    if _count_quantifiers(phi) > lim["max_quantifiers"]:
+    if prepared.quantifiers > lim["max_quantifiers"]:
         raise ResourceLimit("quantifier count exceeds cap")
-    if count_atoms(phi) > lim["max_atoms"]:
+    if prepared.atoms > lim["max_atoms"]:
         raise ResourceLimit("atom count exceeds cap")
+    phi = prepared.phi
     genv = env.group_env
     comp = _Compiler(struct, genv, lim)
 
@@ -459,4 +534,9 @@ def decide_finite(
             return _bform_truth(comp.compile(f, lenv))
         return S.holds(struct, genv, lenv, f)
 
-    return go(phi, dict(env.lattice_env))
+    try:
+        return go(phi, dict(env.lattice_env))
+    finally:
+        # go reaches itself through its closure; clearing the name frees
+        # comp's memos now, not at the cyclic collector's next run
+        del go

@@ -162,6 +162,7 @@ class _Reducer:
                 phi = phi.body
             body = self.run(phi)
             for var in reversed(names):
+                self.eliminations += 1
                 body = self.eliminate_exists(var, body)
             return body
         if isinstance(phi, S.Forall) and phi.sort == S.G:
@@ -171,6 +172,7 @@ class _Reducer:
                 phi = phi.body
             body = simplify(S.Not(self.run(phi)))
             for var in reversed(names):
+                self.eliminations += 1
                 body = self.eliminate_exists(var, body)
             return simplify(S.Not(body))
         if isinstance(phi, S.ATOMS):
@@ -179,11 +181,9 @@ class _Reducer:
 
     def eliminate_exists(self, var: str, body: S.Formula) -> S.Formula:
         """Eliminate 'exists var:G.' from a body with no group quantifiers."""
-        self.eliminations += 1
         body = simplify(body)
-        # hoist a top-of-scope existential lattice block (they commute)
-        if isinstance(body, S.Not) and isinstance(body.arg, S.Not):
-            return self.eliminate_exists(var, body.arg.arg)
+        # hoist a top-of-scope existential lattice block (they commute);
+        # simplify leaves no double negation on top
         if isinstance(body, S.Not) and isinstance(body.arg, S.Forall):
             q = body.arg
             return self.eliminate_exists(

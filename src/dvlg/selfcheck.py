@@ -19,7 +19,7 @@ from .boolalg import ba_decide, interval_check
 from .corpus import gen_lattice_corpus, gen_tplus_corpus, load_known_answers, named_rng
 from .errors import NotSentence, ResourceLimit, UnsupportedFragment
 from .linear import Lin, LinConstraint, fm_eliminate_conj
-from .oracle import Assignment, decide_finite
+from .oracle import Assignment, decide_prepared, prepare
 from .parser import parse
 from .reduction import assemble_reduct, decide_ec, reduce
 
@@ -142,7 +142,8 @@ def criterion_1(seed: int, count: int = 200):
     rng = named_rng(seed, "criterion1-assignments")
     checked = 0
     for text, phi, ctx in corpus:
-        red = assemble_reduct(reduce(phi, "tplus"))
+        red = prepare(assemble_reduct(reduce(phi, "tplus")))
+        phi = prepare(phi)
         for n in (1, 2, 3):
             struct = ST.FinStdStructure(n)
             for _ in range(10):
@@ -150,8 +151,8 @@ def criterion_1(seed: int, count: int = 200):
                     {v: _rand_vector(rng, n) for v, s in ctx.items() if s == S.G},
                     {v: _rand_subset(rng, n) for v, s in ctx.items() if s == S.L},
                 )
-                a = decide_finite(struct, phi, env)
-                b = decide_finite(struct, red, env, limits={"max_quantifiers": 25})
+                a = decide_prepared(struct, phi, env)
+                b = decide_prepared(struct, red, env, limits={"max_quantifiers": 25})
                 checked += 1
                 if a != b:
                     return False, f"disagreement on {text!r} at n={n}: {a} vs {b}"

@@ -10,6 +10,7 @@ from dvlg.linear import (
     dnf_satisfiable_grid,
     fm_eliminate,
     fm_eliminate_conj,
+    store_insert,
 )
 
 GRID = [Fraction(n) for n in range(-2, 3)]
@@ -17,6 +18,19 @@ GRID = [Fraction(n) for n in range(-2, 3)]
 
 def c(mapping, rel=">="):
     return LinConstraint(Lin.make(mapping), rel)
+
+
+def store_of(conj):
+    """The conjunction as a store, or None when it is contradictory."""
+    store = {}
+    for k in conj:
+        if not store_insert(store, k.key, k.mask):
+            return None
+    return store
+
+
+def conj_of(store):
+    return [LinConstraint.from_key(k, m) for k, m in store.items()]
 
 
 class TestConjunctions:
@@ -60,11 +74,11 @@ class TestConjunctions:
 class TestDnf:
     def test_unsatisfiable_disjunct_dropped(self):
         dnf = [
-            [c({"x": 1, "1": -1}), c({"x": -1})],  # x >= 1 and x <= 0
-            [c({"x": 1, "y": -1})],  # x >= y
+            store_of([c({"x": 1, "1": -1}), c({"x": -1})]),  # x >= 1 and x <= 0
+            store_of([c({"x": 1, "y": -1})]),  # x >= y
         ]
         out = fm_eliminate("x", dnf)
-        assert out == [[]]
+        assert out == [{}]
 
     def test_random_equivalence_on_grid(self):
         rng = named_rng(3, "fm-grid")
@@ -85,7 +99,8 @@ class TestDnf:
                     )
                 dnf.append(conj)
             before = dnf_satisfiable_grid(dnf, names, GRID)
-            after_dnf = fm_eliminate("x", dnf)
+            stores = [st for st in map(store_of, dnf) if st is not None]
+            after_dnf = [conj_of(st) for st in fm_eliminate("x", stores)]
             after = dnf_satisfiable_grid(after_dnf, ["y", "z"], GRID)
             # elimination is exact over the rationals; the grid check is
             # one-directional (existence on the grid implies existence)

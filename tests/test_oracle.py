@@ -1,13 +1,18 @@
 """Brute-force decision over finite standard structures."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from dvlg import syntax as S
 from dvlg.corpus import load_known_answers, named_rng
 from dvlg.errors import ResourceLimit, UnboundVariable
-from dvlg.oracle import Assignment, decide_finite, eval_qf
+from dvlg.linear import Lin, LinConstraint, dnf_satisfiable_grid, fm_eliminate
+from dvlg.oracle import (
+    Assignment, decide_finite, decide_prepared, eval_qf, prepare, prune_dnf,
+    to_dnf,
+)
 from dvlg.parser import parse
 from dvlg.standard import FinStdStructure, GroupVector, SubsetL
 
@@ -132,6 +137,107 @@ class TestDecideFinite:
             assert decide_finite(struct, phi, env) == decide_finite(
                 struct, phi, renv
             )
+
+
+ALTERNATION_CHAIN_3 = (
+    "forall l0:L. exists x0:G. forall l1:L. exists x1:G. "
+    "forall l2:L. exists x2:G. l0 << P(x0) & l1 << P(x1) & l2 << P(x2) & "
+    "P(x0) << l0 cup P(x1) & P(x1) << l1 cup P(x2)"
+)
+
+
+class TestAlternationChain:
+    def test_chain_3_at_n3(self):
+        # x_i = 0 is a witness; the product without deduplication ran over
+        # the DNF cap here
+        assert decide_finite(FinStdStructure(3), parse(ALTERNATION_CHAIN_3)) is True
+
+    def test_prepared_agrees(self):
+        phi = parse(ALTERNATION_CHAIN_3)
+        prepared = prepare(phi)
+        for n in (1, 2):
+            struct = FinStdStructure(n)
+            assert decide_prepared(struct, prepared) == decide_finite(struct, phi)
+
+
+def _ge(mapping, rel=">="):
+    return LinConstraint(Lin.make(mapping), rel)
+
+
+def _truth(f, env) -> bool:
+    if isinstance(f, bool):
+        return f
+    if isinstance(f, LinConstraint):
+        return f.holds(env)
+    if f[0] == "not":
+        return not _truth(f[1], env)
+    if f[0] == "and":
+        return all(_truth(p, env) for p in f[1])
+    return any(_truth(p, env) for p in f[1])
+
+
+def _rand_bform(rng, names, depth):
+    if depth == 0 or rng.random() < 0.3:
+        mapping = {v: rng.randint(-2, 2) for v in names}
+        mapping["1"] = rng.randint(-2, 2)
+        return _ge(mapping, rng.choice([">=", ">", "="]))
+    tag = rng.choice(["and", "or", "not"])
+    if tag == "not":
+        return ("not", _rand_bform(rng, names, depth - 1))
+    return (tag, tuple(
+        _rand_bform(rng, names, depth - 1) for _ in range(rng.randint(2, 3))
+    ))
+
+
+def _conj(store):
+    return [LinConstraint.from_key(key, mask) for key, mask in store.items()]
+
+
+def _pinned(store, env):
+    """The store's constraints with the unknowns in env set to their values."""
+    out = []
+    for c in _conj(store):
+        mapping = {"1": 0}
+        for v, q in c.lhs.coeffs:
+            if v in env:
+                mapping["1"] += q * env[v]
+            else:
+                mapping[v] = mapping.get(v, 0) + q
+        out.append(_ge(mapping, c.rel))
+    return out
+
+
+class TestDnfPipeline:
+    def test_repeated_branches_stay_under_cap(self):
+        a, b = _ge({"x": 1}), _ge({"y": 1, "1": -1})
+        f = ("and", tuple(("or", (a, b)) for _ in range(12)))
+        # without deduplication the product holds 2**12 stores; the
+        # distinct ones are a, b and a & b, and a & b is subsumed
+        assert len(to_dnf(f, 8)) == 2
+
+    @pytest.mark.parametrize("names", [["x", "y"], ["x", "y", "z"]])
+    def test_fm_agrees_with_grid(self, names):
+        # coefficients in [-2, 2] and integer pins give bounds on x that
+        # are multiples of 1/2 in [-6, 6]; quarter steps meet any
+        # nonempty interval
+        x_grid = [Fraction(i, 4) for i in range(-28, 29)]
+        small = [Fraction(v) for v in (-1, 0, 1)]
+        rng = named_rng(21, f"oracle-dnf-{len(names)}")
+        for _ in range(60):
+            f = _rand_bform(rng, names, 3)
+            dnf = to_dnf(f, 10_000)
+            for point in product(small, repeat=len(names)):
+                env = dict(zip(names, point))
+                in_dnf = any(all(c.holds(env) for c in _conj(s)) for s in dnf)
+                assert in_dnf == _truth(f, env), (f, env)
+            reduced = prune_dnf(fm_eliminate("x", dnf))
+            for point in product(small, repeat=len(names) - 1):
+                env = dict(zip(names[1:], point))
+                direct = dnf_satisfiable_grid(
+                    [_pinned(store, env) for store in dnf], ["x"], x_grid
+                )
+                after = any(all(c.holds(env) for c in _conj(s)) for s in reduced)
+                assert direct == after, (f, env)
 
 
 class TestPerCallMemos:

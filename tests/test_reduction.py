@@ -232,6 +232,23 @@ class TestCrossingLatticeQuantifier:
             reduce(parse(text), mode="tplus")
 
 
+class TestEliminationCount:
+    """ReductionOutput.eliminations counts eliminated group variables;
+    hoisting a lattice block above the variable adds none."""
+
+    @pytest.mark.parametrize("text, count", [
+        # a double negation: simplify removes it before the hoist
+        ("exists a:G. ~~(exists y:L. y << P(a) & ~(y = bot))", 1),
+        # a negated universal lattice block
+        ("exists a:G. ~(forall y:L. y << P(a))", 1),
+        # an existential lattice block
+        ("exists a:G. exists y:L. y << P(a) & ~(y = bot)", 1),
+        ("exists a:G. exists b:G. ~(forall y:L. y << P(a - b))", 2),
+    ])
+    def test_one_per_group_variable(self, text, count):
+        assert reduce(parse(text), mode="ec").eliminations == count
+
+
 def _positive_existential(f):
     if isinstance(f, (S.Not, S.Implies, S.Forall)):
         return False
