@@ -16,7 +16,8 @@ split on its base, so a term over m bases is at most 2m + 1 deep.
 
 interval_check is an independent bounded checker in a concrete atomless
 algebra of rational half-open subintervals of [0, 1), INTERVALS, where
-syntax.holds evaluates its atoms; ba_decide does not use holds.
+syntax.holds evaluates its atoms; ba_decide does not use holds. It
+raises ResourceLimit after INTERVAL_MAX_CANDIDATES witness candidates.
 """
 
 from __future__ import annotations
@@ -170,6 +171,34 @@ class _BDD:
             self.terms[u] = t
         return t
 
+    def qe(self, f: S.Formula, cap: int) -> tuple:
+        """The DNF of f, over this store's bases, with its lattice
+        quantifiers eliminated."""
+        if isinstance(f, (S.LBelow, S.LEq)):
+            l, r = self.node(f.left), self.node(f.right)
+            # E is l - r for l << r, and l xor r for l = r
+            e = self.ite(l, self.ite(r, 0, 1), 0 if isinstance(f, S.LBelow) else r)
+            return _dnf([_conj(self, e, ())])
+        if isinstance(f, S.TrueF):
+            return _TRUE
+        if isinstance(f, S.FalseF):
+            return _FALSE
+        if isinstance(f, S.Not):
+            return _not(self, self.qe(f.arg, cap), cap)
+        if isinstance(f, S.And):
+            return _product(self, self.qe(f.left, cap), self.qe(f.right, cap), cap)
+        if isinstance(f, S.Or):
+            return _dnf(self.qe(f.left, cap) + self.qe(f.right, cap))
+        if isinstance(f, S.Implies):
+            return _dnf(_not(self, self.qe(f.left, cap), cap) + self.qe(f.right, cap))
+        level = self.level.get(S.LVar(f.var))
+        if level is None:  # y does not occur
+            return self.qe(f.body, cap)
+        if isinstance(f, S.Exists):
+            return _exists(self, level, self.qe(f.body, cap))
+        inner = _not(self, self.qe(f.body, cap), cap)
+        return _not(self, _exists(self, level, inner), cap)
+
 
 # A DNF is a tuple of conjunctions (E, Ns) of nodes, each read "E is bot
 # and each N is not", with Ns a sorted tuple of nodes disjoint from E.
@@ -271,39 +300,7 @@ def _qe(phi: S.Formula, cap: int):
     DNF of a quantifier tests no node at its variable's level, so that
     level can stand for another variable of the name outside the scope."""
     bdd = _BDD(tuple(_lattice_bases(phi, {})))
-
-    def go(f: S.Formula) -> tuple:
-        if isinstance(f, (S.LBelow, S.LEq)):
-            l, r = bdd.node(f.left), bdd.node(f.right)
-            # E is l - r for l << r, and l xor r for l = r
-            e = bdd.ite(l, bdd.ite(r, 0, 1), 0 if isinstance(f, S.LBelow) else r)
-            return _dnf([_conj(bdd, e, ())])
-        if isinstance(f, S.TrueF):
-            return _TRUE
-        if isinstance(f, S.FalseF):
-            return _FALSE
-        if isinstance(f, S.Not):
-            return _not(bdd, go(f.arg), cap)
-        if isinstance(f, S.And):
-            return _product(bdd, go(f.left), go(f.right), cap)
-        if isinstance(f, S.Or):
-            return _dnf(go(f.left) + go(f.right))
-        if isinstance(f, S.Implies):
-            return _dnf(_not(bdd, go(f.left), cap) + go(f.right))
-        level = bdd.level.get(S.LVar(f.var))
-        if level is None:  # y does not occur
-            return go(f.body)
-        if isinstance(f, S.Exists):
-            return _exists(bdd, level, go(f.body))
-        return _not(bdd, _exists(bdd, level, _not(bdd, go(f.body), cap)), cap)
-
-    try:
-        return bdd, go(phi)
-    finally:
-        # go reaches itself through its closure; clearing the name breaks
-        # that cycle, so the store goes when its last user drops it, not
-        # when the cyclic collector next runs
-        del go
+    return bdd, bdd.qe(phi, cap)
 
 
 def ba_qe(phi: S.Formula, cap: int = 20000) -> S.Formula:
@@ -414,6 +411,11 @@ class IntervalModel:
 
 
 INTERVALS = IntervalModel()
+# Witness candidates one interval_check call tries before it raises
+# ResourceLimit. Criterion 3 tries at most 273 per call at seed 0 and 221
+# at seed 20260823; gen_lattice_corpus(7, 400, max_depth=4) at depth 4 at
+# most 65,808 (about 13 s), so every sentence of these stays decided.
+INTERVAL_MAX_CANDIDATES = 100_000
 
 
 def _interval_candidates(env) -> list[IntervalAlgebraElem]:
@@ -452,7 +454,10 @@ def interval_check(sigma: S.Formula, depth: int) -> bool:
     _lattice_bases(sigma, {})
     sigma = rename_bound(sigma, prefix="_i")
 
+    tried = 0
+
     def go(f: S.Formula, env, remaining: int) -> bool:
+        nonlocal tried
         if isinstance(f, S.Not):
             return not go(f.arg, env, remaining)
         if isinstance(f, S.And):
@@ -464,11 +469,19 @@ def interval_check(sigma: S.Formula, depth: int) -> bool:
         if isinstance(f, (S.Exists, S.Forall)):
             if remaining <= 0:
                 raise DepthExceeded("quantifier depth exceeds the declared bound")
-            cands = _interval_candidates(env)
-            results = (
-                go(f.body, {**env, f.var: y}, remaining - 1) for y in cands
-            )
-            return any(results) if isinstance(f, S.Exists) else all(results)
+            # any() for exists, all() for forall, counting each candidate
+            stop = isinstance(f, S.Exists)
+            for y in _interval_candidates(env):
+                if tried == INTERVAL_MAX_CANDIDATES:
+                    raise ResourceLimit(
+                        f"interval_check: candidate cap {INTERVAL_MAX_CANDIDATES} "
+                        f"reached at quantifier depth {depth - remaining + 1} "
+                        f"(max {depth})"
+                    )
+                tried += 1
+                if go(f.body, {**env, f.var: y}, remaining - 1) == stop:
+                    return stop
+            return not stop
         return S.holds(INTERVALS, {}, env, f)
 
     return go(sigma, {}, depth)

@@ -48,10 +48,6 @@ class Lin:
     def zero(cls) -> "Lin":
         return cls(())
 
-    @classmethod
-    def const(cls, q) -> "Lin":
-        return cls.make({CONST: rat(q)})
-
     def as_dict(self) -> dict[str, Fraction]:
         return dict(self.coeffs)
 

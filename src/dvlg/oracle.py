@@ -332,6 +332,25 @@ class _Compiler:
             return self.nonneg_at(t.arg, x)
         raise PreconditionViolated(f"not an L-term: {t!r}")
 
+    def truth(self, f: S.Formula, lenv) -> bool:
+        """Truth of f under lenv: concrete, with short-circuiting, until
+        a group quantifier, which is compiled."""
+        if isinstance(f, S.Not):
+            return not self.truth(f.arg, lenv)
+        if isinstance(f, S.And):
+            return self.truth(f.left, lenv) and self.truth(f.right, lenv)
+        if isinstance(f, S.Or):
+            return self.truth(f.left, lenv) or self.truth(f.right, lenv)
+        if isinstance(f, S.Implies):
+            return (not self.truth(f.left, lenv)) or self.truth(f.right, lenv)
+        if isinstance(f, (S.Exists, S.Forall)) and f.sort == S.L:
+            subsets = self.struct.all_subsets()
+            quant = any if isinstance(f, S.Exists) else all
+            return quant(self.truth(f.body, {**lenv, f.var: s}) for s in subsets)
+        if isinstance(f, (S.Exists, S.Forall)):
+            return _bform_truth(self.compile(f, lenv))
+        return S.holds(self.struct, self.genv, lenv, f)
+
     def compile(self, f: S.Formula, lenv):
         """Boolean constraint formula for f; group quantifiers eliminated."""
         points = range(self.n)
@@ -511,32 +530,5 @@ def decide_prepared(
         raise ResourceLimit("quantifier count exceeds cap")
     if prepared.atoms > lim["max_atoms"]:
         raise ResourceLimit("atom count exceeds cap")
-    phi = prepared.phi
-    genv = env.group_env
-    comp = _Compiler(struct, genv, lim)
-
-    def go(f: S.Formula, lenv) -> bool:
-        # stay concrete (with short-circuiting) until a group quantifier
-        if isinstance(f, S.Not):
-            return not go(f.arg, lenv)
-        if isinstance(f, S.And):
-            return go(f.left, lenv) and go(f.right, lenv)
-        if isinstance(f, S.Or):
-            return go(f.left, lenv) or go(f.right, lenv)
-        if isinstance(f, S.Implies):
-            return (not go(f.left, lenv)) or go(f.right, lenv)
-        if isinstance(f, (S.Exists, S.Forall)) and f.sort == S.L:
-            subsets = struct.all_subsets()
-            if isinstance(f, S.Exists):
-                return any(go(f.body, {**lenv, f.var: s}) for s in subsets)
-            return all(go(f.body, {**lenv, f.var: s}) for s in subsets)
-        if isinstance(f, (S.Exists, S.Forall)):
-            return _bform_truth(comp.compile(f, lenv))
-        return S.holds(struct, genv, lenv, f)
-
-    try:
-        return go(phi, dict(env.lattice_env))
-    finally:
-        # go reaches itself through its closure; clearing the name frees
-        # comp's memos now, not at the cyclic collector's next run
-        del go
+    comp = _Compiler(struct, env.group_env, lim)
+    return comp.truth(prepared.phi, dict(env.lattice_env))

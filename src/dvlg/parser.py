@@ -314,12 +314,3 @@ def parse(text: str, context: dict[str, str] | None = None) -> S.Formula:
     phi = _resolve_var_nodes(phi, parser.context)
     S.sort_check(phi, context)
     return phi
-
-
-def parse_many(text: str, context: dict[str, str] | None = None) -> list[S.Formula]:
-    """Parse a batch: ';'-separated blocks, else one formula per line."""
-    if ";" in text:
-        units = text.split(";")
-    else:
-        units = text.splitlines()
-    return [parse(u, context) for u in units if u.strip()]

@@ -2,12 +2,13 @@
 
 Group atoms are traded for valuation atoms using density, valuations
 are pushed to primitive linear arguments, and group quantifiers are
-eliminated by the patching argument: each valuation atom mentioning
-the quantified variable becomes a fresh lattice variable, and the
-candidate regions carry lower/upper bound conditions whose pairwise
-compatibility is expressible without the group variable. The result is
-a lattice formula chi together with group terms t_i bound through
-p_i = P(t_i).
+eliminated by the patching argument. Each valuation atom P(c*x + rest)
+mentioning the quantified variable x becomes a fresh lattice variable
+y and one bound (y, b, c > 0) with b = -rest/c: on region y, x >= b if
+c > 0 and x <= b if c < 0, with the strict opposite bound on compl(y).
+eliminate_group_var turns the bounds into pairwise compatibility
+conditions free of x. The result is a lattice formula chi together with
+group terms t_i bound through p_i = P(t_i).
 
 Neither mode eliminates a lattice quantifier. tplus mode refuses one
 that a group variable crosses; ec mode keeps it in chi, and ba_decide
@@ -20,7 +21,7 @@ Val terms to fresh lattice variables.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import syntax as S
@@ -39,26 +40,12 @@ from .rewrites import (
 )
 
 __all__ = [
-    "PrimitiveBlock",
     "ReductionOutput",
     "eliminate_group_var",
     "reduce",
     "assemble_reduct",
     "decide_ec",
 ]
-
-
-@dataclass(frozen=True)
-class PrimitiveBlock:
-    """Bounds on one group variable, grouped by the lattice region where
-    each bound is active. Bound coefficients on the variable are already
-    normalized away (divisibility permits rational rescaling)."""
-
-    variable: str
-    lowers: tuple  # (region: L-term, bound: Lin, strict: bool)
-    uppers: tuple
-    # pairs with these indices are complementary regions and are skipped
-    skip_pairs: frozenset = field(default_factory=frozenset)
 
 
 @dataclass(frozen=True)
@@ -78,23 +65,29 @@ class ReductionOutput:
         }
 
 
-def eliminate_group_var(block: PrimitiveBlock) -> S.Formula:
-    """Side conditions equivalent to the existential over the variable.
+def eliminate_group_var(bounds) -> S.Formula:
+    """Side conditions equivalent to the existential over a group variable x.
 
-    For every active lower bound l on region r and upper bound u on
-    region r', compatibility needs r meet r' inside P(u - l); if either
-    bound is strict the strict form P(u - l) meet compl(P(l - u)) is
-    required. One-sided blocks need no conditions: divisible ordered
-    stalks are unbounded and dense.
+    bounds has one (y, b, lower) per valuation atom P(c*x + rest) that
+    mentions x, with b = -rest/c and y the fresh lattice variable naming
+    the atom. If lower (c > 0), x >= b on region y and x < b on compl(y);
+    otherwise x <= b on y and x > b on compl(y). For atom i's lower bound
+    l on region r and atom j's upper bound u on region r', i != j,
+    compatibility needs r meet r' below P(u - l); if either bound is
+    strict, below P(u - l) meet compl(P(l - u)). An atom's own two
+    regions are disjoint, and divisible ordered stalks are unbounded and
+    dense, so no other condition is needed.
     """
     conds = []
-    for i, (r, low, ls) in enumerate(block.lowers):
-        for j, (rp, up, us) in enumerate(block.uppers):
-            if (i, j) in block.skip_pairs:
+    for i, (y, low, lower_i) in enumerate(bounds):
+        r = y if lower_i else S.Compl(y)
+        for j, (yp, up, lower_j) in enumerate(bounds):
+            if i == j:
                 continue
+            rp = S.Compl(yp) if lower_j else yp
             diff = up - low
             target = val_of_lin(diff)
-            if ls or us:
+            if lower_j or not lower_i:
                 target = S.LMeet(target, S.Compl(val_of_lin(-diff)))
             conds.append(S.LBelow(S.LMeet(r, rp), target))
     out = S.TRUE
@@ -155,84 +148,62 @@ class _Reducer:
         return f"_y{next(self.fresh)}"
 
     def run(self, phi: S.Formula) -> S.Formula:
-        if isinstance(phi, S.Exists) and phi.sort == S.G:
-            names = []
-            while isinstance(phi, S.Exists) and phi.sort == S.G:
+        if isinstance(phi, (S.Exists, S.Forall)) and phi.sort == S.G:
+            kind, names = type(phi), []
+            while isinstance(phi, kind) and phi.sort == S.G:
                 names.append(phi.var)
                 phi = phi.body
-            body = self.run(phi)
+            # forall x is ~exists x ~
+            negate = kind is S.Forall
+            body = simplify(S.Not(self.run(phi))) if negate else self.run(phi)
             for var in reversed(names):
                 self.eliminations += 1
                 body = self.eliminate_exists(var, body)
-            return body
-        if isinstance(phi, S.Forall) and phi.sort == S.G:
-            names = []
-            while isinstance(phi, S.Forall) and phi.sort == S.G:
-                names.append(phi.var)
-                phi = phi.body
-            body = simplify(S.Not(self.run(phi)))
-            for var in reversed(names):
-                self.eliminations += 1
-                body = self.eliminate_exists(var, body)
-            return simplify(S.Not(body))
+            return simplify(S.Not(body)) if negate else body
         if isinstance(phi, S.ATOMS):
             return phi
         return S.rebuild(phi, tuple(map(self.run, S.children(phi))))
 
     def eliminate_exists(self, var: str, body: S.Formula) -> S.Formula:
-        """Eliminate 'exists var:G.' from a body with no group quantifiers."""
+        """Eliminate 'exists var:G.' from a body with no group quantifiers.
+        The result is not simplified: the next elimination simplifies it on
+        entry, run around a universal block, and reduce after one_point."""
         body = simplify(body)
-        # hoist a top-of-scope existential lattice block (they commute);
-        # simplify leaves no double negation on top
-        if isinstance(body, S.Not) and isinstance(body.arg, S.Forall):
-            q = body.arg
-            return self.eliminate_exists(
-                var, S.Exists(q.var, q.sort, S.Not(q.body))
-            )
-        if isinstance(body, S.Exists) and body.sort == S.L:
-            return S.Exists(
-                body.var, S.L, self.eliminate_exists(var, body.body)
-            )
-        if self.mode == "tplus":
-            _reject_crossing(var, body)
-        if not S.occurs_free(var, body):
-            return body
+        # peel the top-of-scope existential lattice block, which commutes
+        # with var; simplify leaves no double negation on top
+        block = []
+        while True:
+            if isinstance(body, S.Not) and isinstance(body.arg, S.Forall):
+                q = body.arg
+                body = simplify(S.Exists(q.var, S.L, S.Not(q.body)))
+            elif isinstance(body, S.Exists) and body.sort == S.L:
+                block.append(body.var)
+                body = body.body
+            else:
+                break
+        # after group_atoms_to_lattice, var occurs in Val atoms only
         val_terms = [
             v for v in _collect_val_atoms(body, {}) if var in S.term_vars(v.arg)
         ]
-        if not val_terms:
-            raise NotPrimitive(
-                f"variable {var} occurs outside valuation atoms"
-            )
-        mapping = {}
-        lowers, uppers, skip = [], [], set()
-        for vt in val_terms:
-            lin = gterm_to_lin(vt.arg)
-            c = lin.get(var)
-            rest = lin + Lin.make({var: -c})
-            y = S.LVar(self.fresh_lvar())
-            mapping[vt] = y
-            if c > 0:
-                # lin >= 0 iff var >= -rest/c : active lower bound on y
-                bound = rest.scale(Fraction(-1) / c)
-                li, ui = len(lowers), len(uppers)
-                lowers.append((y, bound, False))
-                uppers.append((S.Compl(y), bound, True))
-            else:
-                # lin >= 0 iff var <= rest/(-c) : active upper bound on y
-                bound = rest.scale(Fraction(-1) / c)
-                li, ui = len(lowers), len(uppers)
-                uppers.append((y, bound, False))
-                lowers.append((S.Compl(y), bound, True))
-            skip.add((li, ui))
-        block = PrimitiveBlock(
-            var, tuple(lowers), tuple(uppers), frozenset(skip)
-        )
-        side = eliminate_group_var(block)
-        chi = simplify(S.And(_subst_terms(body, mapping), side))
-        for vt in reversed(val_terms):
-            chi = S.Exists(mapping[vt].name, S.L, chi)
-        return simplify(one_point(chi))
+        if val_terms:
+            if self.mode == "tplus":
+                _reject_crossing(var, body)
+            mapping, bounds = {}, []
+            for vt in val_terms:
+                lin = gterm_to_lin(vt.arg)
+                c = lin.get(var)
+                y = mapping[vt] = S.LVar(self.fresh_lvar())
+                # lin >= 0 iff var >= b (c > 0) or var <= b (c < 0)
+                b = (lin + Lin.make({var: -c})).scale(Fraction(-1) / c)
+                bounds.append((y, b, c > 0))
+            side = eliminate_group_var(bounds)
+            body = simplify(S.And(_subst_terms(body, mapping), side))
+            for vt in reversed(val_terms):
+                body = S.Exists(mapping[vt].name, S.L, body)
+            body = one_point(body)
+        for y in reversed(block):
+            body = S.Exists(y, S.L, body)
+        return body
 
 
 def _extract_terms(phi: S.Formula):
@@ -251,9 +222,10 @@ def reduce(phi: S.Formula, mode: str = "tplus") -> ReductionOutput:
     phi = simplify(phi)
     reducer = _Reducer(mode)
     chi = simplify(one_point(reducer.run(phi)))
+    # renaming Val atoms injectively to fresh p_i enables no simplify fold
     chi, terms = _extract_terms(chi)
     return ReductionOutput(
-        chi=simplify(chi),
+        chi=chi,
         terms=tuple(terms),
         k=len(terms),
         mode=mode,

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from dvlg import boolalg
 from dvlg import syntax as S
 from dvlg.boolalg import (
     INTERVAL_BOT,
@@ -355,6 +356,16 @@ class TestIntervalAlgebra:
     def test_depth_exceeded(self):
         with pytest.raises(DepthExceeded):
             interval_check(parse(ATOMLESS), 5)
+
+    def test_candidate_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(boolalg, "INTERVAL_MAX_CANDIDATES", 5)
+        with pytest.raises(
+            ResourceLimit, match="cap 5 reached at quantifier depth 2 \\(max 2\\)"
+        ):
+            interval_check(parse(ATOMLESS), 2)
+        # the same sentence needs fewer than 10 candidates
+        monkeypatch.setattr(boolalg, "INTERVAL_MAX_CANDIDATES", 10)
+        assert interval_check(parse(ATOMLESS), 2) is True
 
 
 def _depth(node):

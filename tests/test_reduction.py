@@ -12,13 +12,12 @@ from dvlg.linear import Lin
 from dvlg.oracle import Assignment, decide_finite
 from dvlg.parser import parse
 from dvlg.reduction import (
-    PrimitiveBlock,
     assemble_reduct,
     decide_ec,
     eliminate_group_var,
     reduce,
 )
-from dvlg.rewrites import rename_bound
+from dvlg.rewrites import rename_bound, val_of_lin
 from dvlg.standard import FinStdStructure, GroupVector, SubsetL
 from dvlg.syntax import sort_check
 
@@ -64,38 +63,27 @@ def _reduct_matches_oracle(text, seed=17, per_n=6):
 
 
 class TestEliminateGroupVar:
-    def _block(self, lowers, uppers):
-        return PrimitiveBlock("x", tuple(lowers), tuple(uppers))
+    # one (y, b, lower) per valuation atom: x >= b on y if lower, else x <= b
+    L, M = S.LVar("l"), S.LVar("m")
+    A, B = Lin.var("a"), Lin.var("b")
 
     def test_two_sided(self):
         # exists x (l below P(x - a) and m below P(b - x))
-        out = eliminate_group_var(
-            self._block(
-                [(S.LVar("l"), Lin.var("a"), False)],
-                [(S.LVar("m"), Lin.var("b"), False)],
-            )
-        )
-        assert isinstance(out, S.LBelow)
-        assert out.left == S.LMeet(S.LVar("l"), S.LVar("m"))
-        # target is P(b - a)
-        assert isinstance(out.right, S.Val)
+        out = eliminate_group_var([(self.L, self.A, True), (self.M, self.B, False)])
+        # lower bound a on l, upper bound b on m: l cap m << P(b - a)
+        assert out.left == S.LBelow(S.LMeet(self.L, self.M), val_of_lin(self.B - self.A))
 
     def test_one_sided_true(self):
-        out = eliminate_group_var(
-            self._block([(S.Top(), Lin.var("a"), False)], [])
-        )
-        assert out == S.TRUE
+        assert eliminate_group_var([(S.Top(), self.A, True)]) == S.TRUE
 
     def test_strict_pair_gets_two_sided_form(self):
-        out = eliminate_group_var(
-            self._block(
-                [(S.LVar("l"), Lin.var("a"), True)],
-                [(S.LVar("m"), Lin.var("b"), False)],
-            )
+        out = eliminate_group_var([(self.L, self.A, True), (self.M, self.B, False)])
+        # x > b on compl(m) and x < a on compl(l): both bounds strict
+        diff = self.A - self.B
+        assert out.right == S.LBelow(
+            S.LMeet(S.Compl(self.M), S.Compl(self.L)),
+            S.LMeet(val_of_lin(diff), S.Compl(val_of_lin(-diff))),
         )
-        assert isinstance(out, S.LBelow)
-        assert isinstance(out.right, S.LMeet)
-        assert isinstance(out.right.right, S.Compl)
 
     def test_oracle_equivalence(self):
         # frozen instances checked semantically against the oracle
@@ -177,6 +165,47 @@ class TestReduce:
         assert set(S.free_vars(out.chi)) <= {f"p{i+1}" for i in range(out.k)}
 
 
+# reduce(phi, mode).to_json() and eliminations, frozen
+FROZEN_REDUCTS = [
+    # both signs of c; the complements' pair is strict on both sides
+    ("exists x:G. l << P(x - a) & m << P(b - x)", "tplus",
+     ["-a + b", "a + -b"],
+     "exists _y0:L. exists _y1:L. l << _y0 & m << _y1 & (_y0 cap _y1 << p1 "
+     "& compl(_y1) cap compl(_y0) << p2 cap compl(p1))", 1),
+    # coefficients 2 and 3 on x
+    ("exists x:G. 2*x <= a & b <= 3*x", "ec", ["3*a + -(2*b)"], "top << p1", 1),
+    ("forall x:G. x <= a -> x <= a + b", "ec", ["b", "-b"],
+     "~(exists _y0:L. exists _y1:L. ~(_y0 = top -> _y1 = top) & "
+     "(compl(_y0) cap _y1 << p1 cap compl(p2) & "
+     "compl(_y1) cap _y0 << p2 cap compl(p1)))", 1),
+    # one_point pins both fresh lattice variables
+    ("exists x:G. P(x) = l & P(x - a) = m", "tplus", ["a", "-a"],
+     "l cap compl(m) << p1 cap compl(p2) & m cap compl(l) << p2 cap compl(p1)",
+     1),
+    # an exists y:L hoist, and a pin
+    ("exists x:G. exists y:L. y = P(x) & y << m & P(a - x) = l", "ec",
+     ["a", "-a"],
+     "exists _q1:L. _q1 << m & (_q1 cap l << p1 & "
+     "compl(l) cap compl(_q1) << p2 cap compl(p1))", 1),
+    # a ~forall hoist two levels deep
+    ("exists x:G. ~(forall y:L. forall z:L. y cap z << P(x - a))", "ec", [],
+     "exists _q1:L. exists _q2:L. exists _y0:L. ~_q1 cap _q2 << _y0", 1),
+    # an exists y:L hoist, then a ~forall one
+    ("exists x:G. exists y:L. ~(forall z:L. z cap y << P(x - a) cap P(b - x))",
+     "ec", ["-a + b", "a + -b"],
+     "exists _q1:L. exists _q2:L. exists _y0:L. exists _y1:L. "
+     "~_q2 cap _q1 << _y0 cap _y1 & (_y0 cap _y1 << p1 & "
+     "compl(_y1) cap compl(_y0) << p2 cap compl(p1))", 1),
+]
+
+
+@pytest.mark.parametrize("text, mode, terms, chi, eliminations", FROZEN_REDUCTS)
+def test_frozen_reduct(text, mode, terms, chi, eliminations):
+    out = reduce(parse(text, CTX), mode)
+    assert out.to_json() == {"k": len(terms), "terms": terms, "chi": chi, "mode": mode}
+    assert out.eliminations == eliminations
+
+
 class TestDecideEc:
     def test_known_truths(self):
         assert decide_ec(parse("forall v:G. exists b:G. b + b = v")) is True
@@ -244,6 +273,8 @@ class TestEliminationCount:
         # an existential lattice block
         ("exists a:G. exists y:L. y << P(a) & ~(y = bot)", 1),
         ("exists a:G. exists b:G. ~(forall y:L. y << P(a - b))", 2),
+        # a two-level hoist: exists y:L, then ~forall z:L
+        ("exists a:G. exists y:L. ~(forall z:L. z cap y << P(a))", 1),
     ])
     def test_one_per_group_variable(self, text, count):
         assert reduce(parse(text), mode="ec").eliminations == count
