@@ -2,7 +2,10 @@
 
 A Lin is a formal rational combination of variables with no constant
 part in the group language; the oracle layer reuses it with synthetic
-per-point unknowns plus a dedicated constant slot named CONST.
+per-point unknowns plus a dedicated constant slot named CONST. A
+coefficient is an int when it is integral and a Fraction only
+otherwise. An integral Fraction and its int compare and hash alike, so
+neither Lin equality nor hashing depends on which of them a form holds.
 
 A LinConstraint (lhs >= 0, > 0 or = 0) is kept in a primitive integer
 normal form: lhs scaled by a positive rational to integer coefficients
@@ -10,7 +13,7 @@ with gcd 1, stored up to sign as a `key` together with the set of signs
 the key may take. Scaling by a positive factor keeps every truth value,
 so constraints that differ by a positive factor compare and hash equal,
 a constraint and its negation share a key, and hashing is plain int and
-str work.
+str work, done once when the constraint is built.
 Fourier-Motzkin elimination works on conjunction stores, dicts from a
 key to the signs the conjunction allows it, in integers: no step
 divides.
@@ -27,37 +30,48 @@ from .rationals import rat
 CONST = "1"  # reserved pseudo-variable carrying the constant part
 
 
+def _num(c):
+    """c as an int if it is integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    c = rat(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 @dataclass(frozen=True)
 class Lin:
-    """Sparse linear form: mapping variable -> nonzero coefficient."""
+    """Sparse linear form: variable -> nonzero coefficient, sorted by
+    variable."""
 
-    coeffs: tuple[tuple[str, Fraction], ...]
+    coeffs: tuple[tuple[str, int | Fraction], ...]
 
     @classmethod
     def make(cls, mapping) -> "Lin":
-        items = tuple(
-            sorted((v, rat(c)) for v, c in dict(mapping).items() if c != 0)
-        )
-        return cls(items)
+        return cls(tuple(sorted(
+            (v, _num(c)) for v, c in mapping.items() if c != 0
+        )))
 
     @classmethod
     def var(cls, name: str) -> "Lin":
-        return cls.make({name: Fraction(1)})
+        return cls(((name, 1),))
 
     @classmethod
     def zero(cls) -> "Lin":
         return cls(())
 
-    def as_dict(self) -> dict[str, Fraction]:
+    def as_dict(self) -> dict[str, int | Fraction]:
         return dict(self.coeffs)
 
-    def get(self, var: str) -> Fraction:
-        return dict(self.coeffs).get(var, Fraction(0))
+    def get(self, var: str) -> int | Fraction:
+        for v, c in self.coeffs:
+            if v == var:
+                return c
+        return 0
 
     def __add__(self, other: "Lin") -> "Lin":
         out = self.as_dict()
         for v, c in other.coeffs:
-            out[v] = out.get(v, Fraction(0)) + c
+            out[v] = out.get(v, 0) + c
         return Lin.make(out)
 
     def __neg__(self) -> "Lin":
@@ -67,10 +81,10 @@ class Lin:
         return self + (-other)
 
     def scale(self, q) -> "Lin":
-        q = rat(q)
+        q = _num(q)
         if q == 0:
             return Lin.zero()
-        return Lin(tuple(sorted((v, q * c) for v, c in self.coeffs)))
+        return Lin(tuple((v, _num(q * c)) for v, c in self.coeffs))
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -82,7 +96,7 @@ class Lin:
         """Scale by the unique positive rational giving integer
         coefficients with gcd 1. Signs are unchanged."""
         key, sign = _primitive_key(self.coeffs)
-        return Lin.make({v: sign * c for v, c in key})
+        return Lin(key if sign > 0 else tuple((v, -c) for v, c in key))
 
     def eval(self, env: dict[str, Fraction]) -> Fraction:
         total = Fraction(0)
@@ -146,7 +160,7 @@ class LinConstraint:
     with its sign (an equality takes the sign of its key).
     """
 
-    __slots__ = ("key", "mask")
+    __slots__ = ("key", "mask", "_hash")
 
     def __init__(self, lhs: Lin, rel: str):
         if rel not in _REL_MASK:
@@ -154,7 +168,8 @@ class LinConstraint:
         key, sign = _primitive_key(lhs.coeffs)
         mask = _REL_MASK[rel]
         self.key = key
-        self.mask = mask if sign > 0 else _flip(mask)
+        self.mask = mask = mask if sign > 0 else _flip(mask)
+        self._hash = hash((key, mask))
 
     @classmethod
     def from_key(cls, key: tuple, mask: int) -> "LinConstraint":
@@ -162,6 +177,7 @@ class LinConstraint:
         c = object.__new__(cls)
         c.key = key
         c.mask = mask
+        c._hash = hash((key, mask))
         return c
 
     @property
@@ -180,7 +196,7 @@ class LinConstraint:
         return self.key == other.key and self.mask == other.mask
 
     def __hash__(self):
-        return hash((self.key, self.mask))
+        return self._hash
 
     def __repr__(self):
         return f"LinConstraint({self.lhs!r}, {self.rel!r})"

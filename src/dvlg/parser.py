@@ -14,9 +14,10 @@ import re
 from .errors import FormulaSyntaxError, SortError
 from . import syntax as S
 
+# a token with the whitespace before it; `bad` is any other character
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_']*)"
-    r"|(?P<op>->|<=|<<|[()\.:,;&|~+\-*=<]))"
+    r"|(?P<op>->|<=|<<|[()\.:,;&|~+\-*=<])|(?P<bad>\S))"
 )
 
 _KEYWORDS = {
@@ -26,25 +27,19 @@ _KEYWORDS = {
 
 
 def _tokenize(text: str):
+    """(kind, text, position) triples ending in an eof token. A token's
+    position is where the whitespace before it starts."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise FormulaSyntaxError(
-                    f"unexpected character {text[pos]!r}", position=pos
-                )
-            break
-        if m.group("num"):
-            tokens.append(("num", m.group("num"), m.start()))
-        elif m.group("ident"):
-            word = m.group("ident")
-            kind = "kw" if word in _KEYWORDS else "ident"
-            tokens.append((kind, word, m.start()))
-        else:
-            tokens.append(("op", m.group("op"), m.start()))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        word = m.group(kind)
+        if kind == "bad":
+            raise FormulaSyntaxError(
+                f"unexpected character {word!r}", position=m.start(kind)
+            )
+        if kind == "ident" and word in _KEYWORDS:
+            kind = "kw"
+        tokens.append((kind, word, m.start()))
     tokens.append(("eof", "", len(text)))
     return tokens
 

@@ -7,8 +7,11 @@ mentioning the quantified variable x becomes a fresh lattice variable
 y and one bound (y, b, c > 0) with b = -rest/c: on region y, x >= b if
 c > 0 and x <= b if c < 0, with the strict opposite bound on compl(y).
 eliminate_group_var turns the bounds into pairwise compatibility
-conditions free of x. The result is a lattice formula chi together with
-group terms t_i bound through p_i = P(t_i).
+conditions free of x. The body, already simplified, and the simplified
+conditions are then joined by folding their top And only: renaming the
+Val atoms of x injectively to fresh y enables no fold below it. The
+result is a lattice formula chi together with group terms t_i bound
+through p_i = P(t_i).
 
 Neither mode eliminates a lattice quantifier. tplus mode refuses one
 that a group variable crosses; ec mode keeps it in chi, and ba_decide
@@ -36,6 +39,7 @@ from .rewrites import (
     push_valuation_formula,
     rename_bound,
     simplify,
+    simplify_and,
     val_of_lin,
 )
 
@@ -98,10 +102,11 @@ def eliminate_group_var(bounds) -> S.Formula:
 
 def _collect_val_atoms(n, out: dict) -> dict:
     """Distinct Val terms below n, by first occurrence, as keys of out."""
-    if isinstance(n, S.Val):
+    cls = type(n)
+    if cls is S.Val:
         out[n] = None
         return out
-    if isinstance(n, (S.GLeq, S.GEq)):
+    if cls is S.GLeq or cls is S.GEq:
         raise NotPrimitive(
             f"group atom survived normalization: {S.print_formula(n)}"
         )
@@ -114,7 +119,7 @@ def _subst_terms(f: S.Formula, mapping: dict[S.Term, S.Term]) -> S.Formula:
     """f with each Val term that is a key of mapping replaced."""
 
     def go(n):
-        if isinstance(n, S.Val) and n in mapping:
+        if type(n) is S.Val and n in mapping:
             return mapping[n]
         return S.rebuild(n, tuple(map(go, S.children(n))))
 
@@ -193,11 +198,16 @@ class _Reducer:
                 lin = gterm_to_lin(vt.arg)
                 c = lin.get(var)
                 y = mapping[vt] = S.LVar(self.fresh_lvar())
-                # lin >= 0 iff var >= b (c > 0) or var <= b (c < 0)
-                b = (lin + Lin.make({var: -c})).scale(Fraction(-1) / c)
+                # lin >= 0 iff var >= b (c > 0) or var <= b (c < 0), with
+                # b = -rest/c
+                rest = Lin(tuple(item for item in lin.coeffs if item[0] != var))
+                b = rest.scale(Fraction(-1, c))
                 bounds.append((y, b, c > 0))
             side = eliminate_group_var(bounds)
-            body = simplify(S.And(_subst_terms(body, mapping), side))
+            # Only the top And can fold: body was simplified on entry, side
+            # is simplify output, and renaming Val atoms injectively to
+            # fresh _y enables no fold (simplify never looks inside Val).
+            body = simplify_and(_subst_terms(body, mapping), side)
             for vt in reversed(val_terms):
                 body = S.Exists(mapping[vt].name, S.L, body)
             body = one_point(body)

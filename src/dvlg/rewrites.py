@@ -4,12 +4,17 @@ These implement the compiler-style front half of the reduction
 pipeline: distributing group operations to join-of-meets of linear
 forms, pushing the valuation symbol down to primitive linear
 arguments, and trading group atoms for lattice atoms.
+
+simplify folds constants bottom-up and leaves its own output unchanged.
+simplify_and is its fold of one And of two such outputs; the reducer
+uses it after renaming Val atoms to fresh lattice variables, because
+simplify never looks inside a Val atom, so an injective renaming of
+them enables no fold below the top.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from . import syntax as S
 from .errors import SortError
@@ -20,26 +25,27 @@ JoinOfMeets = tuple  # tuple of tuples of Lin
 
 def linearize_group_term(t: S.Term) -> JoinOfMeets:
     """Rewrite a G-sorted term as a join of meets of linear forms."""
-    if isinstance(t, S.GVar):
+    cls = type(t)
+    if cls is S.GVar:
         return ((Lin.var(t.name),),)
-    if isinstance(t, S.Zero):
+    if cls is S.Zero:
         return ((Lin.zero(),),)
-    if isinstance(t, S.Add):
+    if cls is S.Add:
         a, b = linearize_group_term(t.left), linearize_group_term(t.right)
         return tuple(
             tuple(x + y for x in meet_a for y in meet_b)
             for meet_a in a
             for meet_b in b
         )
-    if isinstance(t, S.Neg):
+    if cls is S.Neg:
         return _negate_jom(linearize_group_term(t.arg))
-    if isinstance(t, S.GMeet):
+    if cls is S.GMeet:
         a, b = linearize_group_term(t.left), linearize_group_term(t.right)
         return tuple(ma + mb for ma in a for mb in b)
-    if isinstance(t, S.GJoin):
+    if cls is S.GJoin:
         return linearize_group_term(t.left) + linearize_group_term(t.right)
-    if isinstance(t, S.IntScale):
-        q = Fraction(t.factor)
+    if cls is S.IntScale:
+        q = t.factor
         inner = linearize_group_term(t.arg)
         if q == 0:
             return ((Lin.zero(),),)
@@ -210,98 +216,114 @@ def one_point(phi: S.Formula) -> S.Formula:
 # --- simplification ---
 
 def simplify_lterm(t: S.Term) -> S.Term:
-    if isinstance(t, S.LMeet):
+    cls = type(t)
+    if cls is S.LMeet:
         a, b = simplify_lterm(t.left), simplify_lterm(t.right)
-        if isinstance(a, S.Bot) or isinstance(b, S.Bot):
+        ta, tb = type(a), type(b)
+        if ta is S.Bot or tb is S.Bot:
             return S.Bot()
-        if isinstance(a, S.Top):
+        if ta is S.Top:
             return b
-        if isinstance(b, S.Top):
+        if tb is S.Top:
             return a
         if a == b:
             return a
         return S.LMeet(a, b)
-    if isinstance(t, S.LJoin):
+    if cls is S.LJoin:
         a, b = simplify_lterm(t.left), simplify_lterm(t.right)
-        if isinstance(a, S.Top) or isinstance(b, S.Top):
+        ta, tb = type(a), type(b)
+        if ta is S.Top or tb is S.Top:
             return S.Top()
-        if isinstance(a, S.Bot):
+        if ta is S.Bot:
             return b
-        if isinstance(b, S.Bot):
+        if tb is S.Bot:
             return a
         if a == b:
             return a
         return S.LJoin(a, b)
-    if isinstance(t, S.Compl):
+    if cls is S.Compl:
         a = simplify_lterm(t.arg)
-        if isinstance(a, S.Top):
+        ta = type(a)
+        if ta is S.Top:
             return S.Bot()
-        if isinstance(a, S.Bot):
+        if ta is S.Bot:
             return S.Top()
-        if isinstance(a, S.Compl):
+        if ta is S.Compl:
             return a.arg
         return S.Compl(a)
     return t
 
 
+def simplify_and(a: S.Formula, b: S.Formula) -> S.Formula:
+    """simplify(And(a, b)) for a and b that simplify leaves unchanged:
+    the fold of the top And only."""
+    ta, tb = type(a), type(b)
+    if ta is S.FalseF or tb is S.FalseF:
+        return S.FALSE
+    if ta is S.TrueF:
+        return b
+    if tb is S.TrueF:
+        return a
+    if a == b:
+        return a
+    return S.And(a, b)
+
+
 def simplify(phi: S.Formula) -> S.Formula:
     """Constant folding over connectives, quantifiers, and easy atoms."""
-    if isinstance(phi, (S.LBelow, S.LEq)):
+    cls = type(phi)
+    if cls is S.And:
+        return simplify_and(simplify(phi.left), simplify(phi.right))
+    if cls is S.LBelow or cls is S.LEq:
         a, b = simplify_lterm(phi.left), simplify_lterm(phi.right)
         if a == b:
             return S.TRUE
-        if isinstance(phi, S.LBelow):
-            if isinstance(a, S.Bot) or isinstance(b, S.Top):
+        ta, tb = type(a), type(b)
+        if cls is S.LBelow:
+            if ta is S.Bot or tb is S.Top:
                 return S.TRUE
-        if {type(a), type(b)} == {S.Top, S.Bot}:
+        if (ta is S.Top and tb is S.Bot) or (ta is S.Bot and tb is S.Top):
             # nontrivial lattice: top and bot differ
             return S.FALSE
-        return type(phi)(a, b)
-    if isinstance(phi, S.Not):
+        return cls(a, b)
+    if cls is S.Not:
         a = simplify(phi.arg)
-        if isinstance(a, S.TrueF):
+        ta = type(a)
+        if ta is S.TrueF:
             return S.FALSE
-        if isinstance(a, S.FalseF):
+        if ta is S.FalseF:
             return S.TRUE
-        if isinstance(a, S.Not):
+        if ta is S.Not:
             return a.arg
         return S.Not(a)
-    if isinstance(phi, S.And):
+    if cls is S.Or:
         a, b = simplify(phi.left), simplify(phi.right)
-        if isinstance(a, S.FalseF) or isinstance(b, S.FalseF):
-            return S.FALSE
-        if isinstance(a, S.TrueF):
-            return b
-        if isinstance(b, S.TrueF):
-            return a
-        if a == b:
-            return a
-        return S.And(a, b)
-    if isinstance(phi, S.Or):
-        a, b = simplify(phi.left), simplify(phi.right)
-        if isinstance(a, S.TrueF) or isinstance(b, S.TrueF):
+        ta, tb = type(a), type(b)
+        if ta is S.TrueF or tb is S.TrueF:
             return S.TRUE
-        if isinstance(a, S.FalseF):
+        if ta is S.FalseF:
             return b
-        if isinstance(b, S.FalseF):
+        if tb is S.FalseF:
             return a
         if a == b:
             return a
         return S.Or(a, b)
-    if isinstance(phi, S.Implies):
+    if cls is S.Implies:
         a, b = simplify(phi.left), simplify(phi.right)
-        if isinstance(a, S.FalseF) or isinstance(b, S.TrueF):
+        ta, tb = type(a), type(b)
+        if ta is S.FalseF or tb is S.TrueF:
             return S.TRUE
-        if isinstance(a, S.TrueF):
+        if ta is S.TrueF:
             return b
-        if isinstance(b, S.FalseF):
+        if tb is S.FalseF:
             return simplify(S.Not(a))
         return S.Implies(a, b)
-    if isinstance(phi, (S.Exists, S.Forall)):
+    if cls is S.Exists or cls is S.Forall:
         body = simplify(phi.body)
-        if isinstance(body, (S.TrueF, S.FalseF)):
+        tb = type(body)
+        if tb is S.TrueF or tb is S.FalseF:
             return body  # both sorts are inhabited
         if not S.occurs_free(phi.var, body):
             return body
-        return type(phi)(phi.var, phi.sort, body)
+        return cls(phi.var, phi.sort, body)
     return phi

@@ -225,12 +225,15 @@ def children(node: Term | Formula) -> tuple:
 def rebuild(node: Term | Formula, new_children: tuple) -> Term | Formula:
     """The node with its children replaced, in field order, by
     new_children; its other fields (name, factor, var, sort) are kept.
+    A leaf, a node with no Term or Formula child, comes back unchanged.
 
     A recursive pass computes new_children in its own frame,
     rebuild(n, tuple(map(go, children(n)))), so that each tree level
     costs one Python frame: the recursion limit bounds the depth of
     the trees a pass can walk.
     """
+    if not new_children:
+        return node
     names = _FIELDS[type(node)][0]
     if len(new_children) == len(names):
         return type(node)(*new_children)
@@ -333,11 +336,12 @@ def term_vars(t: Term) -> set[str]:
 def occurs_free(name: str, node: Term | Formula) -> bool:
     """Whether a variable called name occurs free in node. Stops at the
     first occurrence, and does not look below a binder of name."""
-    if isinstance(node, (GVar, LVar)):
+    cls = type(node)
+    if cls is GVar or cls is LVar:
         return node.name == name
-    if isinstance(node, (Exists, Forall)) and node.var == name:
+    if (cls is Exists or cls is Forall) and node.var == name:
         return False
-    for child in children(node):
+    for child in _FIELDS[cls][1](node):
         if occurs_free(name, child):
             return True
     return False

@@ -37,6 +37,11 @@ class TestExitCodes:
         code, _, err = run(capsys, "decide", "forall v:G.")
         assert code == 2 and "error" in err
 
+    def test_bad_character_named(self, capsys):
+        code, out, err = run(capsys, "decide", "exists x:G. x = 0 $")
+        assert code == 2 and out == ""
+        assert "unexpected character '$'" in err
+
     def test_open_formula_rejected(self, capsys):
         code, _, err = run(capsys, "decide", "0 <= a")
         assert code == 2

@@ -120,6 +120,37 @@ class TestPrimitive:
         assert lin.primitive() == Lin.make({"x": -1})
 
 
+def _with_fractions(lin):
+    return Lin(tuple((v, Fraction(q)) for v, q in lin.coeffs))
+
+
+class TestIntegerLin:
+    A = Lin.make({"x": 4, "y": -6, "1": 2})
+    B = Lin.make({"y": 6, "z": -3})
+
+    def test_int_coefficients_stay_int(self):
+        for lin in (
+            self.A, Lin.var("x"), self.A + self.B, self.A - self.B,
+            self.A.scale(-3), self.A.scale(Fraction(3, 2)), self.A.primitive(),
+        ):
+            assert all(type(q) is int for _, q in lin.coeffs), lin
+        assert self.A.primitive() == Lin.make({"x": 2, "y": -3, "1": 1})
+        assert self.A.get("y") == -6 and type(self.A.get("w")) is int
+
+    def test_equal_to_fraction_form(self):
+        for lin in (self.A, self.A + self.B, self.A.scale(-3), self.A.primitive()):
+            frac = _with_fractions(lin)
+            assert lin == frac and hash(lin) == hash(frac)
+            a, b = LinConstraint(lin, ">"), LinConstraint(frac, ">")
+            assert a == b and hash(a) == hash(b) and a.key == b.key
+
+    def test_non_integral_stays_fraction(self):
+        lin = self.A.scale(Fraction(1, 4))
+        assert lin.as_dict() == {"x": 1, "y": Fraction(-3, 2), "1": Fraction(1, 2)}
+        assert type(lin.get("x")) is int
+        assert lin.scale(2) == Lin.make({"x": 2, "y": -3, "1": 1})
+
+
 def rand_lin(rng, names, den=4):
     return Lin.make(
         {v: Fraction(rng.randint(-6, 6), rng.randint(1, den)) for v in names}

@@ -3,8 +3,10 @@
 from fractions import Fraction
 from itertools import product
 
+import pytest
+
 from dvlg import syntax as S
-from dvlg.corpus import named_rng
+from dvlg.corpus import gen_tplus_corpus, named_rng
 from dvlg.oracle import Assignment, decide_finite, eval_qf
 from dvlg.parser import parse
 from dvlg.rewrites import (
@@ -87,6 +89,64 @@ class TestSemanticPreservation:
             self._equiv(phi, rename_bound(phi))
 
 
+@pytest.fixture(scope="module")
+def closures():
+    """The forall- and exists-closures of gen_tplus_corpus(1, 200) after
+    group_atoms_to_lattice and push_valuation_formula."""
+    out = []
+    for _, phi, _ in gen_tplus_corpus(1, 200):
+        free = sorted(S.free_vars(phi).items(), reverse=True)
+        for q in (S.Forall, S.Exists):
+            f = phi
+            for v, sort in free:
+                f = q(v, sort, f)
+            out.append(push_valuation_formula(group_atoms_to_lattice(f)))
+    return out
+
+
+def _drop_group_quantifiers(n):
+    if isinstance(n, (S.Exists, S.Forall)) and n.sort == S.G:
+        return _drop_group_quantifiers(n.body)
+    return S.rebuild(n, tuple(map(_drop_group_quantifiers, S.children(n))))
+
+
+def _rename_vals(n, mapping):
+    """n with each Val term replaced by a fresh LVar, one per distinct term."""
+    if isinstance(n, S.Val):
+        if n not in mapping:
+            mapping[n] = S.LVar(f"_r{len(mapping)}")
+        return mapping[n]
+    return S.rebuild(n, tuple(_rename_vals(c, mapping) for c in S.children(n)))
+
+
+class TestSimplifyFixedPoint:
+    # After renaming the Val atoms of a simplified body to fresh lattice
+    # variables, the reducer folds only the top And. That rests on these
+    # two facts.
+    def test_idempotent(self, closures):
+        changed = 0
+        for phi in closures:
+            once = simplify(phi)
+            assert simplify(once) == once, S.print_formula(phi)
+            changed += once != phi
+        assert changed > 0
+
+    def test_commutes_with_renaming_val_atoms(self, closures):
+        # A renamed Val atom may hold the last occurrence of a group
+        # variable, and simplify drops a quantifier whose variable does not
+        # occur; the reducer renames in bodies free of group quantifiers.
+        renamed = 0
+        for phi in closures:
+            phi = _drop_group_quantifiers(phi)
+            mapping = {}
+            left = _rename_vals(simplify(phi), mapping)
+            # the same names, in the same order, on the unsimplified side
+            right = simplify(_rename_vals(phi, dict(mapping)))
+            assert left == right, S.print_formula(phi)
+            renamed += bool(mapping)
+        assert renamed > 0
+
+
 class TestOnePoint:
     def test_inlines_pinned_variable(self):
         phi = parse("exists x:G. x = a + b & x <= 2*a", CTX)
@@ -118,6 +178,12 @@ class TestLinearization:
             jom = linearize_group_term(t)
             assert len(jom) == 1 and len(jom[0]) == 1
             assert gterm_to_lin(lin_to_gterm(jom[0][0])) == jom[0][0]
+
+    def test_integer_coefficients_are_ints(self):
+        t = parse("2*a - 3*(b meet a) <= 0", CTX).left
+        for meet in linearize_group_term(t):
+            for lin in meet:
+                assert all(type(q) is int for _, q in lin.coeffs)
 
     def test_meet_join_shape(self):
         t = parse("(a meet b) join -a <= 0", CTX).left

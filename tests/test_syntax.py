@@ -51,6 +51,17 @@ class TestParseBasics:
             parse("a <= ", CTX)
         assert ei.value.position is not None
 
+    @pytest.mark.parametrize(
+        "text, char, position",
+        [("x <= $y", "$", 5), ("exists x:G. x = 0 $", "$", 18), ("a <=\t #", "#", 6)],
+    )
+    def test_bad_character_named_at_its_position(self, text, char, position):
+        # the whitespace before a bad character is not the culprit
+        with pytest.raises(FormulaSyntaxError) as ei:
+            parse(text, CTX)
+        assert str(ei.value) == f"unexpected character {char!r}"
+        assert ei.value.position == position
+
     def test_unbound_name_becomes_free_variable(self):
         phi = parse("exists x:G. x <= z")
         assert free_vars(phi) == {"z": S.G}
