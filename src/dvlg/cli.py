@@ -6,8 +6,9 @@ standard structure), model (periodic-model computations and witness
 search), selftest (acceptance corpus and property suites).
 
 Exit codes: 0 true/pass, 1 false, 2 parse or sort error (also an open
-formula where a sentence is needed, an --env assignment that does not
-fit -n, a -n below 1, a --limits value that is not an integer, or
+formula where a sentence is needed, an eval free variable that --env
+does not assign, an --env assignment that does not fit -n, a -n below
+1, a --limits value that is not an integer, or
 --args operands of the wrong shape or outside the op's domain), 3
 unsupported fragment, 4 resource limit, 5 internal error (any other
 exception, RecursionError included, with one line on stderr).
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -69,12 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("formula", nargs="?", help="formula text")
             p.add_argument("--file", help="read the formula from a file")
         p.add_argument("--json", action="store_true", help="JSON report")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument(
-            "--limits",
-            default="",
-            help="resource caps as k=v pairs, comma separated",
-        )
         p.add_argument("--trace", action="store_true")
         p.add_argument(
             "--timings",
@@ -93,6 +87,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate over a finite standard structure")
     p.add_argument("-n", type=int, default=2, help="ground set size")
     p.add_argument("--env", default="{}", help="assignment as JSON")
+    p.add_argument(
+        "--limits", default="", help="resource caps as k=v pairs, comma separated"
+    )
     common(p)
 
     p = sub.add_parser("model", help="periodic-model computations")
@@ -109,6 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("selftest", help="run the acceptance suites")
+    p.add_argument("--seed", type=int, default=0)
     common(p, needs_formula=False)
     return ap
 
@@ -322,8 +320,6 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if "DVLG_SEED" in os.environ:
-        args.seed = int(os.environ["DVLG_SEED"])
     try:
         return _DISPATCH[args.command](args)
     except (FormulaSyntaxError, SortError, NotSentence, NotLatticeSorted,

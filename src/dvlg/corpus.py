@@ -31,10 +31,6 @@ def named_rng(seed: int, name: str) -> random.Random:
 
 # --- tplus-fragment corpus (group-and-lattice formulas) ---
 
-_FREE_G = ["a", "b"]
-_FREE_L = ["l", "m"]
-
-
 def _gterm(rng) -> str:
     """Small linear term over the free group variables."""
     return rng.choice(

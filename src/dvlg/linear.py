@@ -335,15 +335,3 @@ def fm_eliminate(var: str, dnf: list[dict]) -> list[dict]:
             out.append(reduced)
     return out
 
-
-def dnf_satisfiable_grid(dnf, var_names, grid):
-    """Brute-force check used as a test oracle: any grid point satisfying
-    some disjunct."""
-    from itertools import product
-
-    for point in product(grid, repeat=len(var_names)):
-        env = dict(zip(var_names, point))
-        for conj in dnf:
-            if all(c.holds(env) for c in conj):
-                return True
-    return False

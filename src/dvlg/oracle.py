@@ -17,12 +17,15 @@ existential group variable is eliminated block by block: conjuncts
 that share no unknown v@x are eliminated apart, so pointwise formulas
 never take a DNF product across points.
 
-One decide_finite call compiles each valuation atom once per point
-and eliminates each (variable, Boolean formula) pair once: the
-compiler memoizes both, keyed on structure, and is dropped when the
-call ends. prepare normalizes a formula once for many decide_prepared
-calls. Assignment sizes are checked once, on entry. Quantifier-free
-parts are evaluated by syntax.holds, with the structure as the model.
+One compile walk decides a formula. Parts without unknowns fold to
+True or False as they are compiled, and unassigned free variables are
+rejected on entry, so the root compiles to a bool. One decide_finite
+call compiles each valuation atom once per point and eliminates each
+(variable, Boolean formula) pair once: the compiler memoizes both,
+keyed on structure, and is dropped when the call ends. prepare
+normalizes a formula once for many decide_prepared calls. eval_qf is
+syntax.holds over the structure: it shares no code with the compiler,
+and the tests check decide_finite against it.
 """
 
 from __future__ import annotations
@@ -101,11 +104,12 @@ def eval_qf(struct: FinStdStructure, env: Assignment, phi: S.Formula) -> bool:
     return S.holds(struct, env.group_env, env.lattice_env, phi)
 
 
-# --- symbolic compilation for group quantifiers ---
+# --- symbolic compilation ---
 #
 # Boolean formulas over LinConstraint atoms are nested tuples:
 # True/False, a LinConstraint, ("not", f), ("and", (f, ...)),
-# ("or", (f, ...)).
+# ("or", (f, ...)). b_and stops reading its parts at the first False
+# and b_or at the first True, so given a generator they short-circuit.
 
 def b_and(parts):
     out = []
@@ -312,95 +316,72 @@ class _Compiler:
         return f
 
     def member_at(self, t: S.Term, x: int, lenv):
-        if isinstance(t, S.LVar):
-            if t.name not in lenv:
-                raise UnboundVariable(f"lattice variable {t.name} not assigned")
+        cls = type(t)
+        if cls is S.LVar:
             return bool(lenv[t.name].bits >> x & 1)
-        if isinstance(t, S.Bot):
-            return False
-        if isinstance(t, S.Top):
-            return True
-        if isinstance(t, S.LMeet):
+        if cls is S.Val:
+            return self.nonneg_at(t.arg, x)
+        if cls is S.LMeet:
             a = self.member_at(t.left, x, lenv)
             return False if a is False else b_and([a, self.member_at(t.right, x, lenv)])
-        if isinstance(t, S.LJoin):
+        if cls is S.LJoin:
             a = self.member_at(t.left, x, lenv)
             return True if a is True else b_or([a, self.member_at(t.right, x, lenv)])
-        if isinstance(t, S.Compl):
+        if cls is S.Compl:
             return b_not(self.member_at(t.arg, x, lenv))
-        if isinstance(t, S.Val):
-            return self.nonneg_at(t.arg, x)
+        if cls is S.Bot or cls is S.Top:
+            return cls is S.Top
         raise PreconditionViolated(f"not an L-term: {t!r}")
 
-    def truth(self, f: S.Formula, lenv) -> bool:
-        """Truth of f under lenv: concrete, with short-circuiting, until
-        a group quantifier, which is compiled."""
-        if isinstance(f, S.Not):
-            return not self.truth(f.arg, lenv)
-        if isinstance(f, S.And):
-            return self.truth(f.left, lenv) and self.truth(f.right, lenv)
-        if isinstance(f, S.Or):
-            return self.truth(f.left, lenv) or self.truth(f.right, lenv)
-        if isinstance(f, S.Implies):
-            return (not self.truth(f.left, lenv)) or self.truth(f.right, lenv)
-        if isinstance(f, (S.Exists, S.Forall)) and f.sort == S.L:
-            subsets = self.struct.all_subsets()
-            quant = any if isinstance(f, S.Exists) else all
-            return quant(self.truth(f.body, {**lenv, f.var: s}) for s in subsets)
-        if isinstance(f, (S.Exists, S.Forall)):
-            return _bform_truth(self.compile(f, lenv))
-        return S.holds(self.struct, self.genv, lenv, f)
-
     def compile(self, f: S.Formula, lenv):
-        """Boolean constraint formula for f; group quantifiers eliminated."""
-        points = range(self.n)
-        if isinstance(f, S.TrueF):
-            return True
-        if isinstance(f, S.FalseF):
-            return False
-        if isinstance(f, S.GLeq):
-            diff = S.Add(f.right, S.Neg(f.left))
-            return b_and([self.nonneg_at(diff, x) for x in points])
-        if isinstance(f, S.GEq):
-            return b_and(
-                [self.compile(S.GLeq(f.left, f.right), lenv),
-                 self.compile(S.GLeq(f.right, f.left), lenv)]
-            )
-        if isinstance(f, S.LBelow):
-            parts = []
-            for x in points:
-                a = self.member_at(f.left, x, lenv)
-                if a is not False:
-                    parts.append(b_or([b_not(a), self.member_at(f.right, x, lenv)]))
-            return b_and(parts)
-        if isinstance(f, S.LEq):
-            left = [self.member_at(f.left, x, lenv) for x in points]
-            right = [self.member_at(f.right, x, lenv) for x in points]
-            return b_and(
-                [b_and([b_or([b_not(a), b]), b_or([a, b_not(b)])])
-                 for a, b in zip(left, right)]
-            )
-        if isinstance(f, S.Not):
+        """Boolean constraint formula for f under lenv, with group
+        quantifiers eliminated. Parts without unknowns fold to True or
+        False, and each connective, lattice quantifier and pointwise
+        atom stops at the first part that settles it."""
+        cls = type(f)
+        if cls is S.And:
+            a = self.compile(f.left, lenv)
+            return False if a is False else b_and([a, self.compile(f.right, lenv)])
+        if cls is S.Or:
+            a = self.compile(f.left, lenv)
+            return True if a is True else b_or([a, self.compile(f.right, lenv)])
+        if cls is S.Not:
             return b_not(self.compile(f.arg, lenv))
-        if isinstance(f, S.And):
-            return b_and([self.compile(f.left, lenv), self.compile(f.right, lenv)])
-        if isinstance(f, S.Or):
-            return b_or([self.compile(f.left, lenv), self.compile(f.right, lenv)])
-        if isinstance(f, S.Implies):
-            return b_or([b_not(self.compile(f.left, lenv)), self.compile(f.right, lenv)])
-        if isinstance(f, (S.Exists, S.Forall)) and f.sort == S.L:
-            parts = []
-            for s in self.struct.all_subsets():
-                inner = dict(lenv)
-                inner[f.var] = s
-                parts.append(self.compile(f.body, inner))
-            return b_or(parts) if isinstance(f, S.Exists) else b_and(parts)
-        if isinstance(f, S.Exists):
-            return self.eliminate_exists(f.var, self.compile(f.body, lenv))
-        if isinstance(f, S.Forall):
+        if cls is S.Implies:
+            a = b_not(self.compile(f.left, lenv))
+            return True if a is True else b_or([a, self.compile(f.right, lenv)])
+        if cls is S.Exists or cls is S.Forall:
+            if f.sort == S.L:
+                parts = (
+                    self.compile(f.body, {**lenv, f.var: s})
+                    for s in self.struct.all_subsets()
+                )
+                return b_or(parts) if cls is S.Exists else b_and(parts)
+            if cls is S.Exists:
+                return self.eliminate_exists(f.var, self.compile(f.body, lenv))
             return b_not(
                 self.eliminate_exists(f.var, b_not(self.compile(f.body, lenv)))
             )
+        points = range(self.n)
+        if cls is S.GLeq:
+            diff = S.Add(f.right, S.Neg(f.left))
+            return b_and(self.nonneg_at(diff, x) for x in points)
+        if cls is S.GEq:
+            return b_and(
+                self.compile(S.GLeq(a, b), lenv)
+                for a, b in ((f.left, f.right), (f.right, f.left))
+            )
+        if cls is S.LBelow:
+            # member_at skips the right side at a point outside the left
+            below = S.LJoin(S.Compl(f.left), f.right)
+            return b_and(self.member_at(below, x, lenv) for x in points)
+        if cls is S.LEq:
+            return b_and(
+                _iff(self.member_at(f.left, x, lenv), self.member_at(f.right, x, lenv))
+                for x in points
+            )
+        if cls is S.TrueF or cls is S.FalseF:
+            return cls is S.TrueF
         raise PreconditionViolated(f"unknown formula node {f!r}")
 
     def eliminate_exists(self, var: str, bform):
@@ -439,6 +420,12 @@ class _Compiler:
         return out
 
 
+def _iff(a, b):
+    if a is True or a is False:
+        return b if a else b_not(b)
+    return b_and([b_or([b_not(a), b]), b_or([a, b_not(b)])])
+
+
 def _conjuncts(f) -> list:
     """The conjuncts of f, with nested "and" and "not or" flattened."""
     if isinstance(f, tuple):
@@ -465,38 +452,24 @@ def _points(f, names: dict, out: set) -> set:
     return out
 
 
-def _bform_truth(f) -> bool:
-    if f is True or f is False:
-        return f
-    if isinstance(f, LinConstraint):
-        t = f.constant_truth()
-        if t is None:
-            raise UnboundVariable(
-                f"constraint still mentions unknowns: {f.lhs.vars()}"
-            )
-        return t
-    tag = f[0]
-    if tag == "not":
-        return not _bform_truth(f[1])
-    if tag == "and":
-        return all(_bform_truth(p) for p in f[1])
-    return any(_bform_truth(p) for p in f[1])
-
-
 @dataclass(frozen=True)
 class Prepared:
-    """A formula normalized for decide_prepared, with its size counts."""
+    """A formula normalized for decide_prepared, with its size counts and
+    the free variables of the formula given to prepare, as sorted
+    (name, sort) pairs."""
 
     phi: S.Formula
     quantifiers: int
     atoms: int
+    free: tuple[tuple[str, str], ...]
 
 
 def prepare(phi: S.Formula) -> Prepared:
     """Bound variables renamed apart and pinned quantifiers inlined: the
     work decide_finite does on its formula before any structure."""
+    free = tuple(sorted(S.free_vars(phi).items()))
     phi = one_point(rename_bound(phi, prefix="_d"))
-    return Prepared(phi, _count_quantifiers(phi), count_atoms(phi))
+    return Prepared(phi, _count_quantifiers(phi), count_atoms(phi), free)
 
 
 def decide_finite(
@@ -526,9 +499,16 @@ def decide_prepared(
         )
     env = env or Assignment()
     env.check_sizes(struct.ground_size)
+    missing = [
+        name for name, sort in prepared.free
+        if name not in (env.group_env if sort == S.G else env.lattice_env)
+    ]
+    if missing:
+        raise UnboundVariable(f"free variables not assigned: {', '.join(missing)}")
     if prepared.quantifiers > lim["max_quantifiers"]:
         raise ResourceLimit("quantifier count exceeds cap")
     if prepared.atoms > lim["max_atoms"]:
         raise ResourceLimit("atom count exceeds cap")
+    # every free variable is assigned, so compile returns a bool
     comp = _Compiler(struct, env.group_env, lim)
-    return comp.truth(prepared.phi, dict(env.lattice_env))
+    return comp.compile(prepared.phi, env.lattice_env)

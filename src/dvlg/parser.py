@@ -8,7 +8,6 @@ as far right as possible.
 
 from __future__ import annotations
 
-import itertools
 import re
 
 from .errors import FormulaSyntaxError, SortError
@@ -200,16 +199,14 @@ class _Parser:
         """Sort if determinable: structural, or from binders/context."""
         if isinstance(t, S.GVar):
             return self.var_sort(t.name)
-        try:
-            ctx = dict(self.context)
-            ctx.update(dict(self.bound))
-            return S.term_sort(t, ctx)
-        except SortError:
-            raise
+        ctx = dict(self.context)
+        ctx.update(dict(self.bound))
+        return S.term_sort(t, ctx)
 
     # --- terms ---
-    # Bare variables parse as GVar placeholders; resolve() retypes them
-    # once the variable's sort is known.
+    # A variable parses as an LVar when a binder in scope or the context
+    # gives it sort L, and as a GVar otherwise; sort_check rejects the
+    # tree if that disagrees with how the variable is used.
 
     def term(self) -> S.Term:
         left = self.lat_level()
@@ -276,29 +273,6 @@ class _Parser:
         )
 
 
-def _resolve_var_nodes(phi: S.Formula, context: dict[str, str]) -> S.Formula:
-    """Retype bare variable leaves to their declared sorts.
-
-    Variables bound at sort L but used before the binder was visible in
-    term position (or free L-vars named in context) may have parsed as
-    GVar; fix them against the final scoping.
-    """
-
-    def fix(n, ctx: dict[str, str]):
-        if isinstance(n, (S.GVar, S.LVar)):
-            sort = ctx.get(n.name)
-            if sort == S.L:
-                return S.LVar(n.name)
-            if sort == S.G:
-                return S.GVar(n.name)
-            return n
-        if isinstance(n, (S.Exists, S.Forall)):
-            return type(n)(n.var, n.sort, fix(n.body, {**ctx, n.var: n.sort}))
-        return S.rebuild(n, tuple(map(fix, S.children(n), itertools.repeat(ctx))))
-
-    return fix(phi, context)
-
-
 def parse(text: str, context: dict[str, str] | None = None) -> S.Formula:
     """Parse one formula; context declares the sorts of free variables."""
     parser = _Parser(text, context)
@@ -306,6 +280,5 @@ def parse(text: str, context: dict[str, str] | None = None) -> S.Formula:
     kind, val, pos = parser.peek()
     if kind != "eof":
         raise FormulaSyntaxError(f"trailing input at {val!r}", position=pos)
-    phi = _resolve_var_nodes(phi, parser.context)
     S.sort_check(phi, context)
     return phi

@@ -132,6 +132,26 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("text", ["a <= 0 | true", "true | a <= 0"])
+    def test_eval_unassigned_variable(self, capsys, text):
+        code, out, err = run(capsys, "eval", "-n", "2", text)
+        assert code == 2 and out == ""
+        assert err == "error: free variables not assigned: a\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("decide", "--limits", "max_dnf=1", "0 <= 0"),
+        ("decide", "--seed", "9", "0 <= 0"),
+        ("reduce", "--seed", "9", "0 <= a"),
+        ("eval", "--seed", "9", "0 <= 0"),
+        ("selftest", "--limits", "max_dnf=1"),
+    ])
+    def test_option_of_another_verb_rejected(self, capsys, argv):
+        # argparse's usage error, not a silently ignored flag
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestJsonReports:
     def test_schema(self, capsys):

@@ -1,19 +1,30 @@
 """Fourier-Motzkin elimination over exact rationals."""
 
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 from dvlg.corpus import named_rng
 from dvlg.linear import (
     Lin,
     LinConstraint,
-    dnf_satisfiable_grid,
     fm_eliminate,
     fm_eliminate_conj,
     store_insert,
 )
 
 GRID = [Fraction(n) for n in range(-2, 3)]
+
+
+def dnf_satisfiable_grid(dnf, var_names, grid):
+    """Brute-force check used as a test oracle: any grid point satisfying
+    some disjunct."""
+    for point in product(grid, repeat=len(var_names)):
+        env = dict(zip(var_names, point))
+        for conj in dnf:
+            if all(c.holds(env) for c in conj):
+                return True
+    return False
 
 
 def c(mapping, rel=">="):

@@ -6,15 +6,16 @@ from itertools import product
 import pytest
 
 from dvlg import syntax as S
-from dvlg.corpus import load_known_answers, named_rng
+from dvlg.corpus import gen_tplus_corpus, load_known_answers, named_rng
 from dvlg.errors import ResourceLimit, UnboundVariable
-from dvlg.linear import Lin, LinConstraint, dnf_satisfiable_grid, fm_eliminate
+from dvlg.linear import Lin, LinConstraint, fm_eliminate
 from dvlg.oracle import (
     Assignment, decide_finite, decide_prepared, eval_qf, prepare, prune_dnf,
     to_dnf,
 )
 from dvlg.parser import parse
 from dvlg.standard import FinStdStructure, GroupVector, SubsetL
+from test_fm import dnf_satisfiable_grid
 
 CTX = {"f": S.G, "g": S.G, "c": S.L}
 
@@ -105,6 +106,7 @@ class TestDecideFinite:
         assert checked == 42
 
     def test_agrees_with_eval_qf(self):
+        # decide_finite compiles; eval_qf evaluates by syntax.holds
         rng = named_rng(9, "oracle-qf")
         struct = FinStdStructure(3)
         samples = [
@@ -122,6 +124,28 @@ class TestDecideFinite:
                     c=SubsetL(rng.randrange(8), 3),
                 )
                 assert decide_finite(struct, phi, env) == eval_qf(struct, env, phi)
+        corpus = [
+            (text, phi) for text, phi, _ in gen_tplus_corpus(1, 200)
+            if "exists" not in text and "forall" not in text
+        ]
+        assert len(corpus) >= 20
+        trues = 0
+        for n in (1, 2, 3):
+            struct = FinStdStructure(n)
+            for text, phi in corpus:
+                for _ in range(4):
+                    env = env3(
+                        a=gv(*(Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                               for _ in range(n))),
+                        b=gv(*(rng.randint(-2, 2) for _ in range(n))),
+                        l=SubsetL(rng.randrange(1 << n), n),
+                        m=SubsetL(rng.randrange(1 << n), n),
+                    )
+                    got = decide_finite(struct, phi, env)
+                    assert got == eval_qf(struct, env, phi), (text, n, env)
+                    trues += got
+        # both verdicts occur
+        assert 0 < trues < 12 * len(corpus)
 
     def test_permutation_invariance(self):
         # reversing the ground points of every parameter leaves truth alone
@@ -144,6 +168,36 @@ ALTERNATION_CHAIN_3 = (
     "forall l2:L. exists x2:G. l0 << P(x0) & l1 << P(x1) & l2 << P(x2) & "
     "P(x0) << l0 cup P(x1) & P(x1) << l1 cup P(x2)"
 )
+
+
+class TestUnassignedVariables:
+    # the free variables are checked on entry, so the verdict cannot
+    # depend on whether evaluation reaches the unassigned one
+
+    @pytest.mark.parametrize("text, ctx", [
+        ("a <= 0 | true", None),
+        ("true | a <= 0", None),
+        ("l = bot | true", {"l": S.L}),
+        ("true | l = bot", {"l": S.L}),
+        ("false & a <= 0", None),
+        ("exists x:L. x = top | x << l", {"l": S.L}),
+    ])
+    def test_raises_in_either_order(self, text, ctx):
+        with pytest.raises(UnboundVariable):
+            decide_finite(FinStdStructure(2), parse(text, ctx))
+
+    def test_message_names_every_missing_variable(self):
+        phi = parse("true | f <= g & c << P(f)", CTX)
+        env = env3(f=gv(1, 2))
+        with pytest.raises(UnboundVariable, match=r"^free variables not assigned: c, g$"):
+            decide_finite(FinStdStructure(2), phi, env)
+
+    def test_assigned_at_the_wrong_sort(self):
+        # f is a group variable; a lattice value under its name does not
+        # assign it
+        env = Assignment({}, {"f": SubsetL(1, 2)})
+        with pytest.raises(UnboundVariable):
+            decide_finite(FinStdStructure(2), parse("true | f <= 0", CTX), env)
 
 
 class TestAlternationChain:
