@@ -1,18 +1,30 @@
 """Decision procedures for nontrivial atomless Boolean algebras.
 
 ba_qe eliminates lattice quantifiers on reduced ordered BDDs (Bryant,
-1986). Each call orders the bases of its formula (lattice variables and
-opaque valuation terms) by first occurrence and keeps one hash-consed
-store of nodes over them, so equal functions of the bases have equal
-node ids and a node does not depend on a base it does not test. Every
-subformula, from the atoms to the end, is a DNF: a disjunction of
-conjunctions (E, Ns) of nodes, each read "E is bot, and each N is not".
-And, Or and Not on DNFs use one memoized if-then-else on nodes. An
-existential over y maps E to the meet of its two cofactors at y, and
+1986). Each call keeps one hash-consed store of nodes over the bases of
+its formula (lattice variables and opaque valuation terms), so equal
+functions of the bases have equal node ids and a node does not depend
+on a base it does not test. The pass places each base above all earlier
+ones when it first meets it, and each node keeps its support, the
+bitmask of the bases it tests. Every subformula, from the atoms to the
+end, is a DNF: a disjunction of conjunctions (E, Ns) of nodes, each read
+"E is bot, and each N is not". And, Or and Not on DNFs use one memoized
+if-then-else on nodes.
+
+An existential over y maps E to the meet of its two cofactors at y, and
 each N to the join of its two, using atomlessness to split any
-non-bottom element into two non-bottom halves; a universal is
-not-exists-not. The final DNF is rendered once, each node as a term
-split on its base, so a term over m bases is at most 2m + 1 deep.
+non-bottom element into two non-bottom halves; one memoized walk at y's
+level, smooth, abstracts a node. A universal is not-exists-not. A
+maximal run of like lattice quantifiers is one block, and its body is
+split into parts: the conjuncts of the body for exists, and for forall
+the conjuncts of its negation, read through Not, Or and Implies by
+polarity. Block variables are eliminated by bucket elimination: the
+variable whose parts touch the fewest other block variables goes first,
+and it is abstracted from the product of the parts whose support tests
+it only. A block of one variable, or a body of one part, is eliminated
+from the DNF of the whole body. The final DNF is rendered once, each
+node as a term split on its base, so a term over m bases is at most
+2m + 1 deep.
 
 interval_check is an independent bounded checker in a concrete atomless
 algebra of rational half-open subintervals of [0, 1), INTERVALS, where
@@ -43,44 +55,38 @@ __all__ = [
 ]
 
 
-def _lattice_bases(n, out: dict) -> dict:
-    """Lattice variables and Val terms below n, by first occurrence, in
-    out; a group atom or group quantifier raises NotLatticeSorted."""
-    if isinstance(n, (S.GLeq, S.GEq)):
-        raise NotLatticeSorted(
-            f"group atom in lattice-sort formula: {S.print_formula(n)}"
-        )
-    if isinstance(n, (S.LVar, S.Val)):
-        out[n] = None
-        return out
-    for child in S.children(n):
-        _lattice_bases(child, out)
-    if isinstance(n, (S.Exists, S.Forall)) and n.sort != S.L:
-        raise NotLatticeSorted(
-            f"group quantifier in lattice-sort formula: {n.var}"
-        )
-    return out
-
-
 class _BDD:
-    """One store of reduced ordered BDDs over a fixed tuple of bases.
+    """One store of reduced ordered BDDs over the bases met so far.
 
     Node 0 is bot and node 1 is top; node u > 1 is (level, lo, hi), the
     function that is hi inside bases[level] and lo outside it, where lo
-    and hi have greater levels (the terminals' is the greatest). The
-    unique table keeps one id per function, so equal functions have
-    equal ids."""
+    and hi have smaller levels (the terminals' is -1). A base is placed
+    above all earlier ones when it is first met, the given bases first,
+    so no node already built tests a level above it. The unique table
+    keeps one id per function, so equal functions have equal ids, and
+    support[u] has bit i set when u tests bases[i]."""
 
-    def __init__(self, bases: tuple):
-        self.bases = bases
-        self.level = {b: i for i, b in enumerate(bases)}
-        leaf = len(bases)
-        self.nodes = [(leaf, 0, 0), (leaf, 1, 1)]
+    def __init__(self, bases: tuple = ()):
+        self.bases: list = []
+        self.level: dict = {}
+        self.nodes = [(-1, 0, 0), (-1, 1, 1)]
+        self.support = [0, 0]
         self.unique: dict = {}
         # the two memo tables have keys of the same shape: keep them apart
         self.ite_memo: dict = {}
-        self.cof_memo: dict = {}
+        self.smooth_memo: dict = {}
         self.terms: dict = {}
+        for b in bases:
+            self.place(b)
+
+    def place(self, b: S.Term) -> int:
+        """The level of base b, placed above all earlier bases when it is
+        first met."""
+        level = self.level.get(b)
+        if level is None:
+            level = self.level[b] = len(self.bases)
+            self.bases.append(b)
+        return level
 
     def mk(self, level: int, lo: int, hi: int) -> int:
         if lo == hi:
@@ -90,6 +96,8 @@ class _BDD:
         if u is None:
             u = self.unique[key] = len(self.nodes)
             self.nodes.append(key)
+            support = self.support
+            support.append(support[lo] | support[hi] | 1 << level)
         return u
 
     def ite(self, f: int, g: int, h: int) -> int:
@@ -108,7 +116,7 @@ class _BDD:
             lf, f0, f1 = nodes[f]
             lg, g0, g1 = nodes[g]
             lh, h0, h1 = nodes[h]
-            top = min(lf, lg, lh)
+            top = max(lf, lg, lh)
             if lf != top:
                 f0 = f1 = f
             if lg != top:
@@ -120,34 +128,37 @@ class _BDD:
             )
         return u
 
-    def cofactor(self, f: int, level: int, bit: int) -> int:
-        """f with the base at level fixed to bot (bit 0) or top (bit 1)."""
-        lf, lo, hi = self.nodes[f]
-        if lf > level:  # terminals too: f does not test the base
+    def smooth(self, f: int, level: int, join: int) -> int:
+        """The meet (join 0) or the join (join 1) of f's two cofactors
+        at level, in one walk: below a node that tests the base the
+        walk rebuilds, and a node that does not is its own result."""
+        if not self.support[f] >> level & 1:
             return f
+        lf, lo, hi = self.nodes[f]
         if lf == level:
-            return hi if bit else lo
-        key = (f, level, bit)
-        u = self.cof_memo.get(key)
+            return self.ite(lo, 1, hi) if join else self.ite(lo, hi, 0)
+        key = (f, level, join)
+        u = self.smooth_memo.get(key)
         if u is None:
-            u = self.cof_memo[key] = self.mk(
-                lf, self.cofactor(lo, level, bit), self.cofactor(hi, level, bit)
+            u = self.smooth_memo[key] = self.mk(
+                lf, self.smooth(lo, level, join), self.smooth(hi, level, join)
             )
         return u
 
     def node(self, t: S.Term) -> int:
         """The node of an L-term."""
-        if isinstance(t, (S.LVar, S.Val)):
-            return self.mk(self.level[t], 0, 1)
-        if isinstance(t, S.Bot):
+        cls = type(t)
+        if cls is S.LVar or cls is S.Val:
+            return self.mk(self.place(t), 0, 1)
+        if cls is S.Bot:
             return 0
-        if isinstance(t, S.Top):
+        if cls is S.Top:
             return 1
-        if isinstance(t, S.LMeet):
+        if cls is S.LMeet:
             return self.ite(self.node(t.left), self.node(t.right), 0)
-        if isinstance(t, S.LJoin):
+        if cls is S.LJoin:
             return self.ite(self.node(t.left), 1, self.node(t.right))
-        if isinstance(t, S.Compl):
+        if cls is S.Compl:
             return self.ite(self.node(t.arg), 0, 1)
         raise NotLatticeSorted(f"not an L-term: {S.print_term(t)}")
 
@@ -174,30 +185,135 @@ class _BDD:
     def qe(self, f: S.Formula, cap: int) -> tuple:
         """The DNF of f, over this store's bases, with its lattice
         quantifiers eliminated."""
-        if isinstance(f, (S.LBelow, S.LEq)):
+        cls = type(f)
+        if cls is S.LBelow or cls is S.LEq:
             l, r = self.node(f.left), self.node(f.right)
             # E is l - r for l << r, and l xor r for l = r
-            e = self.ite(l, self.ite(r, 0, 1), 0 if isinstance(f, S.LBelow) else r)
+            e = self.ite(l, self.ite(r, 0, 1), 0 if cls is S.LBelow else r)
             return _dnf([_conj(self, e, ())])
-        if isinstance(f, S.TrueF):
-            return _TRUE
-        if isinstance(f, S.FalseF):
-            return _FALSE
-        if isinstance(f, S.Not):
+        if cls is S.Not:
             return _not(self, self.qe(f.arg, cap), cap)
-        if isinstance(f, S.And):
+        if cls is S.And:
             return _product(self, self.qe(f.left, cap), self.qe(f.right, cap), cap)
-        if isinstance(f, S.Or):
+        if cls is S.Or:
             return _dnf(self.qe(f.left, cap) + self.qe(f.right, cap))
-        if isinstance(f, S.Implies):
+        if cls is S.Implies:
             return _dnf(_not(self, self.qe(f.left, cap), cap) + self.qe(f.right, cap))
-        level = self.level.get(S.LVar(f.var))
-        if level is None:  # y does not occur
-            return self.qe(f.body, cap)
-        if isinstance(f, S.Exists):
-            return _exists(self, level, self.qe(f.body, cap))
-        inner = _not(self, self.qe(f.body, cap), cap)
-        return _not(self, _exists(self, level, inner), cap)
+        if cls is S.TrueF:
+            return _TRUE
+        if cls is S.FalseF:
+            return _FALSE
+        if cls is S.GLeq or cls is S.GEq:
+            raise NotLatticeSorted(
+                f"group atom in lattice-sort formula: {S.print_formula(f)}"
+            )
+        return self.block(f, cap)
+
+    def block(self, f: S.Formula, cap: int) -> tuple:
+        """The DNF of a maximal run of like lattice quantifiers over f,
+        with them eliminated: forall Y phi is not exists Y not phi, so
+        the parts of a forall block are the conjuncts of not phi."""
+        kind, names = type(f), {}
+        while type(f) is kind:
+            if f.sort != S.L:
+                raise NotLatticeSorted(
+                    f"group quantifier in lattice-sort formula: {f.var}"
+                )
+            names[f.var] = None
+            f = f.body
+        positive = kind is S.Exists
+        if len(names) == 1:
+            (var,) = names
+            out = self.qe(f, cap)
+            level = self.level.get(S.LVar(var))
+            if level is None:  # y does not occur
+                return out
+            if positive:
+                return _exists(self, level, out)
+            return _not(self, _exists(self, level, _not(self, out, cap)), cap)
+        parts = []
+        for g, pos in _parts(f, positive):
+            d = self.qe(g, cap)
+            parts.append(d if pos else _not(self, d, cap))
+        levels = [self.level.get(S.LVar(name)) for name in names]
+        levels = [level for level in levels if level is not None]
+        if len(parts) == 1:  # innermost first, as nested quantifiers go
+            out = parts[0]
+            for level in reversed(levels):
+                out = _exists(self, level, out)
+        else:
+            out = _bucket(self, levels, parts, cap)
+        return out if positive else _not(self, out, cap)
+
+
+def _parts(f: S.Formula, positive: bool) -> list:
+    """The conjuncts of f (positive) or of not f, read through Not, Or
+    and Implies by polarity, as (formula, polarity) pairs from left to
+    right. The walk keeps its own stack, so a long And chain costs no
+    recursion."""
+    out, todo = [], [(f, positive)]
+    while todo:
+        g, pos = todo.pop()
+        cls = type(g)
+        if cls is S.Not:
+            todo.append((g.arg, not pos))
+        elif (cls is S.And and pos) or (cls is S.Or and not pos):
+            todo += [(g.right, pos), (g.left, pos)]
+        elif cls is S.Implies and not pos:
+            todo += [(g.right, False), (g.left, True)]
+        else:
+            out.append((g, pos))
+    return out
+
+
+def _support(bdd: _BDD, dnf: tuple) -> int:
+    """The bases that some node of the DNF tests, as a bitmask."""
+    support = bdd.support
+    out = 0
+    for e, ns in dnf:
+        out |= support[e]
+        for n in ns:
+            out |= support[n]
+    return out
+
+
+def _conjoin(bdd: _BDD, dnfs: list, cap: int) -> tuple:
+    """The product of the DNFs, TRUE for none."""
+    if not dnfs:
+        return _TRUE
+    out = dnfs[0]
+    for d in dnfs[1:]:
+        out = _product(bdd, out, d, cap)
+    return out
+
+
+def _bucket(bdd: _BDD, levels: list, dnfs: list, cap: int) -> tuple:
+    """Exists over the bases at levels of the product of the DNFs, by
+    bucket elimination (Dechter, 1999): each base is abstracted from the
+    product of the parts that test it only (early quantification, Burch,
+    Clarke and Long, 1991), and a base is taken next when its parts test
+    the fewest other bases of the block, the outermost of a tie."""
+    parts = [(d, _support(bdd, d)) for d in dnfs]
+    todo = list(levels)
+    block = sum(1 << level for level in todo)
+
+    def degree(level: int) -> int:
+        touched = 0
+        for _, s in parts:
+            if s >> level & 1:
+                touched |= s
+        return (touched & block).bit_count()
+
+    while todo:
+        level = min(todo, key=degree)
+        todo.remove(level)
+        block &= ~(1 << level)
+        mine = [d for d, s in parts if s >> level & 1]
+        if mine:  # else the variable is vacuous
+            parts = [(d, s) for d, s in parts if not s >> level & 1]
+            d = _exists(bdd, level, _conjoin(bdd, mine, cap))
+            parts.append((d, _support(bdd, d)))
+    return _conjoin(bdd, [d for d, _ in parts], cap)
 
 
 # A DNF is a tuple of conjunctions (E, Ns) of nodes, each read "E is bot
@@ -262,13 +378,9 @@ def _exists(bdd: _BDD, level: int, a: tuple) -> tuple:
     when both of its cofactors are; an N is not bot for some y when one
     of its cofactors is not, since atomlessness splits a nonempty region
     outside E into two nonempty parts."""
-    cof = bdd.cofactor
+    smooth = bdd.smooth
     return _dnf(
-        _conj(
-            bdd,
-            bdd.ite(cof(e, level, 0), cof(e, level, 1), 0),
-            [bdd.ite(cof(n, level, 0), 1, cof(n, level, 1)) for n in ns],
-        )
+        _conj(bdd, smooth(e, level, 0), [smooth(n, level, 1) for n in ns])
         for e, ns in a
     )
 
@@ -299,7 +411,7 @@ def _qe(phi: S.Formula, cap: int):
     lattice quantifiers eliminated. Bound names need not be fresh: the
     DNF of a quantifier tests no node at its variable's level, so that
     level can stand for another variable of the name outside the scope."""
-    bdd = _BDD(tuple(_lattice_bases(phi, {})))
+    bdd = _BDD()
     return bdd, bdd.qe(phi, cap)
 
 
@@ -445,13 +557,31 @@ def _interval_candidates(env) -> list[IntervalAlgebraElem]:
     return out
 
 
+def _reject_group_sort(n) -> None:
+    """Raise NotLatticeSorted at a group atom or group quantifier below n;
+    the terms of lattice atoms, Val arguments too, are not read."""
+    if isinstance(n, (S.GLeq, S.GEq)):
+        raise NotLatticeSorted(
+            f"group atom in lattice-sort formula: {S.print_formula(n)}"
+        )
+    if isinstance(n, (S.Exists, S.Forall)):
+        if n.sort != S.L:
+            raise NotLatticeSorted(
+                f"group quantifier in lattice-sort formula: {n.var}"
+            )
+        _reject_group_sort(n.body)
+    elif not isinstance(n, (S.LBelow, S.LEq)):
+        for child in S.children(n):
+            _reject_group_sort(child)
+
+
 def interval_check(sigma: S.Formula, depth: int) -> bool:
     """Bounded truth in the interval algebra; complete up to the depth."""
     if depth > 4:
         raise DepthExceeded("interval_check supports quantifier depth <= 4")
     if S.free_vars(sigma):
         raise NotSentence(f"free variables: {sorted(S.free_vars(sigma))}")
-    _lattice_bases(sigma, {})
+    _reject_group_sort(sigma)
     sigma = rename_bound(sigma, prefix="_i")
 
     tried = 0

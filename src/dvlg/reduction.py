@@ -11,7 +11,9 @@ conditions free of x. The body, already simplified, and the simplified
 conditions are then joined by folding their top And only: renaming the
 Val atoms of x injectively to fresh y enables no fold below it. The
 result is a lattice formula chi together with group terms t_i bound
-through p_i = P(t_i).
+through p_i = P(t_i). The fresh names _y0, _y1, ... and p1, p2, ...
+skip the free variables of the input; its bound ones are renamed to
+_q0, _q1, ... first.
 
 Neither mode eliminates a lattice quantifier. tplus mode refuses one
 that a group variable crosses; ec mode keeps it in chi, and ba_decide
@@ -23,7 +25,6 @@ Val terms to fresh lattice variables.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,6 +34,7 @@ from .boolalg import ba_decide, ba_qe
 from .errors import NotPrimitive, NotSentence, UnsupportedFragment
 from .linear import Lin
 from .rewrites import (
+    fresh_names,
     group_atoms_to_lattice,
     gterm_to_lin,
     one_point,
@@ -56,17 +58,22 @@ __all__ = [
 class ReductionOutput:
     chi: S.Formula
     terms: tuple  # G-sorted Terms
+    names: tuple  # the lattice variable p_i of each term in chi
     k: int
     mode: str
     eliminations: int = 0
 
     def to_json(self):
-        return {
+        out = {
             "k": self.k,
             "terms": [S.print_term(t) for t in self.terms],
             "chi": S.print_formula(self.chi),
             "mode": self.mode,
         }
+        # the names are given when the input uses some of p1..pk
+        if self.names != tuple(f"p{i}" for i in range(1, self.k + 1)):
+            out["names"] = list(self.names)
+        return out
 
 
 def eliminate_group_var(bounds) -> S.Formula:
@@ -142,15 +149,15 @@ def _reject_crossing(var: str, f: S.Formula) -> None:
 
 
 class _Reducer:
-    def __init__(self, mode: str):
+    def __init__(self, mode: str, taken):
         if mode not in ("tplus", "ec"):
             raise ValueError(f"unknown mode {mode!r}")
         self.mode = mode
-        self.fresh = itertools.count()
+        self.fresh = fresh_names("_y", taken)
         self.eliminations = 0
 
     def fresh_lvar(self) -> str:
-        return f"_y{next(self.fresh)}"
+        return next(self.fresh)
 
     def run(self, phi: S.Formula) -> S.Formula:
         if isinstance(phi, (S.Exists, S.Forall)) and phi.sort == S.G:
@@ -216,27 +223,35 @@ class _Reducer:
         return body
 
 
-def _extract_terms(phi: S.Formula):
-    """Replace Val atoms over free group variables by fresh p_i."""
+def _extract_terms(phi: S.Formula, taken):
+    """Replace Val atoms over free group variables by fresh p_i, named
+    apart from taken: phi, the terms and the names."""
     vals = list(_collect_val_atoms(phi, {}))
-    mapping = {v: S.LVar(f"p{i}") for i, v in enumerate(vals, start=1)}
-    return _subst_terms(phi, mapping), [v.arg for v in vals]
+    names = fresh_names("p", taken, start=1)
+    mapping = {v: S.LVar(next(names)) for v in vals}
+    return (
+        _subst_terms(phi, mapping),
+        tuple(v.arg for v in vals),
+        tuple(p.name for p in mapping.values()),
+    )
 
 
 def reduce(phi: S.Formula, mode: str = "tplus") -> ReductionOutput:
     """Lattice-sort reduction of an arbitrary well-sorted formula."""
-    S.sort_check(phi, S.free_vars(phi))
+    free = S.free_vars(phi)
+    S.sort_check(phi, free)
     phi = rename_bound(phi)
     phi = group_atoms_to_lattice(phi)
     phi = push_valuation_formula(phi)
     phi = simplify(phi)
-    reducer = _Reducer(mode)
+    reducer = _Reducer(mode, free)
     chi = simplify(one_point(reducer.run(phi)))
     # renaming Val atoms injectively to fresh p_i enables no simplify fold
-    chi, terms = _extract_terms(chi)
+    chi, terms, names = _extract_terms(chi, free)
     return ReductionOutput(
         chi=chi,
-        terms=tuple(terms),
+        terms=terms,
+        names=names,
         k=len(terms),
         mode=mode,
         eliminations=reducer.eliminations,
@@ -246,10 +261,10 @@ def reduce(phi: S.Formula, mode: str = "tplus") -> ReductionOutput:
 def assemble_reduct(out: ReductionOutput) -> S.Formula:
     """The formula (exists p_1..p_k : L)(chi and each p_i = P(t_i))."""
     body = out.chi
-    for i, t in enumerate(out.terms, start=1):
-        body = S.And(body, S.LEq(S.LVar(f"p{i}"), S.Val(t)))
-    for i in range(out.k, 0, -1):
-        body = S.Exists(f"p{i}", S.L, body)
+    for p, t in zip(out.names, out.terms):
+        body = S.And(body, S.LEq(S.LVar(p), S.Val(t)))
+    for p in reversed(out.names):
+        body = S.Exists(p, S.L, body)
     return body
 
 

@@ -155,18 +155,40 @@ def push_valuation_formula(phi: S.Formula) -> S.Formula:
 
 # --- renaming ---
 
+def fresh_names(prefix: str, taken, start: int = 0):
+    """The names prefix{start}, prefix{start + 1}, ... that are not in
+    taken."""
+    for i in itertools.count(start):
+        name = f"{prefix}{i}"
+        if name not in taken:
+            yield name
+
+
 def rename_bound(phi: S.Formula, prefix: str = "_q") -> S.Formula:
-    """Give every bound variable a fresh name (no shadowing afterwards)."""
-    counter = itertools.count()
+    """Give every bound variable a fresh name (no shadowing afterwards).
+    The fresh names skip the free variables of phi, so that none of them
+    captures one: if the walk made a name that it also met free, a
+    second walk renames apart from the free names of the first."""
+    free: set[str] = set()
+    made: set[str] = set()
+    names = fresh_names(prefix, ())
 
     def go(n, env: dict[str, str]):
         if isinstance(n, (S.GVar, S.LVar)):
-            return type(n)(env[n.name]) if n.name in env else n
+            if n.name in env:
+                return type(n)(env[n.name])
+            free.add(n.name)
+            return n
         if isinstance(n, (S.Exists, S.Forall)):
-            fresh = f"{prefix}{next(counter)}"
+            fresh = next(names)
+            made.add(fresh)
             return type(n)(fresh, n.sort, go(n.body, {**env, n.var: fresh}))
         return S.rebuild(n, tuple(map(go, S.children(n), itertools.repeat(env))))
 
+    out = go(phi, {})
+    if free.isdisjoint(made):
+        return out
+    names = fresh_names(prefix, free)
     return go(phi, {})
 
 

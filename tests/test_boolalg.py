@@ -21,6 +21,7 @@ from dvlg.boolalg import (
     interval_check,
 )
 from dvlg.cli import main
+from dvlg.corpus import gen_lattice_corpus
 from dvlg.errors import DepthExceeded, NotLatticeSorted, ResourceLimit
 from dvlg.parser import parse
 from dvlg.reduction import reduce
@@ -150,6 +151,15 @@ def _restrict(mask, width, j, bit):
                for i in range(1 << width))
 
 
+def _check_smooth(bdd, u, mask, j):
+    """smooth of node u, whose truth table is mask, at base j: the meet
+    and the join of its two cofactors there."""
+    width = len(bdd.bases)
+    lo, hi = (_restrict(mask, width, j, bit) for bit in (0, 1))
+    assert _table(bdd, bdd.smooth(u, j, 0)) == lo & hi
+    assert _table(bdd, bdd.smooth(u, j, 1)) == lo | hi
+
+
 class TestBddKernels:
     """The BDD operations against per-minterm truth tables."""
 
@@ -185,9 +195,7 @@ class TestBddKernels:
                     nodes = [_from_table(bdd, n) for n in ns]
                     conj = _conj(bdd, _from_table(bdd, e), nodes)
                     for m, u in zip([e, *ns], [_from_table(bdd, e), *nodes]):
-                        for bit in (0, 1):
-                            ref = _restrict(m, width, j, bit)
-                            assert _table(bdd, bdd.cofactor(u, j, bit)) == ref
+                        _check_smooth(bdd, u, m, j)
                     out = _exists(bdd, j, _dnf([conj]))
                     if conj is None:
                         assert out == _dnf([])
@@ -208,16 +216,14 @@ class TestBddKernels:
                     assert out == _dnf([ref])
 
     def test_memo_tables_apart(self):
-        # an ite key (f, g, h) and a cofactor key (f, level, bit) can be
-        # equal tuples: fill the ite memo, then check every cofactor
+        # an ite key (f, g, h) and a smooth key (f, level, join) can be
+        # equal tuples: fill the ite memo, then check every abstraction
         bdd = _BDD(_bases(4))
         us = [bdd.node(b) for b in bdd.bases]
         us += [bdd.ite(f, g, h) for f in us for g in us for h in (0, 1)]
         for u in us:
             for j in range(4):
-                for bit in (0, 1):
-                    ref = _restrict(_table(bdd, u), 4, j, bit)
-                    assert _table(bdd, bdd.cofactor(u, j, bit)) == ref
+                _check_smooth(bdd, u, _table(bdd, u), j)
 
     def test_render_round_trip(self):
         rng = random.Random(7)
@@ -256,6 +262,74 @@ class TestBaDecide:
         assert ba_decide(phi) is True
 
 
+# Lattice sentences of quantifier depth at most 3 that reach each case of
+# a quantifier block in _BDD.block, with their truth and whether the
+# block is eliminated by _bucket (two or more variables and parts).
+BLOCKS = [
+    # an exists-block over a conjunction
+    ("exists x:L. exists y:L. ~(x = bot) & x cap y = bot & ~(y = bot)",
+     True, True),
+    # forall-blocks over a disjunction and over an implication
+    ("forall x:L. forall y:L. x << y | y << x", False, True),
+    ("forall x:L. forall y:L. x << y -> x cap compl(y) = bot", True, True),
+    # through a negation, for each kind of block
+    ("forall x:L. forall y:L. ~(x cap y = bot & ~(x = bot) & x << y)",
+     True, True),
+    ("exists x:L. exists y:L. ~(x = bot | y = bot | ~(x cap y = bot))",
+     True, True),
+    # a name repeated inside a block: the outer y is vacuous
+    ("exists y:L. exists y:L. ~(y = bot) & ~(y = top)", True, False),
+    ("forall y:L. forall y:L. forall z:L. y << z | z << y", False, True),
+    # a vacuous variable never met, and one whose base an outer w placed
+    ("exists x:L. exists w:L. exists y:L. ~(x = bot) & x = compl(y)",
+     True, True),
+    ("exists w:L. w = top & (exists w:L. exists y:L. ~(y = bot) & ~(y = top))",
+     True, True),
+    # a part that mentions no block variable
+    ("forall z:L. exists x:L. exists y:L. x << z & y << compl(z) & ~(z = top)",
+     False, True),
+    ("forall z:L. exists x:L. exists y:L. "
+     "x cup y = z & x cap y = bot & (z = bot | ~(z = bot))", True, True),
+    # one variable, and several variables over one part
+    ("forall x:L. exists y:L. y << x & ~(y = x)", False, False),
+    ("exists x:L. exists y:L. exists z:L. x cap y cap z = top", True, False),
+    ("forall x:L. forall y:L. ~(x cup y = bot)", False, False),
+]
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("text, truth, bucket", BLOCKS)
+    def test_block_cases(self, text, truth, bucket, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        original = boolalg._bucket
+        monkeypatch.setattr(boolalg, "_bucket", spy)
+        phi = parse(text)
+        assert ba_decide(phi) is truth
+        assert interval_check(phi, 3) is truth
+        assert bool(calls) is bucket
+
+    def test_agrees_with_interval_check(self):
+        for text, phi in gen_lattice_corpus(7, 400, 3):
+            assert ba_decide(phi) == interval_check(phi, 3), text
+
+    # a group atom, a group quantifier alone, one inside a lattice block,
+    # and a group atom among the parts of a block
+    @pytest.mark.parametrize("text", [
+        "exists a:G. a <= 0",
+        "forall a:G. top = bot",
+        "exists y:L. exists a:G. y << P(a)",
+        "exists y:L. exists z:L. y = z & 0 <= 0",
+    ])
+    def test_group_sort_rejected(self, text):
+        with pytest.raises(NotLatticeSorted):
+            ba_decide(parse(text))
+
+
 # Sentences on which ba_qe once built joins so deep that simplify raised
 # RecursionError (3-way patching, the cyclic chain at k=5, the
 # alternation chain at k=6), the cyclic chain at k=8 and k=10, which
@@ -291,6 +365,19 @@ CHAIN_6 = (
 
 
 
+def _patching(k):
+    fs = [f"f{i}" for i in range(k)]
+    cs = [f"c{i}" for i in range(k)]
+    prefix = "".join(f"forall {f}:G. " for f in fs)
+    prefix += "".join(f"forall {c}:L. " for c in cs)
+    premise = [
+        f"{cs[i]} cap {cs[j]} << P({fs[i]} - {fs[j]}) cap P({fs[j]} - {fs[i]})"
+        for i in range(k) for j in range(i + 1, k)
+    ]
+    goal = " & ".join(f"{c} << P(h - {f}) cap P({f} - h)" for f, c in zip(fs, cs))
+    return f"{prefix}({' & '.join(premise)}) -> (exists h:G. {goal})"
+
+
 def _cyclic(k):
     prefix = "".join(f"forall l{i}:L. " for i in range(k))
     prefix += "".join(f"exists x{i}:G. " for i in range(k))
@@ -316,6 +403,18 @@ class TestDeepFamilies:
         chi = reduce(parse(text), "ec").chi
         assert ba_decide(chi) is True
         assert _depth(chi) <= 64
+
+    # chi is deeper here (91 to 256 levels), and ba_decide splits each
+    # long block body into parts with its own stack
+    @pytest.mark.parametrize("text", [
+        pytest.param(_patching(5), id="patching-5"),
+        pytest.param(_cyclic(16), id="cyclic-16"),
+        pytest.param(_cyclic(32), id="cyclic-32"),
+        pytest.param(_chain(64), id="chain-64"),
+    ])
+    def test_decided_at_the_frontier(self, text):
+        assert sys.getrecursionlimit() == 1000
+        assert ba_decide(reduce(parse(text), "ec").chi) is True
 
     def test_cli_decides_patching(self, capsys):
         assert main(["decide", PATCHING_3]) == 0

@@ -83,6 +83,16 @@ class TestExitCodes:
         assert code == 0
 
 
+    def test_eval_bound_names_skip_a_free_d(self, capsys):
+        # x = -1 is a witness, whatever the free variable is called
+        for name in ("_d0", "c"):
+            env = json.dumps({"group": {name: ["0"]}})
+            code, out, _ = run(
+                capsys, "eval", "-n", "1", "--env", env,
+                f"exists x:G. x <= {name} & ~(x = {name})",
+            )
+            assert code == 0 and out.strip() == "true"
+
     def test_eval_lattice_env(self, capsys):
         env = json.dumps({"lattice": {"l": [1]}})
         code, out, _ = run(capsys, "eval", "-n", "2", "--env", env, "l = bot")

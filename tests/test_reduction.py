@@ -235,6 +235,35 @@ class TestDecideEc:
             assert decide_ec(phi) == decide_ec(rename_bound(phi, prefix="_z"))
 
 
+class TestFreshNames:
+    """The names the reduction makes skip the free variables of its
+    input, so that none of them is captured."""
+
+    def test_bound_names_skip_a_free_q(self):
+        # x = c - 1 is a witness, whatever c is called
+        outs = [
+            reduce(parse(f"exists x:G. x <= {c} & ~(x = {c})", {c: S.G}), "tplus")
+            for c in ("_q0", "c")
+        ]
+        assert outs[0].to_json() == outs[1].to_json()
+        assert assemble_reduct(outs[0]) != S.FALSE
+
+    def test_fresh_lattice_variables_skip_a_free_y(self):
+        chis = [
+            reduce(parse(f"exists x:G. P(x) = {m} & ~({m} = top)", {m: S.L}), "ec").chi
+            for m in ("_y0", "m")
+        ]
+        assert [S.print_formula(chi) for chi in chis] == ["~_y0 = top", "~m = top"]
+
+    def test_term_names_skip_a_free_p(self):
+        out = reduce(parse("P(a) = p1", {"a": S.G, "p1": S.L}), "ec")
+        assert out.names == ("p2",)
+        assert out.to_json() == {
+            "k": 1, "terms": ["a"], "chi": "p2 = p1", "mode": "ec", "names": ["p2"],
+        }
+        assert S.free_vars(assemble_reduct(out)) == {"p1": S.L, "a": S.G}
+
+
 class TestCrossingLatticeQuantifier:
     """A group variable under a lattice quantifier: tplus refuses the
     sentence, and ec leaves the quantifier to ba_decide."""
