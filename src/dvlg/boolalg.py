@@ -21,10 +21,9 @@ the conjuncts of its negation, read through Not, Or and Implies by
 polarity. Block variables are eliminated by bucket elimination: the
 variable whose parts touch the fewest other block variables goes first,
 and it is abstracted from the product of the parts whose support tests
-it only. A block of one variable, or a body of one part, is eliminated
-from the DNF of the whole body. The final DNF is rendered once, each
-node as a term split on its base, so a term over m bases is at most
-2m + 1 deep.
+it only. A block of one variable is eliminated from the DNF of its
+whole body. The final DNF is rendered once, each node as a term split
+on its base, so a term over m bases is at most 2m + 1 deep.
 
 interval_check is an independent bounded checker in a concrete atomless
 algebra of rational half-open subintervals of [0, 1), INTERVALS, where
@@ -61,12 +60,12 @@ class _BDD:
     Node 0 is bot and node 1 is top; node u > 1 is (level, lo, hi), the
     function that is hi inside bases[level] and lo outside it, where lo
     and hi have smaller levels (the terminals' is -1). A base is placed
-    above all earlier ones when it is first met, the given bases first,
-    so no node already built tests a level above it. The unique table
-    keeps one id per function, so equal functions have equal ids, and
-    support[u] has bit i set when u tests bases[i]."""
+    above all earlier ones when it is first met, so no node already
+    built tests a level above it. The unique table keeps one id per
+    function, so equal functions have equal ids, and support[u] has bit
+    i set when u tests bases[i]."""
 
-    def __init__(self, bases: tuple = ()):
+    def __init__(self):
         self.bases: list = []
         self.level: dict = {}
         self.nodes = [(-1, 0, 0), (-1, 1, 1)]
@@ -76,8 +75,6 @@ class _BDD:
         self.ite_memo: dict = {}
         self.smooth_memo: dict = {}
         self.terms: dict = {}
-        for b in bases:
-            self.place(b)
 
     def place(self, b: S.Term) -> int:
         """The level of base b, placed above all earlier bases when it is
@@ -222,7 +219,7 @@ class _BDD:
             names[f.var] = None
             f = f.body
         positive = kind is S.Exists
-        if len(names) == 1:
+        if len(names) == 1:  # no order to choose: splitting costs more
             (var,) = names
             out = self.qe(f, cap)
             level = self.level.get(S.LVar(var))
@@ -237,12 +234,7 @@ class _BDD:
             parts.append(d if pos else _not(self, d, cap))
         levels = [self.level.get(S.LVar(name)) for name in names]
         levels = [level for level in levels if level is not None]
-        if len(parts) == 1:  # innermost first, as nested quantifiers go
-            out = parts[0]
-            for level in reversed(levels):
-                out = _exists(self, level, out)
-        else:
-            out = _bucket(self, levels, parts, cap)
+        out = _bucket(self, levels, parts, cap)
         return out if positive else _not(self, out, cap)
 
 

@@ -89,8 +89,12 @@ class TestBaQe:
             ba_qe(phi, cap=4)
 
 
-def _bases(width):
-    return tuple(S.LVar(f"b{j}") for j in range(width))
+def _store(width):
+    """A store with the bases b0..b(width-1) placed, b0 lowest."""
+    bdd = _BDD()
+    for j in range(width):
+        bdd.place(S.LVar(f"b{j}"))
+    return bdd
 
 
 def _random_term(rng, bases, depth=4):
@@ -166,7 +170,7 @@ class TestBddKernels:
     def test_term_nodes_match_minterms(self):
         rng = random.Random(20261018)
         for width in range(7):
-            bdd = _BDD(_bases(width))
+            bdd = _store(width)
             for _ in range(40):
                 t = _random_term(rng, bdd.bases)
                 ref = sum(_holds(t, bdd.bases, i) << i for i in range(1 << width))
@@ -175,7 +179,7 @@ class TestBddKernels:
     def test_canonical(self):
         rng = random.Random(3)
         for width in range(7):
-            bdd = _BDD(_bases(width))
+            bdd = _store(width)
             ids = {}
             for _ in range(200):
                 u = bdd.node(_random_term(rng, bdd.bases, depth=5))
@@ -187,7 +191,7 @@ class TestBddKernels:
     def test_exists_projection(self):
         rng = random.Random(5)
         for width in range(1, 7):
-            bdd = _BDD(_bases(width))
+            bdd = _store(width)
             for j in range(width):
                 for _ in range(12):
                     e = rng.getrandbits(1 << width) & rng.getrandbits(1 << width)
@@ -218,7 +222,7 @@ class TestBddKernels:
     def test_memo_tables_apart(self):
         # an ite key (f, g, h) and a smooth key (f, level, join) can be
         # equal tuples: fill the ite memo, then check every abstraction
-        bdd = _BDD(_bases(4))
+        bdd = _store(4)
         us = [bdd.node(b) for b in bdd.bases]
         us += [bdd.ite(f, g, h) for f in us for g in us for h in (0, 1)]
         for u in us:
@@ -228,7 +232,7 @@ class TestBddKernels:
     def test_render_round_trip(self):
         rng = random.Random(7)
         for width in range(7):
-            bdd = _BDD(_bases(width))
+            bdd = _store(width)
             for _ in range(40):
                 u = _from_table(bdd, rng.getrandbits(1 << width))
                 term = bdd.term(u)
@@ -264,7 +268,7 @@ class TestBaDecide:
 
 # Lattice sentences of quantifier depth at most 3 that reach each case of
 # a quantifier block in _BDD.block, with their truth and whether the
-# block is eliminated by _bucket (two or more variables and parts).
+# block is eliminated by _bucket (two or more variables).
 BLOCKS = [
     # an exists-block over a conjunction
     ("exists x:L. exists y:L. ~(x = bot) & x cap y = bot & ~(y = bot)",
@@ -292,8 +296,8 @@ BLOCKS = [
      "x cup y = z & x cap y = bot & (z = bot | ~(z = bot))", True, True),
     # one variable, and several variables over one part
     ("forall x:L. exists y:L. y << x & ~(y = x)", False, False),
-    ("exists x:L. exists y:L. exists z:L. x cap y cap z = top", True, False),
-    ("forall x:L. forall y:L. ~(x cup y = bot)", False, False),
+    ("exists x:L. exists y:L. exists z:L. x cap y cap z = top", True, True),
+    ("forall x:L. forall y:L. ~(x cup y = bot)", False, True),
 ]
 
 
