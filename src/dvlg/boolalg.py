@@ -53,6 +53,9 @@ __all__ = [
     "interval_check",
 ]
 
+# the most conjunctions a DNF of ba_qe may have
+QE_MAX_CONJUNCTIONS = 20_000
+
 
 class _BDD:
     """One store of reduced ordered BDDs over the bases met so far.
@@ -179,9 +182,12 @@ class _BDD:
             self.terms[u] = t
         return t
 
-    def qe(self, f: S.Formula, cap: int) -> tuple:
+    def qe(self, f: S.Formula) -> tuple:
         """The DNF of f, over this store's bases, with its lattice
-        quantifiers eliminated."""
+        quantifiers eliminated. Bound names need not be fresh: the DNF
+        of a quantifier tests no node at its variable's level, so that
+        level can stand for another variable of the name outside the
+        scope."""
         cls = type(f)
         if cls is S.LBelow or cls is S.LEq:
             l, r = self.node(f.left), self.node(f.right)
@@ -189,13 +195,13 @@ class _BDD:
             e = self.ite(l, self.ite(r, 0, 1), 0 if cls is S.LBelow else r)
             return _dnf([_conj(self, e, ())])
         if cls is S.Not:
-            return _not(self, self.qe(f.arg, cap), cap)
+            return _not(self, self.qe(f.arg))
         if cls is S.And:
-            return _product(self, self.qe(f.left, cap), self.qe(f.right, cap), cap)
+            return _product(self, self.qe(f.left), self.qe(f.right))
         if cls is S.Or:
-            return _dnf(self.qe(f.left, cap) + self.qe(f.right, cap))
+            return _dnf(self.qe(f.left) + self.qe(f.right))
         if cls is S.Implies:
-            return _dnf(_not(self, self.qe(f.left, cap), cap) + self.qe(f.right, cap))
+            return _dnf(_not(self, self.qe(f.left)) + self.qe(f.right))
         if cls is S.TrueF:
             return _TRUE
         if cls is S.FalseF:
@@ -204,9 +210,9 @@ class _BDD:
             raise NotLatticeSorted(
                 f"group atom in lattice-sort formula: {S.print_formula(f)}"
             )
-        return self.block(f, cap)
+        return self.block(f)
 
-    def block(self, f: S.Formula, cap: int) -> tuple:
+    def block(self, f: S.Formula) -> tuple:
         """The DNF of a maximal run of like lattice quantifiers over f,
         with them eliminated: forall Y phi is not exists Y not phi, so
         the parts of a forall block are the conjuncts of not phi."""
@@ -221,21 +227,21 @@ class _BDD:
         positive = kind is S.Exists
         if len(names) == 1:  # no order to choose: splitting costs more
             (var,) = names
-            out = self.qe(f, cap)
+            out = self.qe(f)
             level = self.level.get(S.LVar(var))
             if level is None:  # y does not occur
                 return out
             if positive:
                 return _exists(self, level, out)
-            return _not(self, _exists(self, level, _not(self, out, cap)), cap)
+            return _not(self, _exists(self, level, _not(self, out)))
         parts = []
         for g, pos in _parts(f, positive):
-            d = self.qe(g, cap)
-            parts.append(d if pos else _not(self, d, cap))
+            d = self.qe(g)
+            parts.append(d if pos else _not(self, d))
         levels = [self.level.get(S.LVar(name)) for name in names]
         levels = [level for level in levels if level is not None]
-        out = _bucket(self, levels, parts, cap)
-        return out if positive else _not(self, out, cap)
+        out = _bucket(self, levels, parts)
+        return out if positive else _not(self, out)
 
 
 def _parts(f: S.Formula, positive: bool) -> list:
@@ -269,17 +275,17 @@ def _support(bdd: _BDD, dnf: tuple) -> int:
     return out
 
 
-def _conjoin(bdd: _BDD, dnfs: list, cap: int) -> tuple:
+def _conjoin(bdd: _BDD, dnfs: list) -> tuple:
     """The product of the DNFs, TRUE for none."""
     if not dnfs:
         return _TRUE
     out = dnfs[0]
     for d in dnfs[1:]:
-        out = _product(bdd, out, d, cap)
+        out = _product(bdd, out, d)
     return out
 
 
-def _bucket(bdd: _BDD, levels: list, dnfs: list, cap: int) -> tuple:
+def _bucket(bdd: _BDD, levels: list, dnfs: list) -> tuple:
     """Exists over the bases at levels of the product of the DNFs, by
     bucket elimination (Dechter, 1999): each base is abstracted from the
     product of the parts that test it only (early quantification, Burch,
@@ -303,9 +309,9 @@ def _bucket(bdd: _BDD, levels: list, dnfs: list, cap: int) -> tuple:
         mine = [d for d, s in parts if s >> level & 1]
         if mine:  # else the variable is vacuous
             parts = [(d, s) for d, s in parts if not s >> level & 1]
-            d = _exists(bdd, level, _conjoin(bdd, mine, cap))
+            d = _exists(bdd, level, _conjoin(bdd, mine))
             parts.append((d, _support(bdd, d)))
-    return _conjoin(bdd, [d for d, _ in parts], cap)
+    return _conjoin(bdd, [d for d, _ in parts])
 
 
 # A DNF is a tuple of conjunctions (E, Ns) of nodes, each read "E is bot
@@ -341,27 +347,28 @@ def _dnf(conjs) -> tuple:
     return _TRUE if (0, ()) in conjs else conjs
 
 
-def _product(bdd: _BDD, left, right, cap: int) -> tuple:
-    """The conjunctions of every pair."""
+def _product(bdd: _BDD, left, right) -> tuple:
+    """The conjunctions of every pair; past QE_MAX_CONJUNCTIONS of them
+    it raises ResourceLimit."""
     out: dict = {}
     for e, ns in left:
         for f, ms in right:
             out[_conj(bdd, bdd.ite(e, 1, f), ns + ms)] = None
-        if len(out) > cap:
+        if len(out) > QE_MAX_CONJUNCTIONS:
             raise ResourceLimit(
-                f"ba_qe: minterm DNF cap {cap} reached at {len(out)} "
+                f"ba_qe: minterm DNF cap {QE_MAX_CONJUNCTIONS} reached at {len(out)} "
                 f"conjunctions over {len(bdd.bases)} bases"
             )
     return _dnf(out)
 
 
-def _not(bdd: _BDD, a: tuple, cap: int) -> tuple:
+def _not(bdd: _BDD, a: tuple) -> tuple:
     """The conjunction of the negated conjunctions: not (E, Ns) is
     'E is not bot' or 'some N is bot'."""
     out = _TRUE
     for e, ns in a:
         lits = [_conj(bdd, 0, (e,)), *(_conj(bdd, n, ()) for n in ns)]
-        out = _product(bdd, out, [c for c in lits if c], cap)
+        out = _product(bdd, out, [c for c in lits if c])
     return out
 
 
@@ -398,22 +405,14 @@ def _render(bdd: _BDD, dnf: tuple) -> S.Formula:
     ], S.FALSE)
 
 
-def _qe(phi: S.Formula, cap: int):
-    """A BDD store over the bases of phi, and the DNF of phi with its
-    lattice quantifiers eliminated. Bound names need not be fresh: the
-    DNF of a quantifier tests no node at its variable's level, so that
-    level can stand for another variable of the name outside the scope."""
-    bdd = _BDD()
-    return bdd, bdd.qe(phi, cap)
-
-
-def ba_qe(phi: S.Formula, cap: int = 20000) -> S.Formula:
+def ba_qe(phi: S.Formula) -> S.Formula:
     """Quantifier-free equivalent of phi over nontrivial atomless
     Boolean algebras; valuation applications are opaque constants."""
-    return simplify(_render(*_qe(phi, cap)))
+    bdd = _BDD()
+    return simplify(_render(bdd, bdd.qe(phi)))
 
 
-def ba_decide(sigma: S.Formula, cap: int = 20000) -> bool:
+def ba_decide(sigma: S.Formula) -> bool:
     """Truth of a lattice sentence in the theory of nontrivial atomless
     Boolean algebras, read from the eliminated DNF: any DNF but TRUE and
     FALSE has a node that tests a base, which here is a P term."""
@@ -421,7 +420,8 @@ def ba_decide(sigma: S.Formula, cap: int = 20000) -> bool:
         raise NotSentence(
             f"free variables: {sorted(S.free_vars(sigma))}"
         )
-    bdd, dnf = _qe(sigma, cap)
+    bdd = _BDD()
+    dnf = bdd.qe(sigma)
     if dnf not in (_TRUE, _FALSE):
         out = S.print_formula(simplify(_render(bdd, dnf)))
         raise NotSentence(f"not a ground formula: {out}")

@@ -8,10 +8,11 @@ search), selftest (acceptance corpus and property suites).
 Exit codes: 0 true/pass, 1 false, 2 parse or sort error (also an open
 formula where a sentence is needed, an eval free variable that --env
 does not assign, an --env assignment that does not fit -n, a -n below
-1, a --limits value that is not an integer, or
---args operands of the wrong shape or outside the op's domain), 3
-unsupported fragment, 4 resource limit, 5 internal error (any other
-exception, RecursionError included, with one line on stderr).
+1, a --limits key that is not a limit or a value that is not an
+integer, a --file that cannot be read as text, or --args operands of
+the wrong shape or outside the op's domain), 3 unsupported fragment,
+4 resource limit, 5 internal error (any other exception,
+RecursionError included, with one line on stderr).
 
 Output is deterministic: the same command and seed give the same bytes.
 Wall-clock times appear only with --timings: stats.elapsed_ms in the
@@ -42,7 +43,7 @@ from .errors import (
     UnboundVariable,
     UnsupportedFragment,
 )
-from .oracle import Assignment, count_atoms, decide_finite
+from .oracle import DEFAULT_LIMITS, Assignment, count_atoms, decide_finite
 from .parser import parse
 from .reduction import reduce
 from .selfcheck import periodic_witness_search, run_all
@@ -117,8 +118,12 @@ def _parse_limits(text: str) -> dict:
         part = part.strip()
         if part:
             k, _, v = part.partition("=")
+            k = k.strip()
+            if k not in DEFAULT_LIMITS:
+                keys = ", ".join(DEFAULT_LIMITS)
+                raise BadArgument(f"--limits: unknown key {k!r}; the keys are {keys}")
             try:
-                out[k.strip()] = int(v)
+                out[k] = int(v)
             except ValueError:
                 raise BadArgument(f"--limits: {part!r} is not key=integer") from None
     return out
@@ -126,8 +131,13 @@ def _parse_limits(text: str) -> dict:
 
 def _read_formula(args) -> str:
     if args.file:
-        with open(args.file) as fh:
-            return fh.read().strip()
+        try:
+            with open(args.file) as fh:
+                return fh.read().strip()
+        except OSError as e:  # missing, a directory, unreadable
+            raise BadArgument(f"--file {args.file}: {e.strerror}") from None
+        except UnicodeDecodeError as e:
+            raise BadArgument(f"--file {args.file}: not {e.encoding} text") from None
     if args.formula:
         return args.formula
     raise FormulaSyntaxError("no formula given (positional or --file)")

@@ -7,13 +7,10 @@ mentioning the quantified variable x becomes a fresh lattice variable
 y and one bound (y, b, c > 0) with b = -rest/c: on region y, x >= b if
 c > 0 and x <= b if c < 0, with the strict opposite bound on compl(y).
 eliminate_group_var turns the bounds into pairwise compatibility
-conditions free of x. The body, already simplified, and the simplified
-conditions are then joined by folding their top And only: renaming the
-Val atoms of x injectively to fresh y enables no fold below it. The
-result is a lattice formula chi together with group terms t_i bound
-through p_i = P(t_i). The fresh names _y0, _y1, ... and p1, p2, ...
-skip the free variables of the input; its bound ones are renamed to
-_q0, _q1, ... first.
+conditions free of x. The result is a lattice formula chi together
+with group terms t_i bound through p_i = P(t_i). The fresh names _y0,
+_y1, ... and p1, p2, ... skip the free variables of the input; its
+bound ones are renamed to _q0, _q1, ... first.
 
 Neither mode eliminates a lattice quantifier. tplus mode refuses one
 that a group variable crosses; ec mode keeps it in chi, and ba_decide
@@ -21,10 +18,18 @@ removes all of them in its one QE pass. That is sound because in an
 existentially closed model P is onto an atomless Boolean algebra and
 each Val term is an opaque base, so lattice QE commutes with renaming
 Val terms to fresh lattice variables.
+
+The reducer simplifies its input once. From there on every formula it
+holds or returns is simplify output: it folds (rewrites.fold) each
+node it builds, and a walk returns each node through rewrites.refold,
+so a node whose children did not change comes back as it is. Renaming
+Val atoms injectively to fresh lattice variables keeps a formula
+simplify output, since simplify never looks inside a Val atom.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,14 +39,15 @@ from .boolalg import ba_decide, ba_qe
 from .errors import NotPrimitive, NotSentence, UnsupportedFragment
 from .linear import Lin
 from .rewrites import (
+    fold,
     fresh_names,
     group_atoms_to_lattice,
     gterm_to_lin,
     one_point,
     push_valuation_formula,
+    refold,
     rename_bound,
     simplify,
-    simplify_and,
     val_of_lin,
 )
 
@@ -101,10 +107,7 @@ def eliminate_group_var(bounds) -> S.Formula:
             if lower_j or not lower_i:
                 target = S.LMeet(target, S.Compl(val_of_lin(-diff)))
             conds.append(S.LBelow(S.LMeet(r, rp), target))
-    out = S.TRUE
-    for c in conds:
-        out = c if isinstance(out, S.TrueF) else S.And(out, c)
-    return simplify(out)
+    return simplify(functools.reduce(S.And, conds, S.TRUE))
 
 
 def _collect_val_atoms(n, out: dict) -> dict:
@@ -156,9 +159,6 @@ class _Reducer:
         self.fresh = fresh_names("_y", taken)
         self.eliminations = 0
 
-    def fresh_lvar(self) -> str:
-        return next(self.fresh)
-
     def run(self, phi: S.Formula) -> S.Formula:
         if isinstance(phi, (S.Exists, S.Forall)) and phi.sort == S.G:
             kind, names = type(phi), []
@@ -167,27 +167,24 @@ class _Reducer:
                 phi = phi.body
             # forall x is ~exists x ~
             negate = kind is S.Forall
-            body = simplify(S.Not(self.run(phi))) if negate else self.run(phi)
+            body = fold(S.Not(self.run(phi))) if negate else self.run(phi)
             for var in reversed(names):
                 self.eliminations += 1
                 body = self.eliminate_exists(var, body)
-            return simplify(S.Not(body)) if negate else body
+            return fold(S.Not(body)) if negate else body
         if isinstance(phi, S.ATOMS):
             return phi
-        return S.rebuild(phi, tuple(map(self.run, S.children(phi))))
+        return refold(phi, tuple(map(self.run, S.children(phi))))
 
     def eliminate_exists(self, var: str, body: S.Formula) -> S.Formula:
-        """Eliminate 'exists var:G.' from a body with no group quantifiers.
-        The result is not simplified: the next elimination simplifies it on
-        entry, run around a universal block, and reduce after one_point."""
-        body = simplify(body)
+        """Eliminate 'exists var:G.' from a body with no group quantifiers."""
         # peel the top-of-scope existential lattice block, which commutes
-        # with var; simplify leaves no double negation on top
+        # with var; simplify output has no double negation on top
         block = []
         while True:
             if isinstance(body, S.Not) and isinstance(body.arg, S.Forall):
                 q = body.arg
-                body = simplify(S.Exists(q.var, S.L, S.Not(q.body)))
+                body = fold(S.Exists(q.var, S.L, fold(S.Not(q.body))))
             elif isinstance(body, S.Exists) and body.sort == S.L:
                 block.append(body.var)
                 body = body.body
@@ -204,22 +201,19 @@ class _Reducer:
             for vt in val_terms:
                 lin = gterm_to_lin(vt.arg)
                 c = lin.get(var)
-                y = mapping[vt] = S.LVar(self.fresh_lvar())
+                y = mapping[vt] = S.LVar(next(self.fresh))
                 # lin >= 0 iff var >= b (c > 0) or var <= b (c < 0), with
                 # b = -rest/c
                 rest = Lin(tuple(item for item in lin.coeffs if item[0] != var))
                 b = rest.scale(Fraction(-1, c))
                 bounds.append((y, b, c > 0))
             side = eliminate_group_var(bounds)
-            # Only the top And can fold: body was simplified on entry, side
-            # is simplify output, and renaming Val atoms injectively to
-            # fresh _y enables no fold (simplify never looks inside Val).
-            body = simplify_and(_subst_terms(body, mapping), side)
+            body = fold(S.And(_subst_terms(body, mapping), side))
             for vt in reversed(val_terms):
-                body = S.Exists(mapping[vt].name, S.L, body)
+                body = fold(S.Exists(mapping[vt].name, S.L, body))
             body = one_point(body)
         for y in reversed(block):
-            body = S.Exists(y, S.L, body)
+            body = fold(S.Exists(y, S.L, body))
         return body
 
 
@@ -245,8 +239,7 @@ def reduce(phi: S.Formula, mode: str = "tplus") -> ReductionOutput:
     phi = push_valuation_formula(phi)
     phi = simplify(phi)
     reducer = _Reducer(mode, free)
-    chi = simplify(one_point(reducer.run(phi)))
-    # renaming Val atoms injectively to fresh p_i enables no simplify fold
+    chi = one_point(reducer.run(phi))
     chi, terms, names = _extract_terms(chi, free)
     return ReductionOutput(
         chi=chi,

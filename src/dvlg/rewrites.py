@@ -5,16 +5,15 @@ pipeline: distributing group operations to join-of-meets of linear
 forms, pushing the valuation symbol down to primitive linear
 arguments, and trading group atoms for lattice atoms.
 
-simplify folds constants bottom-up and leaves its own output unchanged.
-simplify_and is its fold of one And of two such outputs; the reducer
-uses it after renaming Val atoms to fresh lattice variables, because
-simplify never looks inside a Val atom, so an injective renaming of
-them enables no fold below the top.
+simplify applies fold, the constant folding of one node, bottom-up, and
+leaves its own output unchanged. A pass that keeps its formulas
+simplified folds only the nodes it builds.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 
 from . import syntax as S
 from .errors import SortError
@@ -218,51 +217,53 @@ def one_point(phi: S.Formula) -> S.Formula:
 
     'exists x (... and x = t and ...)' with x not in t becomes the body
     with t substituted for x; requires the binders to be non-shadowing
-    (run rename_bound first if unsure).
+    (run rename_bound first if unsure). Each node comes back as refold
+    returns it, so simplify output stays simplify output.
     """
     if isinstance(phi, S.ATOMS):
         return phi
-    if not isinstance(phi, S.Exists):
-        return S.rebuild(phi, tuple(map(one_point, S.children(phi))))
-    body = one_point(phi.body)
-    var = S.GVar(phi.var) if phi.sort == S.G else S.LVar(phi.var)
-    eq_cls = S.GEq if phi.sort == S.G else S.LEq
-    for c in _conjuncts(body):
-        if isinstance(c, eq_cls):
-            for mine, other in ((c.left, c.right), (c.right, c.left)):
-                if mine == var and phi.var not in S.term_vars(other):
-                    return simplify(_subst_var(body, var, other))
-    return S.Exists(phi.var, phi.sort, body)
+    new = tuple(map(one_point, S.children(phi)))
+    if isinstance(phi, S.Exists):
+        (body,) = new
+        var = S.GVar(phi.var) if phi.sort == S.G else S.LVar(phi.var)
+        eq_cls = S.GEq if phi.sort == S.G else S.LEq
+        for c in _conjuncts(body):
+            if isinstance(c, eq_cls):
+                for mine, other in ((c.left, c.right), (c.right, c.left)):
+                    if mine == var and phi.var not in S.term_vars(other):
+                        return simplify(_subst_var(body, var, other))
+    return refold(phi, new)
 
 
 # --- simplification ---
 
+# a binary operation -> (its absorbing element, its unit), as node classes
+_ABSORBING_UNIT = {
+    S.And: (S.FalseF, S.TrueF),
+    S.Or: (S.TrueF, S.FalseF),
+    S.LMeet: (S.Bot, S.Top),
+    S.LJoin: (S.Top, S.Bot),
+}
+
+
+def _absorb(cls, a, b):
+    """What cls(a, b) folds to: an operand that is the absorbing element,
+    the other operand of one that is the unit, or a if a == b; None when
+    no rule applies."""
+    zero, unit = _ABSORBING_UNIT[cls]
+    ta, tb = type(a), type(b)
+    if ta is zero or tb is unit or a == b:
+        return a
+    if tb is zero or ta is unit:
+        return b
+    return None
+
+
 def simplify_lterm(t: S.Term) -> S.Term:
     cls = type(t)
-    if cls is S.LMeet:
+    if cls is S.LMeet or cls is S.LJoin:
         a, b = simplify_lterm(t.left), simplify_lterm(t.right)
-        ta, tb = type(a), type(b)
-        if ta is S.Bot or tb is S.Bot:
-            return S.Bot()
-        if ta is S.Top:
-            return b
-        if tb is S.Top:
-            return a
-        if a == b:
-            return a
-        return S.LMeet(a, b)
-    if cls is S.LJoin:
-        a, b = simplify_lterm(t.left), simplify_lterm(t.right)
-        ta, tb = type(a), type(b)
-        if ta is S.Top or tb is S.Top:
-            return S.Top()
-        if ta is S.Bot:
-            return b
-        if tb is S.Bot:
-            return a
-        if a == b:
-            return a
-        return S.LJoin(a, b)
+        return _absorb(cls, a, b) or cls(a, b)
     if cls is S.Compl:
         a = simplify_lterm(t.arg)
         ta = type(a)
@@ -276,76 +277,65 @@ def simplify_lterm(t: S.Term) -> S.Term:
     return t
 
 
-def simplify_and(a: S.Formula, b: S.Formula) -> S.Formula:
-    """simplify(And(a, b)) for a and b that simplify leaves unchanged:
-    the fold of the top And only."""
-    ta, tb = type(a), type(b)
-    if ta is S.FalseF or tb is S.FalseF:
-        return S.FALSE
-    if ta is S.TrueF:
-        return b
-    if tb is S.TrueF:
-        return a
-    if a == b:
-        return a
-    return S.And(a, b)
-
-
-def simplify(phi: S.Formula) -> S.Formula:
-    """Constant folding over connectives, quantifiers, and easy atoms."""
+def fold(phi: S.Formula) -> S.Formula:
+    """Constant folding of the node phi, whose children are simplify
+    output; the result is simplify output too."""
     cls = type(phi)
-    if cls is S.And:
-        return simplify_and(simplify(phi.left), simplify(phi.right))
+    if cls is S.And or cls is S.Or:
+        return _absorb(cls, phi.left, phi.right) or phi
     if cls is S.LBelow or cls is S.LEq:
         a, b = simplify_lterm(phi.left), simplify_lterm(phi.right)
         if a == b:
             return S.TRUE
         ta, tb = type(a), type(b)
-        if cls is S.LBelow:
-            if ta is S.Bot or tb is S.Top:
-                return S.TRUE
+        if cls is S.LBelow and (ta is S.Bot or tb is S.Top):
+            return S.TRUE
         if (ta is S.Top and tb is S.Bot) or (ta is S.Bot and tb is S.Top):
             # nontrivial lattice: top and bot differ
             return S.FALSE
         return cls(a, b)
     if cls is S.Not:
-        a = simplify(phi.arg)
-        ta = type(a)
+        ta = type(phi.arg)
         if ta is S.TrueF:
             return S.FALSE
         if ta is S.FalseF:
             return S.TRUE
-        if ta is S.Not:
-            return a.arg
-        return S.Not(a)
-    if cls is S.Or:
-        a, b = simplify(phi.left), simplify(phi.right)
-        ta, tb = type(a), type(b)
-        if ta is S.TrueF or tb is S.TrueF:
-            return S.TRUE
-        if ta is S.FalseF:
-            return b
-        if tb is S.FalseF:
-            return a
-        if a == b:
-            return a
-        return S.Or(a, b)
+        return phi.arg.arg if ta is S.Not else phi
     if cls is S.Implies:
-        a, b = simplify(phi.left), simplify(phi.right)
+        a, b = phi.left, phi.right
         ta, tb = type(a), type(b)
         if ta is S.FalseF or tb is S.TrueF:
             return S.TRUE
         if ta is S.TrueF:
             return b
         if tb is S.FalseF:
-            return simplify(S.Not(a))
-        return S.Implies(a, b)
+            return fold(S.Not(a))
+        return phi
     if cls is S.Exists or cls is S.Forall:
-        body = simplify(phi.body)
+        body = phi.body
         tb = type(body)
-        if tb is S.TrueF or tb is S.FalseF:
-            return body  # both sorts are inhabited
-        if not S.occurs_free(phi.var, body):
+        # both sorts are inhabited
+        if tb is S.TrueF or tb is S.FalseF or not S.occurs_free(phi.var, body):
             return body
-        return cls(phi.var, phi.sort, body)
     return phi
+
+
+def simplify(phi: S.Formula) -> S.Formula:
+    """Constant folding over connectives, quantifiers, and easy atoms:
+    fold applied bottom-up."""
+    cls = type(phi)
+    if cls is S.And or cls is S.Or or cls is S.Implies:
+        return fold(cls(simplify(phi.left), simplify(phi.right)))
+    if cls is S.Not:
+        return fold(S.Not(simplify(phi.arg)))
+    if cls is S.Exists or cls is S.Forall:
+        return fold(cls(phi.var, phi.sort, simplify(phi.body)))
+    return fold(phi)
+
+
+def refold(phi: S.Formula, new: tuple) -> S.Formula:
+    """phi if new are its children, else phi rebuilt on new and folded:
+    a pass that keeps simplify output returns each node so."""
+    if all(map(operator.is_, new, S.children(phi))):
+        return phi
+    return fold(S.rebuild(phi, new))

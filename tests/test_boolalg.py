@@ -75,18 +75,20 @@ class TestBaQe:
         with pytest.raises(NotLatticeSorted):
             ba_qe(parse("exists a:G. a <= 0"))
 
-    def test_cap_names_phase_and_size(self):
+    def test_cap_names_phase_and_size(self, monkeypatch):
         # three two-way disjunctions over six bases: 8 distinct conjunctions
         phi = parse(
             "(a = bot | b = bot) & (c = bot | d = bot) & (e = bot | f = bot)",
             dict.fromkeys("abcdef", S.L),
         )
-        ba_qe(phi, cap=8)  # exactly at the cap: no error
+        monkeypatch.setattr(boolalg, "QE_MAX_CONJUNCTIONS", 8)
+        ba_qe(phi)  # exactly at the cap: no error
+        monkeypatch.setattr(boolalg, "QE_MAX_CONJUNCTIONS", 4)
         with pytest.raises(ResourceLimit, match=(
             r"^ba_qe: minterm DNF cap 4 reached at \d+ conjunctions "
             r"over 6 bases$"
         )):
-            ba_qe(phi, cap=4)
+            ba_qe(phi)
 
 
 def _store(width):
@@ -415,6 +417,7 @@ class TestDeepFamilies:
         pytest.param(_cyclic(16), id="cyclic-16"),
         pytest.param(_cyclic(32), id="cyclic-32"),
         pytest.param(_chain(64), id="chain-64"),
+        pytest.param(_chain(128), id="chain-128"),
     ])
     def test_decided_at_the_frontier(self, text):
         assert sys.getrecursionlimit() == 1000

@@ -142,6 +142,25 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "binary"])
+    def test_unreadable_file(self, capsys, tmp_path, kind):
+        path = tmp_path / "formula"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "binary":
+            path.write_bytes(b"\x7fELF\x80\xff\x00")
+        code, out, err = run(capsys, "decide", "--file", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: --file {path}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("key", ["foo", "maxdnf"])
+    def test_unknown_limits_key(self, capsys, key):
+        # a typo must not leave the cap at its default unnoticed
+        code, out, err = run(capsys, "eval", "-n", "2", "--limits", f"{key}=10", "true")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: --limits: unknown key '{key}'")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("text", ["a <= 0 | true", "true | a <= 0"])
     def test_eval_unassigned_variable(self, capsys, text):
         code, out, err = run(capsys, "eval", "-n", "2", text)

@@ -7,8 +7,10 @@ import pytest
 
 from dvlg import syntax as S
 from dvlg.corpus import gen_tplus_corpus, named_rng
+from dvlg.errors import UnsupportedFragment
 from dvlg.oracle import Assignment, decide_finite, eval_qf
 from dvlg.parser import parse
+from dvlg.reduction import reduce
 from dvlg.rewrites import (
     gterm_to_lin,
     group_atoms_to_lattice,
@@ -120,9 +122,9 @@ def _rename_vals(n, mapping):
 
 
 class TestSimplifyFixedPoint:
-    # After renaming the Val atoms of a simplified body to fresh lattice
-    # variables, the reducer folds only the top And. That rests on these
-    # two facts.
+    # The reducer keeps its formulas simplify output and folds only the
+    # nodes it builds. That rests on the first two facts; the last two
+    # check that one_point and reduce keep the invariant.
     def test_idempotent(self, closures):
         changed = 0
         for phi in closures:
@@ -145,6 +147,25 @@ class TestSimplifyFixedPoint:
             assert left == right, S.print_formula(phi)
             renamed += bool(mapping)
         assert renamed > 0
+
+    def test_one_point_keeps_simplify_output(self, closures):
+        # one_point folds each node it rebuilds, so a vacuous quantifier
+        # above a substitution goes too
+        for phi in closures:
+            out = one_point(simplify(rename_bound(phi)))
+            assert simplify(out) == out, S.print_formula(phi)
+
+    @pytest.mark.parametrize("mode", ["tplus", "ec"])
+    def test_reduct_is_simplify_output(self, closures, mode):
+        reduced = 0
+        for phi in closures:
+            try:
+                chi = reduce(phi, mode).chi
+            except UnsupportedFragment:  # tplus: a lattice quantifier crossed
+                continue
+            assert simplify(chi) == chi, S.print_formula(phi)
+            reduced += 1
+        assert reduced > len(closures) // 2
 
 
 class TestOnePoint:
