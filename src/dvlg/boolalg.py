@@ -549,22 +549,18 @@ def _interval_candidates(env) -> list[IntervalAlgebraElem]:
     return out
 
 
-def _reject_group_sort(n) -> None:
-    """Raise NotLatticeSorted at a group atom or group quantifier below n;
-    the terms of lattice atoms, Val arguments too, are not read."""
-    if isinstance(n, (S.GLeq, S.GEq)):
-        raise NotLatticeSorted(
-            f"group atom in lattice-sort formula: {S.print_formula(n)}"
-        )
-    if isinstance(n, (S.Exists, S.Forall)):
-        if n.sort != S.L:
+def _reject_group_sort(f: S.Formula) -> None:
+    """Raise NotLatticeSorted at the first group atom or group quantifier
+    in f."""
+    for n in S.nodes(f):
+        if isinstance(n, (S.GLeq, S.GEq)):
+            raise NotLatticeSorted(
+                f"group atom in lattice-sort formula: {S.print_formula(n)}"
+            )
+        if isinstance(n, (S.Exists, S.Forall)) and n.sort != S.L:
             raise NotLatticeSorted(
                 f"group quantifier in lattice-sort formula: {n.var}"
             )
-        _reject_group_sort(n.body)
-    elif not isinstance(n, (S.LBelow, S.LEq)):
-        for child in S.children(n):
-            _reject_group_sort(child)
 
 
 def interval_check(sigma: S.Formula, depth: int) -> bool:

@@ -9,10 +9,12 @@ Exit codes: 0 true/pass, 1 false, 2 parse or sort error (also an open
 formula where a sentence is needed, an eval free variable that --env
 does not assign, an --env assignment that does not fit -n, a -n below
 1, a --limits key that is not a limit or a value that is not an
-integer, a --file that cannot be read as text, or --args operands of
-the wrong shape or outside the op's domain), 3 unsupported fragment,
-4 resource limit, 5 internal error (any other exception,
-RecursionError included, with one line on stderr).
+integer, a --file that cannot be read as text, --args operands of the
+wrong shape or outside the op's domain, a --max-period below 0, and in
+--env or --args a zero denominator, a JSON boolean where a number is
+expected, or a string where a list is), 3 unsupported fragment, 4
+resource limit, 5 internal error (any other exception, RecursionError
+included, with one line on stderr).
 
 Output is deterministic: the same command and seed give the same bytes.
 Wall-clock times appear only with --timings: stats.elapsed_ms in the
@@ -273,6 +275,10 @@ def _cmd_model(args) -> int:
     op = args.op
     trace = [f"op: {op}"]
     if op == "witness":
+        if args.max_period < 0:
+            raise BadArgument(
+                f"--max-period: the exponent is at least 0, not {args.max_period}"
+            )
         source = _read_formula(args)
         phi = parse(source)
         witness = periodic_witness_search(phi, args.max_period)

@@ -80,22 +80,8 @@ class Assignment:
                 )
 
 
-def _count_quantifiers(phi: S.Formula) -> int:
-    if isinstance(phi, S.ATOMS):
-        return 0
-    count = int(isinstance(phi, (S.Exists, S.Forall)))
-    for child in S.children(phi):
-        count += _count_quantifiers(child)
-    return count
-
-
 def count_atoms(phi: S.Formula) -> int:
-    if isinstance(phi, S.ATOMS):
-        return 1
-    count = 0
-    for child in S.children(phi):
-        count += count_atoms(child)
-    return count
+    return sum(isinstance(n, S.ATOMS) for n in S.nodes(phi))
 
 
 def eval_qf(struct: FinStdStructure, env: Assignment, phi: S.Formula) -> bool:
@@ -469,7 +455,8 @@ def prepare(phi: S.Formula) -> Prepared:
     work decide_finite does on its formula before any structure."""
     free = tuple(sorted(S.free_vars(phi).items()))
     phi = one_point(rename_bound(phi, prefix="_d"))
-    return Prepared(phi, _count_quantifiers(phi), count_atoms(phi), free)
+    quantifiers = sum(isinstance(n, (S.Exists, S.Forall)) for n in S.nodes(phi))
+    return Prepared(phi, quantifiers, count_atoms(phi), free)
 
 
 def decide_finite(

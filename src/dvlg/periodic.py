@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadLength, EmptyInput, NegativeInput, PreconditionViolated
-from .rationals import format_rat, rat
+from .rationals import format_rat, json_int, rat
 
 
 def _is_doubled(vals) -> bool:
@@ -55,7 +55,10 @@ class PeriodicFn:
 
     @classmethod
     def from_json(cls, data) -> "PeriodicFn":
-        return normalize(data["k"], [rat(v) for v in data["vals"]])
+        vals = data["vals"]
+        if not isinstance(vals, list):
+            raise TypeError(f"vals is a list of rationals, not {vals!r}")
+        return normalize(json_int(data["k"], "k"), [rat(v) for v in vals])
 
 
 @dataclass(frozen=True)
@@ -73,9 +76,6 @@ class PeriodicSet:
             half = width // 2
             if self.mask >> half == self.mask & ((1 << half) - 1):
                 raise BadLength("not in minimal-period form; use normalize_set()")
-
-    def contains(self, i: int) -> bool:
-        return bool(self.mask >> (i % (1 << self.k)) & 1)
 
     def is_empty(self) -> bool:
         return self.mask == 0
@@ -95,10 +95,10 @@ class PeriodicSet:
 
     @classmethod
     def from_json(cls, data) -> "PeriodicSet":
-        mask = 0
+        k, mask = json_int(data["k"], "k"), 0
         for i in data["mask"]:
-            mask |= 1 << i
-        return normalize_set(data["k"], mask)
+            mask |= 1 << json_int(i, "index")
+        return normalize_set(k, mask)
 
 
 @dataclass(frozen=True)

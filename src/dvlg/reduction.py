@@ -48,6 +48,7 @@ from .rewrites import (
     refold,
     rename_bound,
     simplify,
+    substitute,
     val_of_lin,
 )
 
@@ -110,45 +111,30 @@ def eliminate_group_var(bounds) -> S.Formula:
     return simplify(functools.reduce(S.And, conds, S.TRUE))
 
 
-def _collect_val_atoms(n, out: dict) -> dict:
-    """Distinct Val terms below n, by first occurrence, as keys of out."""
-    cls = type(n)
-    if cls is S.Val:
-        out[n] = None
-        return out
-    if cls is S.GLeq or cls is S.GEq:
-        raise NotPrimitive(
-            f"group atom survived normalization: {S.print_formula(n)}"
-        )
-    for child in S.children(n):
-        _collect_val_atoms(child, out)
-    return out
-
-
-def _subst_terms(f: S.Formula, mapping: dict[S.Term, S.Term]) -> S.Formula:
-    """f with each Val term that is a key of mapping replaced."""
-
-    def go(n):
-        if type(n) is S.Val and n in mapping:
-            return mapping[n]
-        return S.rebuild(n, tuple(map(go, S.children(n))))
-
-    return go(f)
+def _collect_val_atoms(f: S.Formula) -> list:
+    """Distinct Val terms in f, by first occurrence."""
+    out = {}
+    for n in S.nodes(f):
+        cls = type(n)
+        if cls is S.Val:
+            out[n] = None
+        elif cls is S.GLeq or cls is S.GEq:
+            raise NotPrimitive(
+                f"group atom survived normalization: {S.print_formula(n)}"
+            )
+    return list(out)
 
 
 def _reject_crossing(var: str, f: S.Formula) -> None:
     """tplus mode: raise UnsupportedFragment if a lattice quantifier in f
     has var free. ec mode keeps it in chi for ba_decide's one QE pass:
     lattice QE commutes with renaming the opaque Val bases below it."""
-    if isinstance(f, (S.Exists, S.Forall)):
-        if S.occurs_free(var, f):
+    for n in S.nodes(f):
+        if isinstance(n, (S.Exists, S.Forall)) and S.occurs_free(var, n):
             raise UnsupportedFragment(
                 f"group variable {var} crosses the lattice quantifier "
-                f"over {f.var} in: {S.print_formula(f)}"
+                f"over {n.var} in: {S.print_formula(n)}"
             )
-    elif not isinstance(f, S.ATOMS):
-        for child in S.children(f):
-            _reject_crossing(var, child)
 
 
 class _Reducer:
@@ -192,7 +178,7 @@ class _Reducer:
                 break
         # after group_atoms_to_lattice, var occurs in Val atoms only
         val_terms = [
-            v for v in _collect_val_atoms(body, {}) if var in S.term_vars(v.arg)
+            v for v in _collect_val_atoms(body) if S.occurs_free(var, v.arg)
         ]
         if val_terms:
             if self.mode == "tplus":
@@ -208,7 +194,7 @@ class _Reducer:
                 b = rest.scale(Fraction(-1, c))
                 bounds.append((y, b, c > 0))
             side = eliminate_group_var(bounds)
-            body = fold(S.And(_subst_terms(body, mapping), side))
+            body = fold(S.And(substitute(body, mapping), side))
             for vt in reversed(val_terms):
                 body = fold(S.Exists(mapping[vt].name, S.L, body))
             body = one_point(body)
@@ -220,11 +206,11 @@ class _Reducer:
 def _extract_terms(phi: S.Formula, taken):
     """Replace Val atoms over free group variables by fresh p_i, named
     apart from taken: phi, the terms and the names."""
-    vals = list(_collect_val_atoms(phi, {}))
+    vals = _collect_val_atoms(phi)
     names = fresh_names("p", taken, start=1)
     mapping = {v: S.LVar(next(names)) for v in vals}
     return (
-        _subst_terms(phi, mapping),
+        substitute(phi, mapping),
         tuple(v.arg for v in vals),
         tuple(p.name for p in mapping.values()),
     )

@@ -8,6 +8,9 @@ arguments, and trading group atoms for lattice atoms.
 simplify applies fold, the constant folding of one node, bottom-up, and
 leaves its own output unchanged. A pass that keeps its formulas
 simplified folds only the nodes it builds.
+
+substitute is the one substitution: it replaces the nodes that are keys
+of a mapping, and returns each subtree that holds no key as it is.
 """
 
 from __future__ import annotations
@@ -144,7 +147,7 @@ def push_valuation_formula(phi: S.Formula) -> S.Formula:
 
     def go(f: S.Formula) -> S.Formula:
         if isinstance(f, (S.LBelow, S.LEq)):
-            return S.map_children(f, push_valuation)
+            return S.rebuild(f, tuple(map(push_valuation, S.children(f))))
         if isinstance(f, S.ATOMS):
             return f
         return S.rebuild(f, tuple(map(go, S.children(f))))
@@ -191,18 +194,31 @@ def rename_bound(phi: S.Formula, prefix: str = "_q") -> S.Formula:
     return go(phi, {})
 
 
-# --- one-point rule ---
+# --- substitution ---
 
-def _subst_var(phi: S.Formula, var: S.Term, repl: S.Term) -> S.Formula:
-    """phi with every occurrence of the variable var replaced by repl."""
+def substitute(phi, mapping: dict):
+    """phi with each node that is a key of mapping replaced by its value;
+    the keys are all of one class, and binders are not looked at. A
+    subtree that holds no key comes back as the same object."""
+    if not mapping:
+        return phi
+    # a frozen dataclass hashes its whole subtree on every call, so only
+    # a node of the keys' class is looked up
+    key_cls = type(next(iter(mapping)))
 
     def go(n):
-        if n == var:
-            return repl
-        return S.rebuild(n, tuple(map(go, S.children(n))))
+        if type(n) is key_cls and n in mapping:
+            return mapping[n]
+        old = S.children(n)
+        new = tuple(map(go, old))
+        if all(map(operator.is_, new, old)):
+            return n
+        return S.rebuild(n, new)
 
     return go(phi)
 
+
+# --- one-point rule ---
 
 def _conjuncts(f: S.Formula):
     if isinstance(f, S.And):
@@ -230,8 +246,8 @@ def one_point(phi: S.Formula) -> S.Formula:
         for c in _conjuncts(body):
             if isinstance(c, eq_cls):
                 for mine, other in ((c.left, c.right), (c.right, c.left)):
-                    if mine == var and phi.var not in S.term_vars(other):
-                        return simplify(_subst_var(body, var, other))
+                    if mine == var and not S.occurs_free(phi.var, other):
+                        return simplify(substitute(body, {var: other}))
     return refold(phi, new)
 
 

@@ -43,24 +43,21 @@ WITNESS_GRID = (
 WITNESS_MAX_CANDIDATES = 10_000
 
 
+def _existential_g_prefix(phi: S.Formula):
+    """The variables of phi's existential group prefix, and the matrix
+    after it; the matrix is None if it has a quantifier."""
+    names = []
+    while isinstance(phi, S.Exists) and phi.sort == S.G:
+        names.append(phi.var)
+        phi = phi.body
+    quantified = any(isinstance(n, (S.Exists, S.Forall)) for n in S.nodes(phi))
+    return names, None if quantified else phi
+
+
 def is_purely_existential_g(phi: S.Formula) -> bool:
     """Existential prefix over G followed by a quantifier-free matrix."""
-    saw = False
-    while isinstance(phi, S.Exists) and phi.sort == S.G:
-        saw = True
-        phi = phi.body
-    return saw and not _has_quantifier(phi)
-
-
-def _has_quantifier(phi: S.Formula) -> bool:
-    if isinstance(phi, (S.Exists, S.Forall)):
-        return True
-    if isinstance(phi, S.ATOMS):
-        return False
-    for child in S.children(phi):
-        if _has_quantifier(child):
-            return True
-    return False
+    names, matrix = _existential_g_prefix(phi)
+    return bool(names) and matrix is not None
 
 
 def periodic_witness_search(phi: S.Formula, max_period_exp: int = 6, grid=WITNESS_GRID):
@@ -79,12 +76,8 @@ def periodic_witness_search(phi: S.Formula, max_period_exp: int = 6, grid=WITNES
         raise NotSentence(
             f"witness search needs a sentence; free variables: {sorted(free)}"
         )
-    names = []
-    while isinstance(phi, S.Exists) and phi.sort == S.G:
-        names.append(phi.var)
-        phi = phi.body
-    matrix = phi
-    if _has_quantifier(matrix):
+    names, matrix = _existential_g_prefix(phi)
+    if matrix is None:
         raise UnsupportedFragment(
             "witness search needs an existential group prefix over a "
             "quantifier-free matrix"

@@ -18,7 +18,7 @@ from .errors import (
     SplitPreconditionViolated,
     WidthMismatch,
 )
-from .rationals import format_rat, rat
+from .rationals import format_rat, json_int, rat
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,8 @@ class GroupVector:
 
     @classmethod
     def from_json(cls, data) -> "GroupVector":
+        if not isinstance(data, list):
+            raise TypeError(f"a vector is a list of rationals, not {data!r}")
         return cls(tuple(rat(v) for v in data))
 
 
@@ -66,7 +68,7 @@ class SubsetL:
     def from_indices(cls, indices, width: int) -> "SubsetL":
         bits = 0
         for i in indices:
-            if not 0 <= i < width:
+            if not 0 <= json_int(i, "index") < width:
                 raise WidthMismatch(f"index {i} outside ground set of size {width}")
             bits |= 1 << i
         return cls(bits, width)

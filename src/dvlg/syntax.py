@@ -1,8 +1,8 @@
 """Two-sorted terms and formulas for the valued l-group language.
 
 Sorts are G (group) and L (lattice). All nodes are immutable; rewriting
-passes build fresh trees. children, rebuild and map_children are the one
-generic walk over both sorts of node.
+passes build fresh trees. nodes, which reads, and rebuild, which
+rewrites, are the one generic walk over both sorts of node.
 
 eval_term and holds are the one Tarskian evaluator of terms and
 quantifier-free formulas. A model gives them zero(), bot, top, val(a)
@@ -245,11 +245,15 @@ def rebuild(node: Term | Formula, new_children: tuple) -> Term | Formula:
     return type(node)(*args)
 
 
-def map_children(node: Term | Formula, fn) -> Term | Formula:
-    """The node rebuilt with fn applied to each child in field order;
-    its other fields are kept. Recursing through map_children costs two
-    frames per tree level; recursive passes use rebuild."""
-    return rebuild(node, tuple(map(fn, children(node))))
+def nodes(node: Term | Formula):
+    """node and every node below it, in pre-order: a node before its
+    children, and children in field order. The walk keeps its own
+    stack, so it adds no recursion depth."""
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        yield n
+        stack.extend(reversed(_FIELDS[type(n)][1](n)))
 
 
 def term_sort(t: Term, context: dict[str, str] | None = None) -> str:
@@ -322,15 +326,6 @@ def sort_check(phi: Formula, context: dict[str, str] | None = None) -> None:
             raise SortError(f"unknown formula node {f!r}")
 
     check(phi, context)
-
-
-def term_vars(t: Term) -> set[str]:
-    if isinstance(t, (GVar, LVar)):
-        return {t.name}
-    out: set[str] = set()
-    for child in children(t):
-        out |= term_vars(child)
-    return out
 
 
 def occurs_free(name: str, node: Term | Formula) -> bool:

@@ -43,7 +43,7 @@ class TestBaQe:
     def test_strict_subelement(self):
         phi = parse("exists y:L. y << l & ~(y = bot) & ~(y = l)", {"l": S.L})
         out = ba_qe(phi)
-        assert not _has_quantifier(out)
+        assert not any(isinstance(n, (S.Exists, S.Forall)) for n in S.nodes(out))
         assert set(free_vars(out)) <= {"l"}
         expected = parse("~(l = bot)", {"l": S.L})
         assert _equivalent(out, expected)
@@ -62,7 +62,7 @@ class TestBaQe:
             {"l": S.L},
         )
         out = ba_qe(phi)
-        assert not _has_quantifier(out)
+        assert not any(isinstance(n, (S.Exists, S.Forall)) for n in S.nodes(out))
         assert set(free_vars(out)) <= {"l"}
 
     def test_shadowed_names(self):
@@ -482,14 +482,3 @@ def _depth(node):
         deepest = max(deepest, d)
         todo.extend((c, d + 1) for c in S.children(n))
     return deepest
-
-
-def _has_quantifier(phi):
-    if isinstance(phi, (S.Exists, S.Forall)):
-        return True
-    kids = []
-    if isinstance(phi, S.Not):
-        kids = [phi.arg]
-    elif isinstance(phi, (S.And, S.Or, S.Implies)):
-        kids = [phi.left, phi.right]
-    return any(_has_quantifier(k) for k in kids)

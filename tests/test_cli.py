@@ -119,6 +119,11 @@ class TestExitCodes:
         {"lattice": {"l": [-1]}},
         {"lattice": ["l"]},
         [],
+        {"group": {"f": ["1/0", "1"]}},
+        {"group": {"f": [True, "1"]}},
+        {"lattice": {"l": [True]}},
+        {"group": {"f": "12"}},
+        {"lattice": {"l": "1"}},
     ])
     def test_eval_env_malformed(self, capsys, env):
         code, out, err = run(
@@ -136,6 +141,13 @@ class TestExitCodes:
         ("model", "--op", "split", "--args", '[{"k": 0, "mask": []}]'),
         ("model", "--op", "archimedean", "--args",
          '[{"k": 0, "vals": ["0"]}, {"k": 0, "vals": ["1"]}]'),
+        ("model", "--op", "neg", "--args", '[{"k": 0, "vals": ["1/0"]}]'),
+        ("model", "--op", "neg", "--args", '[{"k": 0, "vals": [true]}]'),
+        ("model", "--op", "neg", "--args", '[{"k": 1, "vals": "12"}]'),
+        ("model", "--op", "split", "--args", '[{"k": 1, "mask": [true]}]'),
+        ("model", "--op", "neg", "--args", '[{"k": true, "vals": ["1", "2"]}]'),
+        ("model", "--op", "split", "--args", '[{"k": true, "mask": [0]}]'),
+        ("model", "--op", "witness", "--max-period", "-1", "exists a:G. a = a"),
     ])
     def test_malformed_arguments(self, capsys, argv):
         code, out, err = run(capsys, *argv)

@@ -20,6 +20,7 @@ from dvlg.rewrites import (
     push_valuation_formula,
     rename_bound,
     simplify,
+    substitute,
 )
 from dvlg.standard import FinStdStructure, GroupVector, SubsetL
 
@@ -166,6 +167,43 @@ class TestSimplifyFixedPoint:
             assert simplify(chi) == chi, S.print_formula(phi)
             reduced += 1
         assert reduced > len(closures) // 2
+
+
+def _subst_all(n, mapping):
+    """Reference substitution: every node is rebuilt."""
+    if n in mapping:
+        return mapping[n]
+    return S.rebuild(n, tuple(_subst_all(c, mapping) for c in S.children(n)))
+
+
+def _mappings(phi):
+    """Two substitutions for phi, one per class of key: every other
+    distinct Val term to a fresh LVar, and every other group variable
+    to its negation."""
+    vals = list(dict.fromkeys(n for n in S.nodes(phi) if isinstance(n, S.Val)))
+    gvars = list(dict.fromkeys(n for n in S.nodes(phi) if isinstance(n, S.GVar)))
+    return (
+        {v: S.LVar(f"_r{i}") for i, v in enumerate(vals[::2])},
+        {x: S.Neg(x) for x in gvars[::2]},
+    )
+
+
+class TestSubstitute:
+    def test_equals_rebuilding_everything(self, closures):
+        hits = 0
+        for phi in closures:
+            for mapping in _mappings(phi):
+                assert substitute(phi, mapping) == _subst_all(phi, mapping)
+                hits += bool(mapping)
+        assert hits > len(closures)
+
+    def test_subtree_without_key_is_same_object(self, closures):
+        for phi in closures:
+            assert substitute(phi, {}) is phi
+            for mapping in _mappings(phi):
+                for n in S.nodes(phi):
+                    has_key = any(m in mapping for m in S.nodes(n))
+                    assert (substitute(n, mapping) is n) == (not has_key)
 
 
 class TestOnePoint:

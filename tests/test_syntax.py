@@ -1,6 +1,7 @@
 """Parser and printer: round trips, sort checking, error positions;
 the generic tree walk."""
 
+import operator
 from dataclasses import fields
 
 import pytest
@@ -12,7 +13,7 @@ from dvlg.parser import parse
 from dvlg.syntax import (
     children,
     free_vars,
-    map_children,
+    nodes,
     print_formula,
     rebuild,
     sort_check,
@@ -140,43 +141,44 @@ def _corpus_formulas():
     return out
 
 
-def _subnodes(node):
-    todo = [node]
-    while todo:
-        n = todo.pop()
-        yield n
-        todo.extend(children(n))
-
-
 def _copy(node):
     """A fresh tree equal to node: new leaves, so every node is rebuilt."""
     if not children(node):
         return type(node)(*(getattr(node, f.name) for f in fields(node)))
-    return map_children(node, _copy)
+    return rebuild(node, tuple(map(_copy, children(node))))
+
+
+def _preorder(node, out):
+    """Recursive reference for nodes: node, then each child's subtree."""
+    out.append(node)
+    for child in children(node):
+        _preorder(child, out)
+    return out
 
 
 class TestWalker:
     def test_children_are_node_fields_in_order(self):
         for phi in _corpus_formulas():
-            for n in _subnodes(phi):
+            for n in nodes(phi):
                 values = [getattr(n, f.name) for f in fields(n)]
-                nodes = [v for v in values if isinstance(v, (S.Term, S.Formula))]
-                assert children(n) == tuple(nodes)
+                kids = [v for v in values if isinstance(v, (S.Term, S.Formula))]
+                assert children(n) == tuple(kids)
 
     def test_identity_map_is_identity(self):
         for phi in _corpus_formulas():
-            for n in _subnodes(phi):
-                assert map_children(n, lambda c: c) == n
+            for n in nodes(phi):
+                assert rebuild(n, children(n)) == n
             again = _copy(phi)
             assert again == phi and again is not phi
             assert print_formula(again) == print_formula(phi)
 
     def test_keeps_other_fields(self):
-        node = map_children(parse("exists x:G. 3*x <= 0"), lambda c: S.TRUE)
+        node = rebuild(parse("exists x:G. 3*x <= 0"), (S.TRUE,))
         assert node == S.Exists("x", S.G, S.TRUE)
-        scaled = map_children(S.IntScale(3, S.GVar("x")), lambda c: S.Zero())
+        scaled = rebuild(S.IntScale(3, S.GVar("x")), (S.Zero(),))
         assert scaled == S.IntScale(3, S.Zero())
-        assert map_children(S.GVar("x"), lambda c: S.Zero()) == S.GVar("x")
+        leaf = S.GVar("x")
+        assert rebuild(leaf, ()) is leaf
 
     def test_rebuild(self):
         phi = parse("exists x:G. 3*x <= a", CTX)
@@ -186,7 +188,20 @@ class TestWalker:
         atom = rebuild(phi.body, (S.Zero(), S.GVar("b")))
         assert atom == S.GLeq(S.Zero(), S.GVar("b"))
 
-    def test_applies_fn_left_before_right(self):
-        seen = []
-        map_children(parse("a <= b", CTX), lambda c: seen.append(c) or c)
-        assert seen == [S.GVar("a"), S.GVar("b")]
+    def test_nodes_left_before_right(self):
+        phi = parse("a <= b", CTX)
+        assert list(nodes(phi)) == [phi, S.GVar("a"), S.GVar("b")]
+
+    def test_nodes_is_recursive_preorder(self):
+        for phi in _corpus_formulas():
+            expected = _preorder(phi, [])
+            got = list(nodes(phi))
+            assert len(got) == len(expected)
+            assert all(map(operator.is_, got, expected))
+
+    def test_nodes_walks_deep_tree(self):
+        # deeper than the recursion limit: nodes keeps its own stack
+        phi = S.TRUE
+        for _ in range(10_000):
+            phi = S.Not(phi)
+        assert sum(1 for _ in nodes(phi)) == 10_001
