@@ -33,6 +33,7 @@ from . import periodic as P
 from .boolalg import ba_decide
 from .errors import (
     BadArgument,
+    BadLength,
     DepthExceeded,
     DvlgError,
     EmptyInput,
@@ -293,8 +294,9 @@ def _cmd_model(args) -> int:
         operands = _model_operands(op, operands)
         try:
             verdict = _MODEL_OPS[op][1](*operands)
-        except (EmptyInput, PreconditionViolated) as e:
-            # split needs a nonempty set, archimedean positive operands
+        except (BadLength, EmptyInput, PreconditionViolated) as e:
+            # split needs a nonempty set below the largest period,
+            # archimedean positive operands
             raise BadArgument(f"--args: {e}") from None
     stats = _stats(args, start, 0, atoms)
     return _report(args, "model", source, verdict, stats, trace, exit_code)

@@ -1,10 +1,16 @@
 """Brute-force decision over finite standard structures.
 
-Lattice quantifiers expand over all subsets of the ground set; each
-group-quantified variable becomes one rational unknown per ground
-point, and membership atoms compile pointwise to linear constraints
-decided by Fourier-Motzkin elimination. Sound and complete at small
-sizes, and completely independent of the reduction engine.
+Each quantified variable becomes one unknown per ground point, and
+membership atoms compile pointwise to constraints on them. A group
+variable's unknowns v@x are rational and are removed by Fourier-Motzkin
+elimination. A lattice variable's unknowns are bits, the constraints
+v@x > 0 (set) or v@x <= 0 (clear); its quantifier compiles its body
+once and then removes the bits one point at a time by Shannon
+expansion (cofactoring), touching only the conjuncts that mention the
+bit. So no lattice bit goes through a DNF or FM for its own quantifier;
+the stores and FM steps of a group quantifier below carry it unchanged.
+Free lattice variables stay concrete. Sound and complete at small sizes,
+and completely independent of the reduction engine.
 
 Constraints are in the primitive integer normal form of linear.py. A
 conjunction is a store from constraint key to the signs still allowed,
@@ -261,15 +267,15 @@ _MISS = object()
 
 class _Compiler:
     """Compiles formulas over one structure and one assignment of the free
-    group variables. Its memos are keyed on structure (terms and Boolean
+    variables. Its memos are keyed on structure (terms and Boolean
     formulas compare by value), so they hold for the compiler's lifetime,
     one decide_finite call, and go with it."""
 
-    def __init__(self, struct: FinStdStructure, genv, limits):
+    def __init__(self, struct: FinStdStructure, env: Assignment, limits):
         self.n = struct.ground_size
-        self.genv = genv  # concrete values for free group variables
+        self.genv = env.group_env  # concrete values for free group variables
+        self.lenv = env.lattice_env  # concrete bits of free lattice variables
         self.cap = limits["max_dnf"]
-        self.struct = struct
         self.linear = {}  # G-term -> join of meets of Lin
         self.nonneg = {}  # (G-term, point) -> Boolean constraint formula
         self.eliminated = {}  # (variable, Boolean formula) -> formula
@@ -301,69 +307,73 @@ class _Compiler:
             )
         return f
 
-    def member_at(self, t: S.Term, x: int, lenv):
+    def member_at(self, t: S.Term, x: int):
+        """Boolean constraint formula for x in t. A bound lattice
+        variable v is the unknown bit v@x, true when v@x > 0."""
         cls = type(t)
         if cls is S.LVar:
-            return bool(lenv[t.name].bits >> x & 1)
+            s = self.lenv.get(t.name)
+            if s is None:
+                return LinConstraint.from_key(_bit_key(t.name, x), POS)
+            return bool(s.bits >> x & 1)
         if cls is S.Val:
             return self.nonneg_at(t.arg, x)
         if cls is S.LMeet:
-            a = self.member_at(t.left, x, lenv)
-            return False if a is False else b_and([a, self.member_at(t.right, x, lenv)])
+            a = self.member_at(t.left, x)
+            return False if a is False else b_and([a, self.member_at(t.right, x)])
         if cls is S.LJoin:
-            a = self.member_at(t.left, x, lenv)
-            return True if a is True else b_or([a, self.member_at(t.right, x, lenv)])
+            a = self.member_at(t.left, x)
+            return True if a is True else b_or([a, self.member_at(t.right, x)])
         if cls is S.Compl:
-            return b_not(self.member_at(t.arg, x, lenv))
+            return b_not(self.member_at(t.arg, x))
         if cls is S.Bot or cls is S.Top:
             return cls is S.Top
         raise PreconditionViolated(f"not an L-term: {t!r}")
 
-    def compile(self, f: S.Formula, lenv):
-        """Boolean constraint formula for f under lenv, with group
-        quantifiers eliminated. Parts without unknowns fold to True or
-        False, and each connective, lattice quantifier and pointwise
-        atom stops at the first part that settles it."""
+    def compile(self, f: S.Formula):
+        """Boolean constraint formula for f, with its quantifiers
+        eliminated. Parts without unknowns fold to True or False, and
+        each connective and pointwise atom stops at the first part that
+        settles it. A lattice quantifier's body is compiled once, with
+        the variable's bits v@0 .. v@(n-1) as unknowns, and the bits are
+        then removed one by one by Shannon expansion (_expand_bit)."""
         cls = type(f)
         if cls is S.And:
-            a = self.compile(f.left, lenv)
-            return False if a is False else b_and([a, self.compile(f.right, lenv)])
+            a = self.compile(f.left)
+            return False if a is False else b_and([a, self.compile(f.right)])
         if cls is S.Or:
-            a = self.compile(f.left, lenv)
-            return True if a is True else b_or([a, self.compile(f.right, lenv)])
+            a = self.compile(f.left)
+            return True if a is True else b_or([a, self.compile(f.right)])
         if cls is S.Not:
-            return b_not(self.compile(f.arg, lenv))
+            return b_not(self.compile(f.arg))
         if cls is S.Implies:
-            a = b_not(self.compile(f.left, lenv))
-            return True if a is True else b_or([a, self.compile(f.right, lenv)])
+            a = b_not(self.compile(f.left))
+            return True if a is True else b_or([a, self.compile(f.right)])
         if cls is S.Exists or cls is S.Forall:
             if f.sort == S.L:
-                parts = (
-                    self.compile(f.body, {**lenv, f.var: s})
-                    for s in self.struct.all_subsets()
-                )
-                return b_or(parts) if cls is S.Exists else b_and(parts)
+                out = self.compile(f.body)
+                for x in range(self.n):
+                    out = _expand_bit(out, _bit_key(f.var, x), cls is S.Exists)
+                return out
             if cls is S.Exists:
-                return self.eliminate_exists(f.var, self.compile(f.body, lenv))
-            return b_not(
-                self.eliminate_exists(f.var, b_not(self.compile(f.body, lenv)))
-            )
+                return self.eliminate_exists(f.var, self.compile(f.body))
+            return b_not(self.eliminate_exists(f.var, b_not(self.compile(f.body))))
         points = range(self.n)
         if cls is S.GLeq:
             diff = S.Add(f.right, S.Neg(f.left))
             return b_and(self.nonneg_at(diff, x) for x in points)
         if cls is S.GEq:
             return b_and(
-                self.compile(S.GLeq(a, b), lenv)
+                self.compile(S.GLeq(a, b))
                 for a, b in ((f.left, f.right), (f.right, f.left))
             )
         if cls is S.LBelow:
             # member_at skips the right side at a point outside the left
             below = S.LJoin(S.Compl(f.left), f.right)
-            return b_and(self.member_at(below, x, lenv) for x in points)
+            return b_and(self.member_at(below, x) for x in points)
         if cls is S.LEq:
             return b_and(
-                _iff(self.member_at(f.left, x, lenv), self.member_at(f.right, x, lenv))
+                _iff(self.member_at(f.left, x), self.member_at(f.right, x))
                 for x in points
             )
         if cls is S.TrueF or cls is S.FalseF:
@@ -381,7 +391,7 @@ class _Compiler:
         if out is _MISS:
             names = {f"{var}@{x}": x for x in range(self.n)}
             rest, blocks = [], []  # blocks: [points, conjuncts]
-            for part in _conjuncts(bform):
+            for part in _flatten(bform, "and"):
                 points = _points(part, names, set())
                 if not points:
                     rest.append(part)
@@ -406,19 +416,85 @@ class _Compiler:
         return out
 
 
+def _bit_key(var: str, x: int) -> tuple:
+    """The constraint key of the bit var@x; its mask is POS when the bit
+    is set and NEG | ZERO when it is clear."""
+    return ((f"{var}@{x}", 1),)
+
+
+def _expand_bit(f, key: tuple, exists: bool):
+    """f with the bit of constraint key `key` quantified away, by Shannon
+    expansion: ∃b.F = F[b:=1] ∨ F[b:=0] and ∀b.F = F[b:=1] ∧ F[b:=0].
+    Only the part of F that mentions b is expanded: ∃ goes into each
+    disjunct and past the conjuncts without b, ∀ into each conjunct and
+    past the disjuncts without b. So each bit at most doubles the part
+    that mentions it."""
+    into, past = ("or", "and") if exists else ("and", "or")
+    memos = {POS: {}, ZERO: {}}
+
+    def go(g):
+        parts = _flatten(g, into)
+        if len(parts) > 1:
+            return _join(into, [go(p) for p in parts])
+        keep, hit = [], []
+        for p in _flatten(g, past):
+            (keep if _cofactor(p, key, POS, memos[POS]) is p else hit).append(p)
+        if not hit:
+            return g
+        if len(hit) == 1 and keep:
+            return _join(past, keep + [go(hit[0])])
+        g = _join(past, hit)
+        both = [_cofactor(g, key, sign, memos[sign]) for sign in (POS, ZERO)]
+        return _join(past, keep + [_join(into, both)])
+
+    return go(f)
+
+
+def _cofactor(f, key: tuple, sign: int, memo: dict):
+    """f with each constraint on `key` replaced by its truth when the key
+    takes `sign`; f itself when it has none. memo is keyed on node
+    identity, so a subformula shared inside f is rebuilt once; it holds
+    each node it has seen, so no id is reused while it lives."""
+    if f is True or f is False:
+        return f
+    if isinstance(f, LinConstraint):
+        return bool(f.mask & sign) if f.key == key else f
+    hit = memo.get(id(f))
+    if hit is None:
+        tag, args = f
+        if tag == "not":
+            out = _cofactor(args, key, sign, memo)
+            out = f if out is args else b_not(out)
+        else:
+            parts = [_cofactor(p, key, sign, memo) for p in args]
+            if all(p is q for p, q in zip(parts, args)):
+                out = f
+            else:
+                out = _join(tag, parts)
+        hit = memo[id(f)] = (f, out)
+    return hit[1]
+
+
+def _join(tag: str, parts):
+    return b_and(parts) if tag == "and" else b_or(parts)
+
+
 def _iff(a, b):
     if a is True or a is False:
         return b if a else b_not(b)
     return b_and([b_or([b_not(a), b]), b_or([a, b_not(b)])])
 
 
-def _conjuncts(f) -> list:
-    """The conjuncts of f, with nested "and" and "not or" flattened."""
+def _flatten(f, tag: str) -> list:
+    """The parts of f under tag, its conjuncts for "and" and its
+    disjuncts for "or", with nested tag nodes and negated dual nodes
+    ("not or" for "and", "not and" for "or") flattened."""
     if isinstance(f, tuple):
-        if f[0] == "and":
-            return [c for p in f[1] for c in _conjuncts(p)]
-        if f[0] == "not" and isinstance(f[1], tuple) and f[1][0] == "or":
-            return [c for p in f[1][1] for c in _conjuncts(b_not(p))]
+        if f[0] == tag:
+            return [c for p in f[1] for c in _flatten(p, tag)]
+        dual = "or" if tag == "and" else "and"
+        if f[0] == "not" and isinstance(f[1], tuple) and f[1][0] == dual:
+            return [c for p in f[1][1] for c in _flatten(b_not(p), tag)]
     return [f]
 
 
@@ -497,5 +573,4 @@ def decide_prepared(
     if prepared.atoms > lim["max_atoms"]:
         raise ResourceLimit("atom count exceeds cap")
     # every free variable is assigned, so compile returns a bool
-    comp = _Compiler(struct, env.group_env, lim)
-    return comp.compile(prepared.phi, env.lattice_env)
+    return _Compiler(struct, env, lim).compile(prepared.phi)

@@ -17,6 +17,17 @@ from fractions import Fraction
 from .errors import BadLength, EmptyInput, NegativeInput, PreconditionViolated
 from .rationals import format_rat, json_int, rat
 
+# The largest period exponent of a periodic operand: a period of 2^20
+# points. Every exponent is checked against it before the first shift by
+# it, so a small input never asks for a 2^k-bit integer.
+MAX_PERIOD_EXP = 20
+
+
+def _check_exp(k: int) -> int:
+    if not 0 <= k <= MAX_PERIOD_EXP:
+        raise BadLength(f"period exponent {k} outside 0..{MAX_PERIOD_EXP}")
+    return k
+
 
 def _is_doubled(vals) -> bool:
     half = len(vals) // 2
@@ -32,7 +43,7 @@ class PeriodicFn:
 
     def __post_init__(self):
         object.__setattr__(self, "vals", tuple(rat(v) for v in self.vals))
-        if len(self.vals) != 1 << self.k:
+        if len(self.vals) != 1 << _check_exp(self.k):
             raise BadLength(f"expected 2^{self.k} values, got {len(self.vals)}")
         if self.k > 0 and _is_doubled(self.vals):
             raise BadLength("not in minimal-period form; use normalize()")
@@ -69,7 +80,7 @@ class PeriodicSet:
     mask: int
 
     def __post_init__(self):
-        width = 1 << self.k
+        width = 1 << _check_exp(self.k)
         if self.mask < 0 or self.mask >> width:
             raise BadLength(f"mask wider than 2^{self.k}")
         if self.k > 0:
@@ -95,9 +106,11 @@ class PeriodicSet:
 
     @classmethod
     def from_json(cls, data) -> "PeriodicSet":
-        k, mask = json_int(data["k"], "k"), 0
+        k, mask = _check_exp(json_int(data["k"], "k")), 0
         for i in data["mask"]:
-            mask |= 1 << json_int(i, "index")
+            if not 0 <= json_int(i, "index") < 1 << k:
+                raise BadLength(f"index {i} outside the period 2^{k}")
+            mask |= 1 << i
         return normalize_set(k, mask)
 
 
@@ -121,7 +134,7 @@ PERIODIC_TOP = PeriodicSet(0, 1)
 def normalize(k: int, vals) -> PeriodicFn:
     """Minimal-period representative of the same sequence."""
     vals = [rat(v) for v in vals]
-    if len(vals) != 1 << k:
+    if len(vals) != 1 << _check_exp(k):
         raise BadLength(f"expected 2^{k} values, got {len(vals)}")
     while k > 0 and _is_doubled(vals):
         vals = vals[: len(vals) // 2]
@@ -130,7 +143,7 @@ def normalize(k: int, vals) -> PeriodicFn:
 
 
 def normalize_set(k: int, mask: int) -> PeriodicSet:
-    width = 1 << k
+    width = 1 << _check_exp(k)
     if mask < 0 or mask >> width:
         raise BadLength(f"mask wider than 2^{k}")
     while k > 0:

@@ -147,6 +147,10 @@ class TestExitCodes:
         ("model", "--op", "split", "--args", '[{"k": 1, "mask": [true]}]'),
         ("model", "--op", "neg", "--args", '[{"k": true, "vals": ["1", "2"]}]'),
         ("model", "--op", "split", "--args", '[{"k": true, "mask": [0]}]'),
+        ("model", "--op", "split", "--args", '[{"k": 0, "mask": [100000000]}]'),
+        ("model", "--op", "split", "--args", '[{"k": 40, "mask": []}]'),
+        ("model", "--op", "split", "--args", '[{"k": 20, "mask": [0]}]'),
+        ("model", "--op", "neg", "--args", '[{"k": 1000000000000, "vals": ["1"]}]'),
         ("model", "--op", "witness", "--max-period", "-1", "exists a:G. a = a"),
     ])
     def test_malformed_arguments(self, capsys, argv):

@@ -6,7 +6,9 @@ from itertools import product
 import pytest
 
 from dvlg import syntax as S
-from dvlg.corpus import gen_tplus_corpus, load_known_answers, named_rng
+from dvlg.corpus import (
+    gen_lattice_corpus, gen_tplus_corpus, load_known_answers, named_rng,
+)
 from dvlg.errors import ResourceLimit, UnboundVariable
 from dvlg.linear import Lin, LinConstraint, fm_eliminate
 from dvlg.oracle import (
@@ -168,6 +170,89 @@ ALTERNATION_CHAIN_3 = (
     "forall l2:L. exists x2:G. l0 << P(x0) & l1 << P(x1) & l2 << P(x2) & "
     "P(x0) << l0 cup P(x1) & P(x1) << l1 cup P(x2)"
 )
+
+
+def _by_subsets(struct, phi, lenv):
+    """Truth of a prenex lattice sentence in struct: each lattice
+    quantifier expanded over all_subsets, the matrix evaluated by
+    eval_qf. It shares no code with decide_finite's compiler."""
+    if isinstance(phi, (S.Exists, S.Forall)) and phi.sort == S.L:
+        values = (
+            _by_subsets(struct, phi.body, {**lenv, phi.var: s})
+            for s in struct.all_subsets()
+        )
+        return any(values) if isinstance(phi, S.Exists) else all(values)
+    return eval_qf(struct, Assignment({}, lenv), phi)
+
+
+# the scaling families at k <= 2 (cyclic chain, alternation chain,
+# patching), each with its lattice quantifiers first; like quantifiers
+# commute, so patching's lattice block moves ahead of its group block
+OUTER_LATTICE_FAMILIES = [
+    "forall l0:L. exists x0:G. l0 << P(x0 - x0)",
+    "forall l0:L. forall l1:L. exists x0:G. exists x1:G. "
+    "l0 << P(x0 - x1) & l1 << P(x1 - x0)",
+    "forall l0:L. exists x0:G. l0 << P(x0)",
+    "forall l0:L. exists x0:G. forall l1:L. exists x1:G. "
+    "l0 << P(x0) & l1 << P(x1) & P(x0) << l0 cup P(x1)",
+    "forall c1:L. forall f1:G. exists h:G. c1 << P(h - f1) cap P(f1 - h)",
+    "forall c1:L. forall c2:L. forall f1:G. forall f2:G. "
+    "(c1 cap c2 << P(f1 - f2) cap P(f2 - f1)) -> (exists h:G. "
+    "c1 << P(h - f1) cap P(f1 - h) & c2 << P(h - f2) cap P(f2 - h))",
+]
+
+
+class TestLatticeBits:
+    """A bound lattice variable is one unknown bit per point, removed by
+    Shannon expansion; these check it against enumerating subsets."""
+
+    def test_agrees_with_subset_expansion(self):
+        for seed in (7, 8):
+            for text, phi in gen_lattice_corpus(seed, 200, 3):
+                for n in (1, 2, 3):
+                    struct = FinStdStructure(n)
+                    expected = _by_subsets(struct, phi, {})
+                    assert decide_finite(struct, phi) == expected, (text, n)
+
+    def test_outer_block_concrete_and_unknown_bits_agree(self):
+        # the outer variable as a concrete subset against the same
+        # variable as unknown bits
+        texts = list(OUTER_LATTICE_FAMILIES)
+        texts.append("exists x:L. ~(x = bot) & ~(x = top)")
+        texts += [
+            e["formula"] for e in load_known_answers()
+            if e["formula"].split(".")[0].endswith(":L")
+        ]
+        texts += [text for text, _phi in gen_lattice_corpus(7, 200, 3)[:40]]
+        for text, phi, _ctx in gen_tplus_corpus(1, 200)[:40]:
+            free = sorted(S.free_vars(phi).items(), key=lambda vs: vs[1] != S.L)
+            if free and free[0][1] == S.L:
+                for q in ("forall", "exists"):
+                    prefix = "".join(f"{q} {v}:{sort}. " for v, sort in free)
+                    texts.append(f"{prefix}({text})")
+        assert len(texts) >= 100
+        trues = 0
+        for text in texts:
+            phi = parse(text)
+            for n in (1, 2, 3):
+                struct = FinStdStructure(n)
+                values = (
+                    decide_finite(struct, phi.body, Assignment({}, {phi.var: s}))
+                    for s in struct.all_subsets()
+                )
+                expected = any(values) if isinstance(phi, S.Exists) else all(values)
+                got = decide_finite(struct, phi)
+                assert got == expected, (text, n)
+                trues += got
+        # both verdicts occur
+        assert 0 < trues < 3 * len(texts)
+
+    def test_no_group_quantifier_never_reaches_dnf(self):
+        # with a DNF cap of 0 any call of to_dnf raises ResourceLimit
+        for seed in (7, 8):
+            for text, phi in gen_lattice_corpus(seed, 200, 3):
+                for n in (1, 2, 3):
+                    decide_finite(FinStdStructure(n), phi, limits={"max_dnf": 0})
 
 
 class TestUnassignedVariables:

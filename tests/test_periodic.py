@@ -1,5 +1,6 @@
 """Periodic model: frozen values, stage maps, automorphism laws."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from dvlg.errors import BadLength, EmptyInput, NegativeInput, PreconditionViolated
 from dvlg.periodic import (
+    MAX_PERIOD_EXP,
     PERIODIC_BOT,
     PERIODIC_TOP,
     PeriodicFn,
@@ -68,6 +70,43 @@ class TestNormalize:
         g = pf(1, [1, 2])
         for i in range(32):
             assert f.at(i) == g.at(i)
+
+
+class TestPeriodBounds:
+    """Each exponent and index is checked before the first shift by it.
+    Without the checks, each large input here would build an integer of
+    at least 4 MB and each negative one would fail in the shift; with
+    them, decoding raises BadLength and allocates almost nothing."""
+
+    @pytest.mark.parametrize("decode, data", [
+        (PeriodicSet.from_json, {"k": 0, "mask": [10 ** 8]}),
+        (PeriodicSet.from_json, {"k": 2, "mask": [-1]}),
+        (PeriodicSet.from_json, {"k": 26, "mask": []}),
+        (PeriodicSet.from_json, {"k": -1, "mask": []}),
+        (PeriodicFn.from_json, {"k": 2 ** 25, "vals": ["1"]}),
+        (PeriodicFn.from_json, {"k": -1, "vals": ["1"]}),
+    ])
+    def test_rejected_before_allocating(self, decode, data):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BadLength):
+                decode(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_largest_period_accepted(self):
+        k = MAX_PERIOD_EXP
+        top_index = (1 << k) - 1
+        c = PeriodicSet.from_json({"k": k, "mask": [top_index]})
+        assert c.k == k and c.mask == 1 << top_index
+        with pytest.raises(BadLength):
+            normalize_set(k + 1, 0)
+        with pytest.raises(BadLength):
+            PeriodicSet(k + 1, 0)
+        with pytest.raises(BadLength):
+            split_nonempty(c)
 
 
 class TestOps:
