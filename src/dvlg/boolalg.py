@@ -416,10 +416,9 @@ def ba_decide(sigma: S.Formula) -> bool:
     """Truth of a lattice sentence in the theory of nontrivial atomless
     Boolean algebras, read from the eliminated DNF: any DNF but TRUE and
     FALSE has a node that tests a base, which here is a P term."""
-    if S.free_vars(sigma):
-        raise NotSentence(
-            f"free variables: {sorted(S.free_vars(sigma))}"
-        )
+    free = S.free_vars(sigma)
+    if free:
+        raise NotSentence(f"free variables: {sorted(free)}")
     bdd = _BDD()
     dnf = bdd.qe(sigma)
     if dnf not in (_TRUE, _FALSE):
@@ -567,8 +566,9 @@ def interval_check(sigma: S.Formula, depth: int) -> bool:
     """Bounded truth in the interval algebra; complete up to the depth."""
     if depth > 4:
         raise DepthExceeded("interval_check supports quantifier depth <= 4")
-    if S.free_vars(sigma):
-        raise NotSentence(f"free variables: {sorted(S.free_vars(sigma))}")
+    free = S.free_vars(sigma)
+    if free:
+        raise NotSentence(f"free variables: {sorted(free)}")
     _reject_group_sort(sigma)
     sigma = rename_bound(sigma, prefix="_i")
 

@@ -26,9 +26,8 @@ never take a DNF product across points.
 One compile walk decides a formula. Parts without unknowns fold to
 True or False as they are compiled, and unassigned free variables are
 rejected on entry, so the root compiles to a bool. One decide_finite
-call compiles each valuation atom once per point and eliminates each
-(variable, Boolean formula) pair once: the compiler memoizes both,
-keyed on structure, and is dropped when the call ends. prepare
+call compiles each valuation atom once per point: the compiler
+memoizes it, keyed on structure, and is dropped when the call ends. prepare
 normalizes a formula once for many decide_prepared calls. eval_qf is
 syntax.holds over the structure: it shares no code with the compiler,
 and the tests check decide_finite against it.
@@ -267,9 +266,9 @@ _MISS = object()
 
 class _Compiler:
     """Compiles formulas over one structure and one assignment of the free
-    variables. Its memos are keyed on structure (terms and Boolean
-    formulas compare by value), so they hold for the compiler's lifetime,
-    one decide_finite call, and go with it."""
+    variables. Its memos are keyed on structure (terms compare by
+    value), so they hold for the compiler's lifetime, one decide_finite
+    call, and go with it."""
 
     def __init__(self, struct: FinStdStructure, env: Assignment, limits):
         self.n = struct.ground_size
@@ -278,7 +277,6 @@ class _Compiler:
         self.cap = limits["max_dnf"]
         self.linear = {}  # G-term -> join of meets of Lin
         self.nonneg = {}  # (G-term, point) -> Boolean constraint formula
-        self.eliminated = {}  # (variable, Boolean formula) -> formula
 
     def point_constraint(self, lin: Lin, x: int) -> "LinConstraint | bool":
         """ lin(x) >= 0 with free group variables folded to constants."""
@@ -387,33 +385,28 @@ class _Compiler:
         With two or more blocks, each block is eliminated on its own,
         the conjuncts without var stay as they are, and no DNF product
         is taken across blocks. Otherwise bform goes through one DNF."""
-        out = self.eliminated.get((var, bform), _MISS)
-        if out is _MISS:
-            names = {f"{var}@{x}": x for x in range(self.n)}
-            rest, blocks = [], []  # blocks: [points, conjuncts]
-            for part in _flatten(bform, "and"):
-                points = _points(part, names, set())
-                if not points:
-                    rest.append(part)
-                    continue
-                joined = [b for b in blocks if b[0] & points]
-                blocks = [b for b in blocks if not b[0] & points]
-                for b in joined:
-                    points |= b[0]
-                blocks.append([points, [q for b in joined for q in b[1]] + [part]])
-            if len(blocks) > 1:
-                out = b_and(rest + [
-                    self.eliminate_exists(var, b_and(parts)) for _, parts in blocks
-                ])
-            else:
-                points = blocks[0][0] if blocks else ()
-                dnf = to_dnf(bform, self.cap)
-                for x in sorted(points):
-                    # no cap check: no step here adds a conjunction
-                    dnf = prune_dnf(fm_eliminate(f"{var}@{x}", dnf))
-                out = _dnf_to_bform(dnf)
-            self.eliminated[var, bform] = out
-        return out
+        names = {f"{var}@{x}": x for x in range(self.n)}
+        rest, blocks = [], []  # blocks: [points, conjuncts]
+        for part in _flatten(bform, "and"):
+            points = _points(part, names, set())
+            if not points:
+                rest.append(part)
+                continue
+            joined = [b for b in blocks if b[0] & points]
+            blocks = [b for b in blocks if not b[0] & points]
+            for b in joined:
+                points |= b[0]
+            blocks.append([points, [q for b in joined for q in b[1]] + [part]])
+        if len(blocks) > 1:
+            return b_and(rest + [
+                self.eliminate_exists(var, b_and(parts)) for _, parts in blocks
+            ])
+        points = blocks[0][0] if blocks else ()
+        dnf = to_dnf(bform, self.cap)
+        for x in sorted(points):
+            # no cap check: no step here adds a conjunction
+            dnf = prune_dnf(fm_eliminate(f"{var}@{x}", dnf))
+        return _dnf_to_bform(dnf)
 
 
 def _bit_key(var: str, x: int) -> tuple:

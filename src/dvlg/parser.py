@@ -173,16 +173,14 @@ class _Parser:
         lsort = self.term_sort_of(left)
         rsort = self.term_sort_of(right)
         sort = lsort or rsort
-        if op == "<=":
-            sort = sort or S.G
-            if sort != S.G:
-                raise SortError(f"<= relates G-sorted terms near position {pos}")
-            return S.GLeq(left, right)
-        if op == "<<":
-            sort = sort or S.L
-            if sort != S.L:
-                raise SortError(f"<< relates L-sorted terms near position {pos}")
-            return S.LBelow(left, right)
+        if op in ("<=", "<<"):
+            need = S.G if op == "<=" else S.L
+            if (sort or need) != need:
+                # a fault inside a side is named before the relation's
+                S.free_vars(left)
+                S.free_vars(right)
+                raise SortError(f"{op} relates {need}-sorted terms near position {pos}")
+            return S.GLeq(left, right) if need == S.G else S.LBelow(left, right)
         if sort is None:
             raise SortError(
                 f"cannot infer the sort of '{S.print_term(left)} {op} "
@@ -196,17 +194,17 @@ class _Parser:
         return S.And(S.LBelow(left, right), S.Not(S.LEq(left, right)))
 
     def term_sort_of(self, t: S.Term):
-        """Sort if determinable: structural, or from binders/context."""
-        if isinstance(t, S.GVar):
+        """The sort of t's class; for a G-variable, its sort from the
+        binders or the context, None if neither declares it."""
+        if type(t) is S.GVar:
             return self.var_sort(t.name)
-        ctx = dict(self.context)
-        ctx.update(dict(self.bound))
-        return S.term_sort(t, ctx)
+        return S.SORT[type(t)]
 
     # --- terms ---
     # A variable parses as an LVar when a binder in scope or the context
-    # gives it sort L, and as a GVar otherwise; sort_check rejects the
-    # tree if that disagrees with how the variable is used.
+    # gives it sort L, and as a GVar otherwise; the free_vars walk at the
+    # end of parse rejects the tree if that disagrees with how the
+    # variable is used.
 
     def term(self) -> S.Term:
         left = self.lat_level()
@@ -280,5 +278,5 @@ def parse(text: str, context: dict[str, str] | None = None) -> S.Formula:
     kind, val, pos = parser.peek()
     if kind != "eof":
         raise FormulaSyntaxError(f"trailing input at {val!r}", position=pos)
-    S.sort_check(phi, context)
+    S.free_vars(phi, context)
     return phi

@@ -219,7 +219,6 @@ def _extract_terms(phi: S.Formula, taken):
 def reduce(phi: S.Formula, mode: str = "tplus") -> ReductionOutput:
     """Lattice-sort reduction of an arbitrary well-sorted formula."""
     free = S.free_vars(phi)
-    S.sort_check(phi, free)
     phi = rename_bound(phi)
     phi = group_atoms_to_lattice(phi)
     phi = push_valuation_formula(phi)
@@ -249,7 +248,8 @@ def assemble_reduct(out: ReductionOutput) -> S.Formula:
 
 def decide_ec(sigma: S.Formula) -> bool:
     """Truth in every existentially closed densely valued l-group."""
-    if S.free_vars(sigma):
-        raise NotSentence(f"free variables: {sorted(S.free_vars(sigma))}")
+    free = S.free_vars(sigma)
+    if free:
+        raise NotSentence(f"free variables: {sorted(free)}")
     out = reduce(sigma, mode="ec")
     return ba_decide(out.chi)

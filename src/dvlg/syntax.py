@@ -1,8 +1,10 @@
 """Two-sorted terms and formulas for the valued l-group language.
 
-Sorts are G (group) and L (lattice). All nodes are immutable; rewriting
-passes build fresh trees. nodes, which reads, and rebuild, which
-rewrites, are the one generic walk over both sorts of node.
+Sorts are G (group) and L (lattice). A term's sort is fixed by its
+class (SORT). All nodes are immutable; rewriting passes build fresh
+trees. nodes, which reads, and rebuild, which rewrites, are the one
+generic walk over both sorts of node. free_vars is the one scoped walk:
+it collects the free variables and checks every sort on the way.
 
 eval_term and holds are the one Tarskian evaluator of terms and
 quantifier-free formulas. A model gives them zero(), bot, top, val(a)
@@ -193,6 +195,25 @@ FALSE = FalseF()
 
 ATOMS = (GLeq, GEq, LBelow, LEq)
 
+# term class -> its sort
+SORT = {
+    **dict.fromkeys((GVar, Zero, Add, Neg, GMeet, GJoin, IntScale), G),
+    **dict.fromkeys((LVar, Bot, Top, LMeet, LJoin, Compl, Val), L),
+}
+
+# term operator or atom -> (the sort of its operands, the message for an
+# operand of the other sort)
+_OPERANDS = {
+    **dict.fromkeys(
+        (Add, Neg, GMeet, GJoin, IntScale), (G, "G-operator over L-sorted operand")
+    ),
+    **dict.fromkeys((LMeet, LJoin), (L, "L-operator over G-sorted operand")),
+    Compl: (L, "compl over G-sorted operand"),
+    Val: (G, "P takes a G-sorted argument"),
+    **dict.fromkeys((GLeq, GEq), (G, "G-relation over L-sorted term")),
+    **dict.fromkeys((LBelow, LEq), (L, "L-relation over G-sorted term")),
+}
+
 
 def _child_getter(names: tuple[str, ...]):
     """A function from a node to the tuple of its fields named in names."""
@@ -256,78 +277,6 @@ def nodes(node: Term | Formula):
         stack.extend(reversed(_FIELDS[type(n)][1](n)))
 
 
-def term_sort(t: Term, context: dict[str, str] | None = None) -> str:
-    """Sort of a term, checking well-sortedness along the way."""
-    context = context or {}
-    if isinstance(t, GVar):
-        if context.get(t.name, G) != G:
-            raise SortError(f"variable {t.name} used at sort G but declared L")
-        return G
-    if isinstance(t, LVar):
-        if context.get(t.name, L) != L:
-            raise SortError(f"variable {t.name} used at sort L but declared G")
-        return L
-    if isinstance(t, Zero):
-        return G
-    if isinstance(t, (Bot, Top)):
-        return L
-    if isinstance(t, (Add, GMeet, GJoin)):
-        for side in (t.left, t.right):
-            if term_sort(side, context) != G:
-                raise SortError(f"G-operator over L-sorted operand: {print_term(side)}")
-        return G
-    if isinstance(t, (Neg, IntScale)):
-        if term_sort(t.arg, context) != G:
-            raise SortError(f"G-operator over L-sorted operand: {print_term(t.arg)}")
-        return G
-    if isinstance(t, (LMeet, LJoin)):
-        for side in (t.left, t.right):
-            if term_sort(side, context) != L:
-                raise SortError(f"L-operator over G-sorted operand: {print_term(side)}")
-        return L
-    if isinstance(t, Compl):
-        if term_sort(t.arg, context) != L:
-            raise SortError(f"compl over G-sorted operand: {print_term(t.arg)}")
-        return L
-    if isinstance(t, Val):
-        if term_sort(t.arg, context) != G:
-            raise SortError(f"P takes a G-sorted argument: {print_term(t.arg)}")
-        return L
-    raise SortError(f"unknown term node {t!r}")
-
-
-def sort_check(phi: Formula, context: dict[str, str] | None = None) -> None:
-    """Raise SortError unless every constructor respects the signatures."""
-    context = dict(context or {})
-
-    def check(f: Formula, ctx: dict[str, str]):
-        if isinstance(f, (GLeq, GEq)):
-            for side in (f.left, f.right):
-                if term_sort(side, ctx) != G:
-                    raise SortError(f"G-relation over L-sorted term: {print_term(side)}")
-        elif isinstance(f, (LBelow, LEq)):
-            for side in (f.left, f.right):
-                if term_sort(side, ctx) != L:
-                    raise SortError(f"L-relation over G-sorted term: {print_term(side)}")
-        elif isinstance(f, Not):
-            check(f.arg, ctx)
-        elif isinstance(f, (And, Or, Implies)):
-            check(f.left, ctx)
-            check(f.right, ctx)
-        elif isinstance(f, (Exists, Forall)):
-            if f.sort not in (G, L):
-                raise SortError(f"unknown sort {f.sort!r}")
-            inner = dict(ctx)
-            inner[f.var] = f.sort
-            check(f.body, inner)
-        elif isinstance(f, (TrueF, FalseF)):
-            pass
-        else:
-            raise SortError(f"unknown formula node {f!r}")
-
-    check(phi, context)
-
-
 def occurs_free(name: str, node: Term | Formula) -> bool:
     """Whether a variable called name occurs free in node. Stops at the
     first occurrence, and does not look below a binder of name."""
@@ -342,21 +291,64 @@ def occurs_free(name: str, node: Term | Formula) -> bool:
     return False
 
 
-def free_vars(phi: Formula) -> dict[str, str]:
-    """Free variables with their sorts (sorts inferred from use sites)."""
+def _formula(f):
+    """f, unless it is a term: a term cannot stand for a formula."""
+    if type(f) in SORT:
+        raise SortError(f"unknown formula node {f!r}")
+    return f
+
+
+def free_vars(
+    node: Term | Formula, context: dict[str, str] | None = None
+) -> dict[str, str]:
+    """The free variables of node with their sorts, in order of first
+    use. context declares the sorts of free variables; an undeclared
+    one takes the sort of its first use. Raises SortError on an operand
+    of the wrong sort, on a variable used at a sort other than its
+    binder's, its declaration's or its first use's, and on an unknown
+    sort or node. The walk keeps its own stack: a marker pushed below
+    each operand checks it after its subtree, as a recursive check
+    would, and one pushed below each binder's body leaves its scope."""
+    context = context or {}
     out: dict[str, str] = {}
-
-    def visit(n, bound: frozenset):
-        if isinstance(n, (GVar, LVar)):
-            if n.name not in bound:
-                out.setdefault(n.name, G if isinstance(n, GVar) else L)
-        elif isinstance(n, (Exists, Forall)):
-            visit(n.body, bound | {n.var})
-        else:
-            for child in children(n):
-                visit(child, bound)
-
-    visit(phi, frozenset())
+    scope: dict[str, str | None] = {}  # name -> sort of its innermost binder
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        cls = type(n)
+        if cls is tuple:
+            if len(n) == 3:  # (operand, sort it must have, message)
+                t, need, message = n
+                if SORT.get(type(t)) != need:
+                    if type(t) not in SORT:
+                        raise SortError(f"unknown term node {t!r}")
+                    raise SortError(f"{message}: {print_term(t)}")
+            else:  # (name, its sort outside the binder, or None)
+                scope[n[0]] = n[1]
+        elif cls in _OPERANDS:
+            need, message = _OPERANDS[cls]
+            for t in reversed(_FIELDS[cls][1](n)):
+                stack += ((t, need, message), t)
+        elif cls is GVar or cls is LVar:
+            sort = SORT[cls]
+            declared = scope.get(n.name)
+            if declared is None:
+                declared = out.setdefault(n.name, context.get(n.name, sort))
+            if declared != sort:
+                raise SortError(
+                    f"variable {n.name} used at sort {sort} but declared {declared}"
+                )
+        elif cls is Exists or cls is Forall:
+            if n.sort not in (G, L):
+                raise SortError(f"unknown sort {n.sort!r}")
+            stack += ((n.var, scope.get(n.var)), _formula(n.body))
+            scope[n.var] = n.sort
+        elif cls is Not:
+            stack.append(_formula(n.arg))
+        elif cls is And or cls is Or or cls is Implies:
+            stack += (_formula(n.right), _formula(n.left))
+        elif cls not in _FIELDS:
+            raise SortError(f"unknown node {n!r}")
     return out
 
 

@@ -423,6 +423,16 @@ class TestDeepFamilies:
         assert sys.getrecursionlimit() == 1000
         assert ba_decide(reduce(parse(text), "ec").chi) is True
 
+    # 2,016 premise conjuncts and 512 nested quantifiers: the sort check
+    # keeps its own stack
+    @pytest.mark.parametrize("text", [
+        pytest.param(_patching(64), id="patching-64"),
+        pytest.param(_chain(256), id="chain-256"),
+    ])
+    def test_parsed_past_the_recursion_limit(self, text):
+        assert sys.getrecursionlimit() == 1000
+        assert sum(1 for _ in S.nodes(parse(text))) > 1000
+
     def test_cli_decides_patching(self, capsys):
         assert main(["decide", PATCHING_3]) == 0
         assert capsys.readouterr().out == "true\n"

@@ -42,6 +42,12 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "unexpected character '$'" in err
 
+    def test_sort_error_inside_parentheses(self, capsys):
+        # the ill-sorted operand is named, not a missing ')'
+        code, out, err = run(capsys, "decide", "forall l:L. (l + a <= b)")
+        assert code == 2 and out == ""
+        assert err == "error: G-operator over L-sorted operand: l\n"
+
     def test_open_formula_rejected(self, capsys):
         code, _, err = run(capsys, "decide", "0 <= a")
         assert code == 2

@@ -16,8 +16,6 @@ from dvlg.syntax import (
     nodes,
     print_formula,
     rebuild,
-    sort_check,
-    term_sort,
 )
 
 CTX = {"a": S.G, "b": S.G, "l": S.L, "m": S.L}
@@ -74,15 +72,48 @@ class TestParseBasics:
 
 class TestSorts:
     def test_term_sorts(self):
-        assert term_sort(parse("exists x:G. x <= 0").body.left) == S.G
+        # every term class has a sort, and only term classes have one
+        assert set(S.SORT) == set(S.Term.__subclasses__())
+        assert S.SORT[type(parse("exists x:G. x <= 0").body.left)] == S.G
 
     def test_mixed_term_rejected(self):
         with pytest.raises(SortError):
             parse("a + l = 0", CTX)
 
+    @pytest.mark.parametrize("text, message", [
+        # an ill-sorted term inside parentheses keeps the formula reading
+        ("forall l:L. (l + a <= b)", "G-operator over L-sorted operand: l"),
+        ("forall l:L. (compl(a + l) = top) | a <= 0", "G-operator over L-sorted operand: l"),
+        ("forall x:L. (x + 0 <= 0) | (x = bot)", "G-operator over L-sorted operand: x"),
+        ("(forall l:L. l + l = l) | a <= 0", "G-operator over L-sorted operand: l"),
+        # the first offender of a recursive check, operand after subtree
+        ("forall l:L. -l = l", "G-operator over L-sorted operand: l"),
+        ("(a cap b) = c", "L-operator over G-sorted operand: a"),
+        ("forall l:L. (l cap P(a)) + a = 0", "G-operator over L-sorted operand: l cap P(a)"),
+        # a fault inside a side is named before the relation's
+        ("P(l) <= a", "P takes a G-sorted argument: l"),
+        ("l <= m", "<= relates G-sorted terms near position 0"),
+    ])
+    def test_sort_error_names_first_offender(self, text, message):
+        with pytest.raises(SortError) as ei:
+            parse(text, CTX)
+        assert str(ei.value) == message
+
+    @pytest.mark.parametrize("phi, message", [
+        (S.Exists("x", S.L, S.GLeq(S.GVar("x"), S.Zero())),
+         "variable x used at sort G but declared L"),
+        (S.And(S.GLeq(S.GVar("a"), S.Zero()), S.LEq(S.LVar("a"), S.Bot())),
+         "variable a used at sort L but declared G"),
+    ])
+    def test_free_vars_rejects_ill_sorted_tree(self, phi, message):
+        with pytest.raises(SortError) as ei:
+            free_vars(phi)
+        assert str(ei.value) == message
+
     def test_free_vars(self):
         phi = parse("exists x:G. x <= a & l << P(b)", CTX)
-        assert free_vars(phi) == {"a": S.G, "b": S.G, "l": S.L}
+        # in order of first use
+        assert list(free_vars(phi).items()) == [("a", S.G), ("l", S.L), ("b", S.G)]
 
     def test_free_vars_shadowing(self):
         cases = [
@@ -91,6 +122,8 @@ class TestSorts:
             ("exists x:G. (exists x:G. x <= a) & x <= b", {"a": S.G, "b": S.G}),
             ("(exists y:L. y << l) | y << l", {"y": S.L, "l": S.L}),
             ("forall x:G. exists x:G. x <= 0", {}),
+            # the binder's sort holds only in its scope
+            ("(exists x:L. x << l) & x <= a", {"l": S.L, "x": S.G, "a": S.G}),
         ]
         for text, expected in cases:
             assert free_vars(parse(text, {**CTX, "y": S.L})) == expected, text
@@ -101,7 +134,7 @@ class TestRoundTrip:
         text = print_formula(phi)
         again = parse(text, context)
         assert again == phi, text
-        sort_check(again, context)
+        free_vars(again, context)
 
     def test_handwritten(self):
         samples = [
