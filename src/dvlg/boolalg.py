@@ -570,7 +570,7 @@ def interval_check(sigma: S.Formula, depth: int) -> bool:
     if free:
         raise NotSentence(f"free variables: {sorted(free)}")
     _reject_group_sort(sigma)
-    sigma = rename_bound(sigma, prefix="_i")
+    sigma = rename_bound(sigma, prefix="_i", taken=free)
 
     tried = 0
 

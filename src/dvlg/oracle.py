@@ -168,19 +168,21 @@ def _excluded(store: dict) -> frozenset:
 
 
 def prune_dnf(dnf: list[dict]) -> list[dict]:
-    """Drop duplicate and subsumed stores, keeping the first of each."""
+    """Drop duplicate and subsumed stores, keeping the first of each.
+    The excluded-pair sets are met smallest first, and each is tested
+    only against those already kept: a strict subset is smaller, and a
+    dropped one lies above a kept set, which lies below this one too."""
     stores = {}
     for store in dnf:
         stores.setdefault(_excluded(store), store)
-    items = list(stores.items())
-    if len(items) <= 800:
-        keys = [k for k, _ in items]
-        items = [
-            items[i]
-            for i in range(len(items))
-            if not any(j != i and keys[j] < keys[i] for j in range(len(items)))
-        ]
-    return [store for _, store in items]
+    if len(stores) > 800:
+        return list(stores.values())
+    kept = []
+    for key in sorted(stores, key=len):
+        if not any(k < key for k in kept):
+            kept.append(key)
+    keep = set(kept)
+    return [store for key, store in stores.items() if key in keep]
 
 
 def _cap_message(phase: str, cap: int, size: int) -> str:
@@ -522,10 +524,12 @@ class Prepared:
 def prepare(phi: S.Formula) -> Prepared:
     """Bound variables renamed apart and pinned quantifiers inlined: the
     work decide_finite does on its formula before any structure."""
-    free = tuple(sorted(S.free_vars(phi).items()))
-    phi = one_point(rename_bound(phi, prefix="_d"))
+    free = S.free_vars(phi)
+    phi = one_point(rename_bound(phi, prefix="_d", taken=free))
     quantifiers = sum(isinstance(n, (S.Exists, S.Forall)) for n in S.nodes(phi))
-    return Prepared(phi, quantifiers, count_atoms(phi), free)
+    return Prepared(
+        phi, quantifiers, count_atoms(phi), tuple(sorted(free.items()))
+    )
 
 
 def decide_finite(

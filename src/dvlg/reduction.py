@@ -19,17 +19,21 @@ existentially closed model P is onto an atomless Boolean algebra and
 each Val term is an opaque base, so lattice QE commutes with renaming
 Val terms to fresh lattice variables.
 
-The reducer simplifies its input once. From there on every formula it
-holds or returns is simplify output: it folds (rewrites.fold) each
-node it builds, and a walk returns each node through rewrites.refold,
-so a node whose children did not change comes back as it is. Renaming
-Val atoms injectively to fresh lattice variables keeps a formula
-simplify output, since simplify never looks inside a Val atom.
+The reducer normalizes its input in one walk (rewrites.normalize). From
+there on every formula it holds or returns is simplify output: it
+folds (rewrites.fold) each node it builds, and a walk returns each node
+through rewrites.refold, so a node whose children did not change comes
+back as it is. The naming walk (_name_val_atoms) renames Val atoms
+injectively to fresh lattice variables, which keeps a formula simplify
+output, since simplify never looks inside a Val atom; one such walk
+serves each elimination and the final extraction of the terms. Bound
+names stay distinct, so one walk over a body tells which variables of
+a peeled lattice block occur in it, and only those are bound again.
 """
 
 from __future__ import annotations
 
-import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,15 +45,19 @@ from .linear import Lin
 from .rewrites import (
     fold,
     fresh_names,
-    group_atoms_to_lattice,
     gterm_to_lin,
+    normalize,
     one_point,
-    push_valuation_formula,
     refold,
+    val_of_lin,
+)
+# not called here either: normalize does their work in one walk, and
+# perfbench/tracing.py rebinds these names in reduction
+from .rewrites import (
+    group_atoms_to_lattice,
+    push_valuation_formula,
     rename_bound,
     simplify,
-    substitute,
-    val_of_lin,
 )
 
 __all__ = [
@@ -96,7 +104,7 @@ def eliminate_group_var(bounds) -> S.Formula:
     regions are disjoint, and divisible ordered stalks are unbounded and
     dense, so no other condition is needed.
     """
-    conds = []
+    out = S.TRUE
     for i, (y, low, lower_i) in enumerate(bounds):
         r = y if lower_i else S.Compl(y)
         for j, (yp, up, lower_j) in enumerate(bounds):
@@ -107,22 +115,58 @@ def eliminate_group_var(bounds) -> S.Formula:
             target = val_of_lin(diff)
             if lower_j or not lower_i:
                 target = S.LMeet(target, S.Compl(val_of_lin(-diff)))
-            conds.append(S.LBelow(S.LMeet(r, rp), target))
-    return simplify(functools.reduce(S.And, conds, S.TRUE))
+            out = fold(S.And(out, fold(S.LBelow(S.LMeet(r, rp), target))))
+    return out
 
 
-def _collect_val_atoms(f: S.Formula) -> list:
-    """Distinct Val terms in f, by first occurrence."""
-    out = {}
-    for n in S.nodes(f):
+def _name_val_atoms(f: S.Formula, fresh, var: str | None = None):
+    """f with each Val atom that has var free, or every Val atom if var
+    is None, replaced by a lattice variable named by fresh, one per
+    distinct atom in order of first occurrence; and the list of
+    (atom, variable) pairs. The renaming is injective, so simplify
+    output stays simplify output and no node is folded."""
+    seen = {}  # Val atom -> its variable, or the atom if it keeps its place
+
+    def go(n):
         cls = type(n)
         if cls is S.Val:
-            out[n] = None
-        elif cls is S.GLeq or cls is S.GEq:
+            out = seen.get(n)
+            if out is None:
+                named = var is None or S.occurs_free(var, n.arg)
+                out = seen[n] = S.LVar(next(fresh)) if named else n
+            return out
+        if cls is S.GLeq or cls is S.GEq:
             raise NotPrimitive(
                 f"group atom survived normalization: {S.print_formula(n)}"
             )
-    return list(out)
+        old = S.children(n)
+        new = tuple(map(go, old))
+        if all(map(operator.is_, new, old)):
+            return n
+        return S.rebuild(n, new)
+
+    renamed = go(f)
+    return renamed, [(v, y) for v, y in seen.items() if y is not v]
+
+
+def _wrap_exists(names: list, body: S.Formula) -> S.Formula:
+    """fold(S.Exists(y, S.L, ...)) over body for each y in names, the
+    last innermost, when no binder inside body reuses a name: one walk,
+    which stops once it has seen every name, finds those that occur, and
+    only they are bound."""
+    missing = set(names)
+    stack = [body]
+    while stack and missing:
+        n = stack.pop()
+        cls = type(n)
+        if cls is S.LVar:
+            missing.discard(n.name)
+        elif cls is not S.Val:  # no lattice variable below a Val atom
+            stack += S.children(n)
+    for y in reversed(names):
+        if y not in missing:
+            body = S.Exists(y, S.L, body)
+    return body
 
 
 def _reject_crossing(var: str, f: S.Formula) -> None:
@@ -176,53 +220,45 @@ class _Reducer:
                 body = body.body
             else:
                 break
-        # after group_atoms_to_lattice, var occurs in Val atoms only
-        val_terms = [
-            v for v in _collect_val_atoms(body) if S.occurs_free(var, v.arg)
-        ]
-        if val_terms:
+        # after normalization, var occurs in Val atoms only
+        named_body, named = _name_val_atoms(body, self.fresh, var)
+        if named:
             if self.mode == "tplus":
                 _reject_crossing(var, body)
-            mapping, bounds = {}, []
-            for vt in val_terms:
+            bounds = []
+            for vt, y in named:
                 lin = gterm_to_lin(vt.arg)
                 c = lin.get(var)
-                y = mapping[vt] = S.LVar(next(self.fresh))
                 # lin >= 0 iff var >= b (c > 0) or var <= b (c < 0), with
                 # b = -rest/c
                 rest = Lin(tuple(item for item in lin.coeffs if item[0] != var))
                 b = rest.scale(Fraction(-1, c))
                 bounds.append((y, b, c > 0))
-            side = eliminate_group_var(bounds)
-            body = fold(S.And(substitute(body, mapping), side))
-            for vt in reversed(val_terms):
-                body = fold(S.Exists(mapping[vt].name, S.L, body))
+            # named_body holds every y, and no side condition folds to
+            # FALSE (the left of each is a meet of two regions), so the
+            # fold keeps named_body and each y is bound without a check
+            body = fold(S.And(named_body, eliminate_group_var(bounds)))
+            for _, y in reversed(named):
+                body = S.Exists(y.name, S.L, body)
             body = one_point(body)
-        for y in reversed(block):
-            body = fold(S.Exists(y, S.L, body))
-        return body
+        return _wrap_exists(block, body)
 
 
 def _extract_terms(phi: S.Formula, taken):
     """Replace Val atoms over free group variables by fresh p_i, named
     apart from taken: phi, the terms and the names."""
-    vals = _collect_val_atoms(phi)
-    names = fresh_names("p", taken, start=1)
-    mapping = {v: S.LVar(next(names)) for v in vals}
+    phi, named = _name_val_atoms(phi, fresh_names("p", taken, start=1))
     return (
-        substitute(phi, mapping),
-        tuple(v.arg for v in vals),
-        tuple(p.name for p in mapping.values()),
+        phi,
+        tuple(v.arg for v, _ in named),
+        tuple(p.name for _, p in named),
     )
 
 
 def reduce(phi: S.Formula, mode: str = "tplus") -> ReductionOutput:
     """Lattice-sort reduction of an arbitrary well-sorted formula."""
     free = S.free_vars(phi)
-    phi = rename_bound(phi)
-    phi = group_atoms_to_lattice(phi)
-    phi = push_valuation_formula(phi)
-    phi = simplify(phi)
+    phi = normalize(phi, free)
     reducer = _Reducer(mode, free)
     chi = one_point(reducer.run(phi))
     chi, terms, names = _extract_terms(chi, free)

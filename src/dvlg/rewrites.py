@@ -3,7 +3,15 @@
 These implement the compiler-style front half of the reduction
 pipeline: distributing group operations to join-of-meets of linear
 forms, pushing the valuation symbol down to primitive linear
-arguments, and trading group atoms for lattice atoms.
+arguments, and trading group atoms for lattice atoms. A term with no
+meet or join is one linear form, whose coefficients one walk adds up;
+only a meet or a join takes the join-of-meets product.
+
+normalize is the reducer's one normalization walk: it renames the
+binders apart, trades and pushes each atom and folds each node it
+builds, so its output is simplify output. rename_bound and normalize
+draw their fresh names from fresh_names, skipping the free names that
+the caller passes.
 
 simplify applies fold, the constant folding of one node, bottom-up, and
 leaves its own output unchanged. A pass that keeps its formulas
@@ -27,28 +35,67 @@ JoinOfMeets = tuple  # tuple of tuples of Lin
 
 def linearize_group_term(t: S.Term) -> JoinOfMeets:
     """Rewrite a G-sorted term as a join of meets of linear forms."""
+    return _linearize(t, {})
+
+
+def _linearize(t: S.Term, names: dict) -> JoinOfMeets:
+    """linearize_group_term of t with each variable renamed by names. A
+    term with no meet or join is one linear form: its coefficients are
+    added up in one walk, and the join-of-meets product is not built."""
+    acc = {}
+    if _accumulate(t, 1, acc, names):
+        return ((Lin.make(acc),),)
+    return _join_of_meets(t, names)
+
+
+def _accumulate(t: S.Term, factor, acc: dict, names: dict) -> bool:
+    """Add factor times the linear form of t into acc, variable by
+    variable; False, with acc part-filled, at a meet or a join."""
     cls = type(t)
     if cls is S.GVar:
-        return ((Lin.var(t.name),),)
+        name = names.get(t.name, t.name)
+        acc[name] = acc.get(name, 0) + factor
+        return True
+    if cls is S.Add:
+        return _accumulate(t.left, factor, acc, names) and _accumulate(
+            t.right, factor, acc, names
+        )
+    if cls is S.Neg:
+        return _accumulate(t.arg, -factor, acc, names)
+    if cls is S.IntScale:
+        return _accumulate(t.arg, factor * t.factor, acc, names)
+    if cls is S.Zero:
+        return True
+    if cls is S.GMeet or cls is S.GJoin:
+        return False
+    raise SortError(f"not a G-sorted term: {S.print_term(t)}")
+
+
+def _join_of_meets(t: S.Term, names: dict) -> JoinOfMeets:
+    """linearize_group_term of t with each variable renamed by names, by
+    distributing + and - over meet and join."""
+    cls = type(t)
+    if cls is S.GVar:
+        return ((Lin.var(names.get(t.name, t.name)),),)
     if cls is S.Zero:
         return ((Lin.zero(),),)
     if cls is S.Add:
-        a, b = linearize_group_term(t.left), linearize_group_term(t.right)
+        a, b = _join_of_meets(t.left, names), _join_of_meets(t.right, names)
         return tuple(
             tuple(x + y for x in meet_a for y in meet_b)
             for meet_a in a
             for meet_b in b
         )
     if cls is S.Neg:
-        return _negate_jom(linearize_group_term(t.arg))
+        return _negate_jom(_join_of_meets(t.arg, names))
     if cls is S.GMeet:
-        a, b = linearize_group_term(t.left), linearize_group_term(t.right)
+        a, b = _join_of_meets(t.left, names), _join_of_meets(t.right, names)
         return tuple(ma + mb for ma in a for mb in b)
     if cls is S.GJoin:
-        return linearize_group_term(t.left) + linearize_group_term(t.right)
+        return _join_of_meets(t.left, names) + _join_of_meets(t.right, names)
     if cls is S.IntScale:
         q = t.factor
-        inner = linearize_group_term(t.arg)
+        inner = _join_of_meets(t.arg, names)
         if q == 0:
             return ((Lin.zero(),),)
         if q > 0:
@@ -104,8 +151,14 @@ def val_of_lin(lin: Lin) -> S.Term:
 
 def push_valuation(t: S.Term) -> S.Term:
     """Push every valuation application down to a primitive linear form."""
-    if isinstance(t, S.Val):
-        jom = linearize_group_term(t.arg)
+    return _push(t, {})
+
+
+def _push(t: S.Term, names: dict) -> S.Term:
+    """push_valuation of t with each variable renamed by names."""
+    cls = type(t)
+    if cls is S.Val:
+        jom = _linearize(t.arg, names)
         joins = []
         for meet in jom:
             vals = [val_of_lin(l) for l in meet]
@@ -117,10 +170,12 @@ def push_valuation(t: S.Term) -> S.Term:
         for j in joins[1:]:
             result = S.LJoin(result, j)
         return simplify_lterm(result)
-    if isinstance(t, (S.LMeet, S.LJoin)):
-        return type(t)(push_valuation(t.left), push_valuation(t.right))
-    if isinstance(t, S.Compl):
-        return S.Compl(push_valuation(t.arg))
+    if cls is S.LMeet or cls is S.LJoin:
+        return cls(_push(t.left, names), _push(t.right, names))
+    if cls is S.Compl:
+        return S.Compl(_push(t.arg, names))
+    if cls is S.LVar and t.name in names:
+        return S.LVar(names[t.name])
     return t
 
 
@@ -166,32 +221,62 @@ def fresh_names(prefix: str, taken, start: int = 0):
             yield name
 
 
-def rename_bound(phi: S.Formula, prefix: str = "_q") -> S.Formula:
+def rename_bound(phi: S.Formula, prefix: str = "_q", taken=()) -> S.Formula:
     """Give every bound variable a fresh name (no shadowing afterwards).
-    The fresh names skip the free variables of phi, so that none of them
-    captures one: if the walk made a name that it also met free, a
-    second walk renames apart from the free names of the first."""
-    free: set[str] = set()
-    made: set[str] = set()
-    names = fresh_names(prefix, ())
+    taken holds the free variables of phi: the fresh names skip them, so
+    that none of them captures one."""
+    names = fresh_names(prefix, taken)
 
     def go(n, env: dict[str, str]):
         if isinstance(n, (S.GVar, S.LVar)):
             if n.name in env:
                 return type(n)(env[n.name])
-            free.add(n.name)
             return n
         if isinstance(n, (S.Exists, S.Forall)):
             fresh = next(names)
-            made.add(fresh)
             return type(n)(fresh, n.sort, go(n.body, {**env, n.var: fresh}))
         return S.rebuild(n, tuple(map(go, S.children(n), itertools.repeat(env))))
 
-    out = go(phi, {})
-    if free.isdisjoint(made):
-        return out
-    names = fresh_names(prefix, free)
     return go(phi, {})
+
+
+def normalize(phi: S.Formula, taken) -> S.Formula:
+    """simplify(push_valuation_formula(group_atoms_to_lattice(
+    rename_bound(phi, "_q", taken)))) in one walk: each binder gets the
+    next fresh name as the walk meets it, each atom is renamed,
+    traded and pushed in one pass over its terms, and each node is
+    folded as it is built. taken holds the free variables of phi."""
+    fresh = fresh_names("_q", taken)
+    names: dict[str, str] = {}  # bound name -> its fresh name, in scope
+
+    def leq(s: S.Term, t: S.Term) -> S.Formula:
+        return fold(S.LEq(_push(S.Val(S.Add(t, S.Neg(s))), names), S.Top()))
+
+    def go(f: S.Formula) -> S.Formula:
+        cls = type(f)
+        if cls is S.And or cls is S.Or or cls is S.Implies:
+            return fold(cls(go(f.left), go(f.right)))
+        if cls is S.LBelow or cls is S.LEq:
+            return fold(cls(_push(f.left, names), _push(f.right, names)))
+        if cls is S.Not:
+            return fold(S.Not(go(f.arg)))
+        if cls is S.Exists or cls is S.Forall:
+            var = f.var
+            outer = names.get(var)
+            new = names[var] = next(fresh)
+            body = go(f.body)
+            if outer is None:
+                del names[var]
+            else:
+                names[var] = outer
+            return fold(cls(new, f.sort, body))
+        if cls is S.GLeq:
+            return leq(f.left, f.right)
+        if cls is S.GEq:
+            return fold(S.And(leq(f.left, f.right), leq(f.right, f.left)))
+        return f
+
+    return go(phi)
 
 
 # --- substitution ---
@@ -221,11 +306,16 @@ def substitute(phi, mapping: dict):
 # --- one-point rule ---
 
 def _conjuncts(f: S.Formula):
-    if isinstance(f, S.And):
-        yield from _conjuncts(f.left)
-        yield from _conjuncts(f.right)
-    else:
-        yield f
+    """The conjuncts of f, left to right. The walk keeps its own stack,
+    so a conjunct deep in a chain of And does not pass through one
+    generator per level."""
+    stack = [f]
+    while stack:
+        f = stack.pop()
+        if type(f) is S.And:
+            stack += (f.right, f.left)
+        else:
+            yield f
 
 
 def one_point(phi: S.Formula) -> S.Formula:

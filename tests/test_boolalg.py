@@ -410,12 +410,13 @@ class TestDeepFamilies:
         assert ba_decide(chi) is True
         assert _depth(chi) <= 64
 
-    # chi is deeper here (91 to 256 levels), and ba_decide splits each
+    # chi is deeper here (91 to 512 levels), and ba_decide splits each
     # long block body into parts with its own stack
     @pytest.mark.parametrize("text", [
         pytest.param(_patching(5), id="patching-5"),
         pytest.param(_cyclic(16), id="cyclic-16"),
         pytest.param(_cyclic(32), id="cyclic-32"),
+        pytest.param(_cyclic(64), id="cyclic-64"),
         pytest.param(_chain(64), id="chain-64"),
         pytest.param(_chain(128), id="chain-128"),
     ])

@@ -10,10 +10,10 @@ from dvlg.corpus import (
     gen_lattice_corpus, gen_tplus_corpus, load_known_answers, named_rng,
 )
 from dvlg.errors import ResourceLimit, UnboundVariable
-from dvlg.linear import Lin, LinConstraint, fm_eliminate
+from dvlg.linear import ALL_SIGNS, POS, Lin, LinConstraint, fm_eliminate
 from dvlg.oracle import (
-    Assignment, decide_finite, decide_prepared, eval_qf, prepare, prune_dnf,
-    to_dnf,
+    Assignment, _excluded, decide_finite, decide_prepared, eval_qf, prepare,
+    prune_dnf, to_dnf,
 )
 from dvlg.parser import parse
 from dvlg.standard import FinStdStructure, GroupVector, SubsetL
@@ -377,6 +377,42 @@ class TestDnfPipeline:
                 )
                 after = any(all(c.holds(env) for c in _conj(s)) for s in reduced)
                 assert direct == after, (f, env)
+
+
+def _prune_pairwise(dnf):
+    """Reference pruning: drop a store whose excluded pairs strictly
+    contain those of another, comparing every pair of distinct stores."""
+    stores = {}
+    for store in dnf:
+        stores.setdefault(_excluded(store), store)
+    keys = list(stores)
+    if len(keys) > 800:
+        return list(stores.values())
+    return [
+        stores[k] for k in keys if not any(j != k and j < k for j in keys)
+    ]
+
+
+class TestPruneDnf:
+    def test_equals_the_pairwise_rule(self):
+        rng = named_rng(23, "prune-dnf")
+        pruned = 0
+        for _ in range(300):
+            keys = [f"k{i}" for i in range(rng.randint(1, 5))]
+            dnf = [
+                {k: rng.randint(1, 7) for k in keys if rng.random() < 0.6}
+                for _ in range(rng.randint(1, 60))
+            ]
+            got = prune_dnf(dnf)
+            assert got == _prune_pairwise(dnf)
+            pruned += len(got) < len({_excluded(s) for s in dnf})
+        assert pruned > 100
+
+    def test_only_duplicates_go_above_800_stores(self):
+        # {k: ALL_SIGNS} rules out nothing, so it subsumes every other store
+        dnf = [{"k": ALL_SIGNS}] + [{f"k{i}": POS} for i in range(800)]
+        assert prune_dnf(dnf + [{"k0": POS}]) == dnf
+        assert prune_dnf(dnf[:800]) == [dnf[0]]
 
 
 class TestPerCallMemos:

@@ -195,6 +195,12 @@ FROZEN_REDUCTS = [
      "exists _q1:L. exists _q2:L. exists _y0:L. exists _y1:L. "
      "~_q2 cap _q1 << _y0 cap _y1 & (_y0 cap _y1 << p1 & "
      "compl(_y1) cap compl(_y0) << p2 cap compl(p1))", 1),
+    # one_point runs over the whole body after each elimination: run only
+    # at the new _y binders, it numbers the fresh names differently here
+    ("forall a:G. forall b:G. exists x:G. (P(x) << P(a) | exists l:L. "
+     "(l = P(a) & compl(l) cap P(a + b) = compl(P(a)) cap P(a + b) & "
+     "P(x) << l))", "ec", [],
+     "~(exists _y1:L. ~(exists _y0:L. _y0 << _y1))", 3),
 ]
 
 

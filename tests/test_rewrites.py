@@ -1,21 +1,26 @@
 """Formula rewrites: semantic preservation over finite structures."""
 
+import importlib.util
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 from dvlg import syntax as S
-from dvlg.corpus import gen_tplus_corpus, named_rng
+from dvlg.corpus import gen_tplus_corpus, load_known_answers, named_rng
 from dvlg.errors import UnsupportedFragment
 from dvlg.oracle import Assignment, decide_finite, eval_qf
 from dvlg.parser import parse
 from dvlg.reduction import reduce
 from dvlg.rewrites import (
+    _join_of_meets,
     gterm_to_lin,
     group_atoms_to_lattice,
     lin_to_gterm,
     linearize_group_term,
+    normalize,
     one_point,
     push_valuation_formula,
     rename_bound,
@@ -92,19 +97,27 @@ class TestSemanticPreservation:
             self._equiv(phi, rename_bound(phi))
 
 
+def _closures(phi):
+    """The forall- and the exists-closure of phi."""
+    free = sorted(S.free_vars(phi).items(), reverse=True)
+    out = []
+    for q in (S.Forall, S.Exists):
+        f = phi
+        for v, sort in free:
+            f = q(v, sort, f)
+        out.append(f)
+    return out
+
+
 @pytest.fixture(scope="module")
 def closures():
     """The forall- and exists-closures of gen_tplus_corpus(1, 200) after
     group_atoms_to_lattice and push_valuation_formula."""
-    out = []
-    for _, phi, _ in gen_tplus_corpus(1, 200):
-        free = sorted(S.free_vars(phi).items(), reverse=True)
-        for q in (S.Forall, S.Exists):
-            f = phi
-            for v, sort in free:
-                f = q(v, sort, f)
-            out.append(push_valuation_formula(group_atoms_to_lattice(f)))
-    return out
+    return [
+        push_valuation_formula(group_atoms_to_lattice(f))
+        for _, phi, _ in gen_tplus_corpus(1, 200)
+        for f in _closures(phi)
+    ]
 
 
 def _drop_group_quantifiers(n):
@@ -186,6 +199,69 @@ def _mappings(phi):
         {v: S.LVar(f"_r{i}") for i, v in enumerate(vals[::2])},
         {x: S.Neg(x) for x in gvars[::2]},
     )
+
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+# free variables named like the fresh names of normalize; the last one
+# also rebinds a bound name inside its scope
+FRESH_LIKE = [
+    "exists x:G. x <= _q0 & ~(x = _q0)",
+    "forall y:L. exists x:G. P(x - _q0) = _q1 & y << _q1",
+    "exists x:G. exists y:G. forall z:L. _q1 cap z << P(x + y - _q0) | _q0 = y",
+    "exists x:G. (exists x:G. x <= _q0) & P(x) = _q1 & ~(forall x:L. x << _q1)",
+]
+
+
+def _family_members():
+    """The scaling families of the benchmark at its k, from
+    perfbench/workloads.py, which imports no part of the package."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # its dataclasses look their module up
+    spec.loader.exec_module(mod)
+    return [make(k) for make, ks in mod.FAMILIES.values() for k in ks]
+
+
+@pytest.fixture(scope="module")
+def normalize_inputs():
+    """The known answers, the benchmark's family members,
+    gen_tplus_corpus(s, 400) for s = 1..3 with their forall- and
+    exists-closures, and formulas with free names _q0 and _q1."""
+    texts = [e["formula"] for e in load_known_answers()] + _family_members()
+    out = [parse(text) for text in texts]
+    for seed in (1, 2, 3):
+        for _, phi, _ in gen_tplus_corpus(seed, 400):
+            out += [phi, *_closures(phi)]
+    out += [parse(text, {"_q0": S.G, "_q1": S.L}) for text in FRESH_LIKE]
+    return out
+
+
+class TestNormalize:
+    def test_equals_the_four_passes(self, normalize_inputs):
+        for phi in normalize_inputs:
+            free = S.free_vars(phi)
+            passes = simplify(push_valuation_formula(group_atoms_to_lattice(
+                rename_bound(phi, taken=free)
+            )))
+            assert normalize(phi, free) == passes, S.print_formula(phi)
+
+    def test_fresh_names_skip_the_free_names(self):
+        for text in FRESH_LIKE:
+            phi = parse(text, {"_q0": S.G, "_q1": S.L})
+            free = S.free_vars(phi)
+            assert S.free_vars(normalize(phi, free)) == free, text
+
+    def test_linear_forms_equal_the_join_of_meets(self, normalize_inputs):
+        linear = 0
+        for phi in normalize_inputs:
+            for t in S.nodes(phi):
+                if S.SORT.get(type(t)) == S.G:
+                    jom = linearize_group_term(t)
+                    # repr tells an int coefficient from an equal Fraction
+                    assert repr(jom) == repr(_join_of_meets(t, {}))
+                    linear += len(jom) == 1 and len(jom[0]) == 1
+        assert linear > 10_000
 
 
 class TestSubstitute:
