@@ -21,11 +21,11 @@ divides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from .rationals import rat
+from .syntax import frozen_node
 
 CONST = "1"  # reserved pseudo-variable carrying the constant part
 
@@ -38,7 +38,7 @@ def _num(c):
     return c.numerator if c.denominator == 1 else c
 
 
-@dataclass(frozen=True)
+@frozen_node
 class Lin:
     """Sparse linear form: variable -> nonzero coefficient, sorted by
     variable."""

@@ -67,10 +67,10 @@ class _Parser:
             )
 
     def at(self, value: str) -> bool:
-        return self.peek()[1] == value
+        return self.tokens[self.i][1] == value
 
     def accept(self, value: str) -> bool:
-        if self.at(value):
+        if self.tokens[self.i][1] == value:
             self.i += 1
             return True
         return False

@@ -4,13 +4,20 @@ Group atoms are traded for valuation atoms using density, valuations
 are pushed to primitive linear arguments, and group quantifiers are
 eliminated by the patching argument. Each valuation atom P(c*x + rest)
 mentioning the quantified variable x becomes a fresh lattice variable
-y and one bound (y, b, c > 0) with b = -rest/c: on region y, x >= b if
+y and one bound (y, rest, c): with b = -rest/c, on region y, x >= b if
 c > 0 and x <= b if c < 0, with the strict opposite bound on compl(y).
 eliminate_group_var turns the bounds into pairwise compatibility
-conditions free of x. The result is a lattice formula chi together
-with group terms t_i bound through p_i = P(t_i). The fresh names _y0,
-_y1, ... and p1, p2, ... skip the free variables of the input; its
-bound ones are renamed to _q0, _q1, ... first.
+conditions free of x, computed in integers. The result is a lattice
+formula chi together with group terms t_i bound through p_i = P(t_i).
+The fresh names _y0, _y1, ... and p1, p2, ... skip the free variables
+of the input; its bound ones are renamed to _q0, _q1, ... first.
+
+From normalization to extraction a valuation atom is Val(LinForm(lin)),
+lin its primitive integer linear form (rewrites.normalize makes it,
+and rewrites.val_leaf makes the side conditions' atoms), so c and rest
+are read from lin and no G-term is linearized again. _extract_terms
+converts each extracted atom once with lin_to_gterm, so chi and the
+terms hold no LinForm.
 
 Neither mode eliminates a lattice quantifier. tplus mode refuses one
 that a group variable crosses; ec mode keeps it in chi, and ba_decide
@@ -35,29 +42,23 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import syntax as S
 # ba_qe is not called here; perfbench/tracing.py rebinds reduction.ba_qe
 from .boolalg import ba_decide, ba_qe
 from .errors import NotPrimitive, NotSentence, UnsupportedFragment
 from .linear import Lin
-from .rewrites import (
-    fold,
-    fresh_names,
-    gterm_to_lin,
-    normalize,
-    one_point,
-    refold,
-    val_of_lin,
-)
-# not called here either: normalize does their work in one walk, and
+from .rewrites import fold, fresh_names, normalize, one_point, refold, val_leaf
+# not called here either: normalize does their work in one walk, the
+# reducer reads each valuation atom's Lin from its LinForm leaf, and
 # perfbench/tracing.py rebinds these names in reduction
 from .rewrites import (
     group_atoms_to_lattice,
+    gterm_to_lin,
     push_valuation_formula,
     rename_bound,
     simplify,
+    val_of_lin,
 )
 
 __all__ = [
@@ -94,27 +95,36 @@ class ReductionOutput:
 def eliminate_group_var(bounds) -> S.Formula:
     """Side conditions equivalent to the existential over a group variable x.
 
-    bounds has one (y, b, lower) per valuation atom P(c*x + rest) that
-    mentions x, with b = -rest/c and y the fresh lattice variable naming
-    the atom. If lower (c > 0), x >= b on region y and x < b on compl(y);
-    otherwise x <= b on y and x > b on compl(y). For atom i's lower bound
-    l on region r and atom j's upper bound u on region r', i != j,
-    compatibility needs r meet r' below P(u - l); if either bound is
-    strict, below P(u - l) meet compl(P(l - u)). An atom's own two
-    regions are disjoint, and divisible ordered stalks are unbounded and
-    dense, so no other condition is needed.
+    bounds has one (y, rest, c) per valuation atom P(c*x + rest) that
+    mentions x (c a nonzero int, rest a Lin with integer coefficients),
+    with y the fresh lattice variable naming the atom; let b = -rest/c.
+    If c > 0, x >= b on region y and x < b on compl(y); otherwise x <= b
+    on y and x > b on compl(y). For atom i's lower bound l on region r
+    and atom j's upper bound u on region r', i != j, compatibility needs
+    r meet r' below P(u - l); if either bound is strict, below
+    P(u - l) meet compl(P(l - u)). An atom's own two regions are
+    disjoint, and divisible ordered stalks are unbounded and dense, so
+    no other condition is needed. P(u - l) is computed as P of
+    |c_i*c_j|*(u - l), an integer form: P is unchanged by a positive
+    factor.
     """
     out = S.TRUE
-    for i, (y, low, lower_i) in enumerate(bounds):
-        r = y if lower_i else S.Compl(y)
-        for j, (yp, up, lower_j) in enumerate(bounds):
+    for i, (y, rest_i, c_i) in enumerate(bounds):
+        r = y if c_i > 0 else S.Compl(y)
+        for j, (yp, rest_j, c_j) in enumerate(bounds):
             if i == j:
                 continue
-            rp = S.Compl(yp) if lower_j else yp
-            diff = up - low
-            target = val_of_lin(diff)
-            if lower_j or not lower_i:
-                target = S.LMeet(target, S.Compl(val_of_lin(-diff)))
+            rp = S.Compl(yp) if c_j > 0 else yp
+            # |c_i*c_j|*(b_j - b_i) = f_i*rest_i - f_j*rest_j
+            f_i = abs(c_j) if c_i > 0 else -abs(c_j)
+            f_j = abs(c_i) if c_j > 0 else -abs(c_i)
+            acc = {v: f_i * q for v, q in rest_i.coeffs}
+            for v, q in rest_j.coeffs:
+                acc[v] = acc.get(v, 0) - f_j * q
+            diff = Lin.make(acc)
+            target = val_leaf(diff)
+            if c_j > 0 or c_i < 0:
+                target = S.LMeet(target, S.Compl(val_leaf(-diff)))
             out = fold(S.And(out, fold(S.LBelow(S.LMeet(r, rp), target))))
     return out
 
@@ -227,13 +237,11 @@ class _Reducer:
                 _reject_crossing(var, body)
             bounds = []
             for vt, y in named:
-                lin = gterm_to_lin(vt.arg)
+                # vt is P(c*var + rest), kept as a LinForm since normalize
+                lin = vt.arg.lin
                 c = lin.get(var)
-                # lin >= 0 iff var >= b (c > 0) or var <= b (c < 0), with
-                # b = -rest/c
                 rest = Lin(tuple(item for item in lin.coeffs if item[0] != var))
-                b = rest.scale(Fraction(-1, c))
-                bounds.append((y, b, c > 0))
+                bounds.append((y, rest, c))
             # named_body holds every y, and no side condition folds to
             # FALSE (the left of each is a meet of two regions), so the
             # fold keeps named_body and each y is bound without a check
@@ -250,7 +258,7 @@ def _extract_terms(phi: S.Formula, taken):
     phi, named = _name_val_atoms(phi, fresh_names("p", taken, start=1))
     return (
         phi,
-        tuple(v.arg for v, _ in named),
+        tuple(S.lin_to_gterm(v.arg.lin) for v, _ in named),
         tuple(p.name for _, p in named),
     )
 

@@ -9,9 +9,15 @@ only a meet or a join takes the join-of-meets product.
 
 normalize is the reducer's one normalization walk: it renames the
 binders apart, trades and pushes each atom and folds each node it
-builds, so its output is simplify output. rename_bound and normalize
-draw their fresh names from fresh_names, skipping the free names that
-the caller passes.
+builds, so its output is simplify output. It is where the reducer's
+valuation atoms are made: each is Val(LinForm(lin)) (val_leaf), with
+lin the primitive integer linear form, added up straight from the
+atom's terms, and a G-sorted atom s <= t adds t - s into one dict. The
+reducer reads lin back from the leaf, and converts each atom it
+extracts to a G-term once, with lin_to_gterm. push_valuation, outside
+the reducer, builds G-term atoms (val_of_lin). rename_bound and
+normalize draw their fresh names from fresh_names, skipping the free
+names that the caller passes.
 
 simplify applies fold, the constant folding of one node, bottom-up, and
 leaves its own output unchanged. A pass that keeps its formulas
@@ -25,10 +31,12 @@ from __future__ import annotations
 
 import itertools
 import operator
+from math import gcd
 
 from . import syntax as S
 from .errors import SortError
 from .linear import Lin
+from .syntax import lin_to_gterm
 
 JoinOfMeets = tuple  # tuple of tuples of Lin
 
@@ -113,27 +121,6 @@ def _negate_jom(jom: JoinOfMeets) -> JoinOfMeets:
     return tuple(tuple(choice) for choice in itertools.product(*factors))
 
 
-def lin_to_gterm(lin: Lin) -> S.Term:
-    """Canonical G-term for a linear form (integer coefficients)."""
-    parts = []
-    for var, coeff in lin.coeffs:
-        n = int(coeff)
-        if coeff != n:
-            raise ValueError("lin_to_gterm expects integer coefficients")
-        leaf = S.GVar(var)
-        if abs(n) > 1:
-            leaf = S.IntScale(abs(n), leaf)
-        if n < 0:
-            leaf = S.Neg(leaf)
-        parts.append(leaf)
-    if not parts:
-        return S.Zero()
-    out = parts[0]
-    for p in parts[1:]:
-        out = S.Add(out, p)
-    return out
-
-
 def gterm_to_lin(t: S.Term) -> Lin:
     """Linear form of a meet/join-free G-term."""
     jom = linearize_group_term(t)
@@ -149,31 +136,50 @@ def val_of_lin(lin: Lin) -> S.Term:
     return S.Val(lin_to_gterm(lin.primitive()))
 
 
+def val_leaf(lin: Lin) -> S.Term:
+    """val_of_lin(lin) with its argument kept as a LinForm leaf, for a
+    form with integer coefficients: top if lin is zero, else P of lin
+    divided by the gcd of its coefficients."""
+    coeffs = lin.coeffs
+    if not coeffs:
+        return S.Top()
+    g = gcd(*[c for _, c in coeffs])
+    if g != 1:
+        lin = Lin(tuple((v, c // g) for v, c in coeffs))
+    return S.Val(S.LinForm(lin))
+
+
 def push_valuation(t: S.Term) -> S.Term:
     """Push every valuation application down to a primitive linear form."""
-    return _push(t, {})
+    return _push(t, {}, val_of_lin)
 
 
-def _push(t: S.Term, names: dict) -> S.Term:
-    """push_valuation of t with each variable renamed by names."""
+def _val_of_jom(jom: JoinOfMeets, atom) -> S.Term:
+    """P of the join of meets jom, pushed down to its linear forms: the
+    join of the meets of atom(l), for atom val_of_lin or val_leaf."""
+    joins = []
+    for meet in jom:
+        vals = [atom(l) for l in meet]
+        out = vals[0]
+        for v in vals[1:]:
+            out = S.LMeet(out, v)
+        joins.append(out)
+    result = joins[0]
+    for j in joins[1:]:
+        result = S.LJoin(result, j)
+    return simplify_lterm(result)
+
+
+def _push(t: S.Term, names: dict, atom) -> S.Term:
+    """push_valuation of t with each variable renamed by names, each
+    valuation atom built by atom (val_of_lin or val_leaf)."""
     cls = type(t)
     if cls is S.Val:
-        jom = _linearize(t.arg, names)
-        joins = []
-        for meet in jom:
-            vals = [val_of_lin(l) for l in meet]
-            out = vals[0]
-            for v in vals[1:]:
-                out = S.LMeet(out, v)
-            joins.append(out)
-        result = joins[0]
-        for j in joins[1:]:
-            result = S.LJoin(result, j)
-        return simplify_lterm(result)
+        return _val_of_jom(_linearize(t.arg, names), atom)
     if cls is S.LMeet or cls is S.LJoin:
-        return cls(_push(t.left, names), _push(t.right, names))
+        return cls(_push(t.left, names, atom), _push(t.right, names, atom))
     if cls is S.Compl:
-        return S.Compl(_push(t.arg, names))
+        return S.Compl(_push(t.arg, names, atom))
     if cls is S.LVar and t.name in names:
         return S.LVar(names[t.name])
     return t
@@ -221,10 +227,10 @@ def fresh_names(prefix: str, taken, start: int = 0):
             yield name
 
 
-def rename_bound(phi: S.Formula, prefix: str = "_q", taken=()) -> S.Formula:
+def rename_bound(phi: S.Formula, prefix: str, taken) -> S.Formula:
     """Give every bound variable a fresh name (no shadowing afterwards).
-    taken holds the free variables of phi: the fresh names skip them, so
-    that none of them captures one."""
+    taken holds the free variables of phi, or more names: the fresh
+    names skip them, so that none of them captures one."""
     names = fresh_names(prefix, taken)
 
     def go(n, env: dict[str, str]):
@@ -242,22 +248,33 @@ def rename_bound(phi: S.Formula, prefix: str = "_q", taken=()) -> S.Formula:
 
 def normalize(phi: S.Formula, taken) -> S.Formula:
     """simplify(push_valuation_formula(group_atoms_to_lattice(
-    rename_bound(phi, "_q", taken)))) in one walk: each binder gets the
-    next fresh name as the walk meets it, each atom is renamed,
-    traded and pushed in one pass over its terms, and each node is
-    folded as it is built. taken holds the free variables of phi."""
+    rename_bound(phi, "_q", taken)))) in one walk, with each valuation
+    atom's argument kept as a LinForm leaf (val_leaf in place of
+    val_of_lin): each binder gets the next fresh name as the walk meets
+    it, each atom is renamed, traded and pushed in one pass over its
+    terms, and each node is folded as it is built. taken holds the free
+    variables of phi."""
     fresh = fresh_names("_q", taken)
     names: dict[str, str] = {}  # bound name -> its fresh name, in scope
 
     def leq(s: S.Term, t: S.Term) -> S.Formula:
-        return fold(S.LEq(_push(S.Val(S.Add(t, S.Neg(s))), names), S.Top()))
+        # P(t - s) = top, with t - s added up in one dict
+        acc = {}
+        if _accumulate(t, 1, acc, names) and _accumulate(s, -1, acc, names):
+            atom = val_leaf(Lin.make(acc))
+        else:
+            atom = _val_of_jom(
+                _join_of_meets(S.Add(t, S.Neg(s)), names), val_leaf
+            )
+        return fold(S.LEq(atom, S.Top()))
 
     def go(f: S.Formula) -> S.Formula:
         cls = type(f)
         if cls is S.And or cls is S.Or or cls is S.Implies:
             return fold(cls(go(f.left), go(f.right)))
         if cls is S.LBelow or cls is S.LEq:
-            return fold(cls(_push(f.left, names), _push(f.right, names)))
+            left = _push(f.left, names, val_leaf)
+            return fold(cls(left, _push(f.right, names, val_leaf)))
         if cls is S.Not:
             return fold(S.Not(go(f.arg)))
         if cls is S.Exists or cls is S.Forall:

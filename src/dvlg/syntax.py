@@ -20,11 +20,34 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from operator import attrgetter
+from typing import TYPE_CHECKING
 
 from .errors import PreconditionViolated, SortError, UnboundVariable
 
+if TYPE_CHECKING:
+    from .linear import Lin
+
 G = "G"
 L = "L"
+
+
+def frozen_node(cls):
+    """cls as a frozen dataclass whose __init__ stores the fields
+    straight into the instance __dict__, which is cheaper than the
+    dataclass's object.__setattr__ per field. Assigning to a field still
+    raises FrozenInstanceError; fields, equality, hash and repr are the
+    dataclass's."""
+    cls = dataclass(frozen=True, init=False)(cls)
+    names = [f.name for f in fields(cls)]
+    source = f"def __init__(self{''.join(f', {n}' for n in names)}):\n"
+    source += "    d = self.__dict__\n"
+    source += "".join(f"    d[{n!r}] = {n}\n" for n in names)
+    namespace = {}
+    exec(source, namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+    return cls
 
 
 class Term:
@@ -33,80 +56,90 @@ class Term:
 
 # --- group-sorted terms ---
 
-@dataclass(frozen=True)
+@frozen_node
 class GVar(Term):
     name: str
 
 
-@dataclass(frozen=True)
+@frozen_node
 class Zero(Term):
     pass
 
 
-@dataclass(frozen=True)
+@frozen_node
 class Add(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@frozen_node
 class Neg(Term):
     arg: Term
 
 
-@dataclass(frozen=True)
+@frozen_node
 class GMeet(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@frozen_node
 class GJoin(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@frozen_node
 class IntScale(Term):
     factor: int
     arg: Term
 
 
+@frozen_node
+class LinForm(Term):
+    """A primitive linear form with integer coefficients as a G-sorted
+    leaf. The reducer keeps each valuation atom as Val(LinForm(lin))
+    from normalization to extraction; it prints, and has the free
+    variables, of lin_to_gterm(lin)."""
+
+    lin: Lin
+
+
 # --- lattice-sorted terms ---
 
-@dataclass(frozen=True)
+@frozen_node
 class LVar(Term):
     name: str
 
 
-@dataclass(frozen=True)
+@frozen_node
 class Bot(Term):
     pass
 
 
-@dataclass(frozen=True)
+@frozen_node
 class Top(Term):
     pass
 
 
-@dataclass(frozen=True)
+@frozen_node
 class LMeet(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@frozen_node
 class LJoin(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@frozen_node
 class Compl(Term):
     arg: Term
 
 
-@dataclass(frozen=True)
+@frozen_node
 class Val(Term):
     """The valuation symbol applied to a group-sorted term."""
 
@@ -119,73 +152,73 @@ class Formula:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@frozen_node
 class GLeq(Formula):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@frozen_node
 class GEq(Formula):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@frozen_node
 class LBelow(Formula):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@frozen_node
 class LEq(Formula):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@frozen_node
 class Not(Formula):
     arg: Formula
 
 
-@dataclass(frozen=True)
+@frozen_node
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@frozen_node
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@frozen_node
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@frozen_node
 class Exists(Formula):
     var: str
     sort: str
     body: Formula
 
 
-@dataclass(frozen=True)
+@frozen_node
 class Forall(Formula):
     var: str
     sort: str
     body: Formula
 
 
-@dataclass(frozen=True)
+@frozen_node
 class TrueF(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@frozen_node
 class FalseF(Formula):
     pass
 
@@ -197,7 +230,7 @@ ATOMS = (GLeq, GEq, LBelow, LEq)
 
 # term class -> its sort
 SORT = {
-    **dict.fromkeys((GVar, Zero, Add, Neg, GMeet, GJoin, IntScale), G),
+    **dict.fromkeys((GVar, Zero, Add, Neg, GMeet, GJoin, IntScale, LinForm), G),
     **dict.fromkeys((LVar, Bot, Top, LMeet, LJoin, Compl, Val), L),
 }
 
@@ -283,6 +316,8 @@ def occurs_free(name: str, node: Term | Formula) -> bool:
     cls = type(node)
     if cls is GVar or cls is LVar:
         return node.name == name
+    if cls is LinForm:
+        return any(v == name for v, _ in node.lin.coeffs)
     if (cls is Exists or cls is Forall) and node.var == name:
         return False
     for child in _FIELDS[cls][1](node):
@@ -307,8 +342,9 @@ def free_vars(
     of the wrong sort, on a variable used at a sort other than its
     binder's, its declaration's or its first use's, and on an unknown
     sort or node. The walk keeps its own stack: a marker pushed below
-    each operand checks it after its subtree, as a recursive check
-    would, and one pushed below each binder's body leaves its scope."""
+    each operand of the wrong sort raises after its subtree is checked,
+    as a recursive check would, and one pushed below each binder's body
+    leaves its scope. A LinForm leaf uses its variables at sort G."""
     context = context or {}
     out: dict[str, str] = {}
     scope: dict[str, str | None] = {}  # name -> sort of its innermost binder
@@ -328,7 +364,9 @@ def free_vars(
         elif cls in _OPERANDS:
             need, message = _OPERANDS[cls]
             for t in reversed(_FIELDS[cls][1](n)):
-                stack += ((t, need, message), t)
+                if SORT.get(type(t)) != need:
+                    stack.append((t, need, message))
+                stack.append(t)
         elif cls is GVar or cls is LVar:
             sort = SORT[cls]
             declared = scope.get(n.name)
@@ -338,6 +376,8 @@ def free_vars(
                 raise SortError(
                     f"variable {n.name} used at sort {sort} but declared {declared}"
                 )
+        elif cls is LinForm:
+            stack += [GVar(v) for v, _ in reversed(n.lin.coeffs)]
         elif cls is Exists or cls is Forall:
             if n.sort not in (G, L):
                 raise SortError(f"unknown sort {n.sort!r}")
@@ -414,6 +454,27 @@ def holds(model, genv: dict, lenv: dict, phi: Formula) -> bool:
     return go(phi)
 
 
+def lin_to_gterm(lin: Lin) -> Term:
+    """Canonical G-term for a linear form (integer coefficients)."""
+    parts = []
+    for var, coeff in lin.coeffs:
+        n = int(coeff)
+        if coeff != n:
+            raise ValueError("lin_to_gterm expects integer coefficients")
+        leaf = GVar(var)
+        if abs(n) > 1:
+            leaf = IntScale(abs(n), leaf)
+        if n < 0:
+            leaf = Neg(leaf)
+        parts.append(leaf)
+    if not parts:
+        return Zero()
+    out = parts[0]
+    for p in parts[1:]:
+        out = Add(out, p)
+    return out
+
+
 # --- printing ---
 #
 # Precedence (loosest to tightest): quantifier, ->, |, &, ~, relations,
@@ -445,6 +506,8 @@ def print_term(t: Term) -> str:
             return f"compl({go(t.arg, 0)})"
         if isinstance(t, Val):
             return f"P({go(t.arg, 0)})"
+        if isinstance(t, LinForm):
+            return go(lin_to_gterm(t.lin), prec)
         raise ValueError(f"unknown term {t!r}")
 
     return go(t, 0)

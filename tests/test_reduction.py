@@ -1,13 +1,15 @@
 """Lattice-sort reduction engine and the ec-theory decider."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
 from dvlg import reduction
 from dvlg import syntax as S
-from dvlg.corpus import gen_tplus_corpus, named_rng
-from dvlg.errors import NotSentence, UnsupportedFragment
+from dvlg.corpus import gen_tplus_corpus, load_known_answers, named_rng
+from dvlg.errors import NotSentence, SortError, UnsupportedFragment
 from dvlg.linear import Lin
 from dvlg.oracle import Assignment, decide_finite
 from dvlg.parser import parse
@@ -17,8 +19,9 @@ from dvlg.reduction import (
     eliminate_group_var,
     reduce,
 )
-from dvlg.rewrites import rename_bound, val_of_lin
+from dvlg.rewrites import lin_to_gterm, normalize, rename_bound, val_of_lin
 from dvlg.standard import FinStdStructure, GroupVector, SubsetL
+from test_rewrites import _closures, _expand, _family_members
 
 CTX = {"a": S.G, "b": S.G, "l": S.L, "m": S.L}
 
@@ -62,26 +65,40 @@ def _reduct_matches_oracle(text, seed=17, per_n=6):
 
 
 class TestEliminateGroupVar:
-    # one (y, b, lower) per valuation atom: x >= b on y if lower, else x <= b
+    # one (y, rest, c) per valuation atom P(c*x + rest): with b = -rest/c,
+    # x >= b on y if c > 0, else x <= b; the output keeps each valuation
+    # atom as a LinForm leaf and is compared through lin_to_gterm
     L, M = S.LVar("l"), S.LVar("m")
     A, B = Lin.var("a"), Lin.var("b")
 
     def test_two_sided(self):
         # exists x (l below P(x - a) and m below P(b - x))
-        out = eliminate_group_var([(self.L, self.A, True), (self.M, self.B, False)])
+        out = eliminate_group_var([(self.L, -self.A, 1), (self.M, self.B, -1)])
         # lower bound a on l, upper bound b on m: l cap m << P(b - a)
-        assert out.left == S.LBelow(S.LMeet(self.L, self.M), val_of_lin(self.B - self.A))
+        assert _expand(out.left) == S.LBelow(
+            S.LMeet(self.L, self.M), val_of_lin(self.B - self.A)
+        )
 
     def test_one_sided_true(self):
-        assert eliminate_group_var([(S.Top(), self.A, True)]) == S.TRUE
+        assert eliminate_group_var([(S.Top(), -self.A, 1)]) == S.TRUE
 
     def test_strict_pair_gets_two_sided_form(self):
-        out = eliminate_group_var([(self.L, self.A, True), (self.M, self.B, False)])
+        out = eliminate_group_var([(self.L, -self.A, 1), (self.M, self.B, -1)])
         # x > b on compl(m) and x < a on compl(l): both bounds strict
         diff = self.A - self.B
-        assert out.right == S.LBelow(
+        assert _expand(out.right) == S.LBelow(
             S.LMeet(S.Compl(self.M), S.Compl(self.L)),
             S.LMeet(val_of_lin(diff), S.Compl(val_of_lin(-diff))),
+        )
+
+    def test_side_conditions_scale_to_integers(self):
+        # exists x (l below P(2x - 3a) and m below P(b - 3x)): the bounds
+        # 3a/2 and b/3 give P(b/3 - 3a/2), which is P(2b - 9a)
+        out = eliminate_group_var(
+            [(self.L, self.A.scale(-3), 2), (self.M, self.B, -3)]
+        )
+        assert _expand(out.left) == S.LBelow(
+            S.LMeet(self.L, self.M), val_of_lin(self.B.scale(2) - self.A.scale(9))
         )
 
     def test_oracle_equivalence(self):
@@ -211,6 +228,80 @@ def test_frozen_reduct(text, mode, terms, chi, eliminations):
     assert out.eliminations == eliminations
 
 
+def _pinned_inputs():
+    """The known answers, the benchmark's family members at their k and
+    the forall- and exists-closures of gen_tplus_corpus(1, 400)."""
+    texts = [e["formula"] for e in load_known_answers()] + _family_members()
+    phis = [parse(text) for text in texts]
+    for _, phi, _ in gen_tplus_corpus(1, 400):
+        phis += _closures(phi)
+    return phis
+
+
+def _reduce_digest(phis) -> str:
+    """sha256 of reduce(phi, mode).to_json() and eliminations in both
+    modes, or of the error that tplus mode raises."""
+    h = hashlib.sha256()
+    for phi in phis:
+        for mode in ("tplus", "ec"):
+            try:
+                out = reduce(phi, mode)
+                record = f"{json.dumps(out.to_json())} {out.eliminations}"
+            except UnsupportedFragment as exc:
+                record = f"UnsupportedFragment: {exc}"
+            h.update(record.encode() + b"\n")
+    return h.hexdigest()
+
+
+# _reduce_digest(_pinned_inputs()) from the reducer that rebuilt each
+# valuation atom as a G-term and linearized it again at each elimination
+REDUCE_DIGEST = (
+    "d3bf6cb9572d83c9e0a0af635cac1815abb1c2df83288448b47fe10b82b37d64"
+)
+
+
+class TestPinnedOutput:
+    @pytest.fixture(scope="class")
+    def phis(self):
+        return _pinned_inputs()
+
+    def test_reduce_output_is_unchanged(self, phis):
+        assert len(phis) == 829
+        assert _reduce_digest(phis) == REDUCE_DIGEST
+
+    def test_no_linform_leaf_in_the_output(self, phis):
+        for phi in phis:
+            for mode in ("tplus", "ec"):
+                try:
+                    out = reduce(phi, mode)
+                except UnsupportedFragment:
+                    continue
+                for root in (out.chi, *out.terms):
+                    assert not any(type(n) is S.LinForm for n in S.nodes(root))
+
+    def test_walks_read_a_leaf_as_its_gterm(self, phis):
+        # each valuation atom normalize makes, against its G-term
+        atoms = {
+            n for phi in phis for n in S.nodes(normalize(phi, S.free_vars(phi)))
+            if type(n) is S.Val
+        }
+        assert len(atoms) > 100
+        for leaf in atoms:
+            gterm = S.Val(lin_to_gterm(leaf.arg.lin))
+            assert S.print_term(leaf) == S.print_term(gterm)
+            # the same variables and sorts, in the same order
+            assert list(S.free_vars(leaf).items()) == list(S.free_vars(gterm).items())
+            for name in (*S.free_vars(gterm), "_absent"):
+                assert S.occurs_free(name, leaf) == S.occurs_free(name, gterm)
+            # a variable declared at sort L is misused the same way
+            for name in S.free_vars(gterm):
+                with pytest.raises(SortError) as leaf_err:
+                    S.free_vars(leaf, {name: S.L})
+                with pytest.raises(SortError) as gterm_err:
+                    S.free_vars(gterm, {name: S.L})
+                assert str(leaf_err.value) == str(gterm_err.value)
+
+
 class TestDecideEc:
     def test_known_truths(self):
         assert decide_ec(parse("forall v:G. exists b:G. b + b = v")) is True
@@ -237,7 +328,7 @@ class TestDecideEc:
         ]
         for text in sentences:
             phi = parse(text)
-            assert decide_ec(phi) == decide_ec(rename_bound(phi, prefix="_z"))
+            assert decide_ec(phi) == decide_ec(rename_bound(phi, "_z", S.free_vars(phi)))
 
 
 class TestFreshNames:

@@ -94,7 +94,7 @@ class TestSemanticPreservation:
     def test_rename_bound(self):
         for text in QUANT_SAMPLES:
             phi = parse(text, CTX)
-            self._equiv(phi, rename_bound(phi))
+            self._equiv(phi, rename_bound(phi, "_q", S.free_vars(phi)))
 
 
 def _closures(phi):
@@ -166,7 +166,7 @@ class TestSimplifyFixedPoint:
         # one_point folds each node it rebuilds, so a vacuous quantifier
         # above a substitution goes too
         for phi in closures:
-            out = one_point(simplify(rename_bound(phi)))
+            out = one_point(simplify(rename_bound(phi, "_q", S.free_vars(phi))))
             assert simplify(out) == out, S.print_formula(phi)
 
     @pytest.mark.parametrize("mode", ["tplus", "ec"])
@@ -237,14 +237,26 @@ def normalize_inputs():
     return out
 
 
+def _expand(f):
+    """f with each LinForm leaf replaced by lin_to_gterm of its form."""
+    leaves = {n: lin_to_gterm(n.lin) for n in S.nodes(f) if type(n) is S.LinForm}
+    return substitute(f, leaves)
+
+
 class TestNormalize:
     def test_equals_the_four_passes(self, normalize_inputs):
+        # normalize keeps each valuation atom's argument as a LinForm
+        # leaf, which lin_to_gterm turns into the four passes' G-term
         for phi in normalize_inputs:
             free = S.free_vars(phi)
             passes = simplify(push_valuation_formula(group_atoms_to_lattice(
-                rename_bound(phi, taken=free)
+                rename_bound(phi, "_q", free)
             )))
-            assert normalize(phi, free) == passes, S.print_formula(phi)
+            out = normalize(phi, free)
+            for n in S.nodes(out):
+                if type(n) is S.Val:
+                    assert type(n.arg) is S.LinForm, S.print_formula(phi)
+            assert _expand(out) == passes, S.print_formula(phi)
 
     def test_fresh_names_skip_the_free_names(self):
         for text in FRESH_LIKE:
@@ -262,6 +274,18 @@ class TestNormalize:
                     assert repr(jom) == repr(_join_of_meets(t, {}))
                     linear += len(jom) == 1 and len(jom[0]) == 1
         assert linear > 10_000
+
+
+class TestRenameBound:
+    def test_fresh_names_skip_the_taken_names(self):
+        # a free _q0 is not captured by the fresh name of x
+        phi = parse("exists x:G. x <= _q0", {"_q0": S.G})
+        out = rename_bound(phi, "_q", S.free_vars(phi))
+        assert S.print_formula(out) == "exists _q1:G. _q1 <= _q0"
+
+    def test_taken_is_required(self):
+        with pytest.raises(TypeError):
+            rename_bound(parse("exists x:G. x <= _q0"), "_q")
 
 
 class TestSubstitute:

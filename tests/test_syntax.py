@@ -2,13 +2,14 @@
 the generic tree walk."""
 
 import operator
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 
 from dvlg import syntax as S
 from dvlg.corpus import gen_lattice_corpus, gen_tplus_corpus, load_known_answers
 from dvlg.errors import FormulaSyntaxError, SortError
+from dvlg.linear import Lin
 from dvlg.parser import parse
 from dvlg.syntax import (
     children,
@@ -238,3 +239,39 @@ class TestWalker:
         for _ in range(10_000):
             phi = S.Not(phi)
         assert sum(1 for _ in nodes(phi)) == 10_001
+
+
+class TestFrozenNodes:
+    CLASSES = (*S.Term.__subclasses__(), *S.Formula.__subclasses__(), Lin)
+
+    @staticmethod
+    def _instance(cls):
+        # one distinct value per field: equality and hash read them all
+        return cls(*(f"v{i}" for i, _ in enumerate(fields(cls))))
+
+    def test_assigning_any_field_raises(self):
+        for cls in self.CLASSES:
+            node = self._instance(cls)
+            for f in fields(cls):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(node, f.name, "other")
+                with pytest.raises(FrozenInstanceError):
+                    delattr(node, f.name)
+            assert node == self._instance(cls), cls
+
+    def test_fields_are_stored_in_the_instance_dict(self):
+        for cls in self.CLASSES:
+            node = self._instance(cls)
+            values = {f.name: f"v{i}" for i, f in enumerate(fields(cls))}
+            assert vars(node) == values, cls
+            assert hash(node) == hash(self._instance(cls))
+            args = ", ".join(f"{k}={v!r}" for k, v in values.items())
+            assert repr(node) == f"{cls.__name__}({args})"
+
+    def test_keyword_arguments_and_arity(self):
+        assert S.Exists(var="x", sort=S.G, body=S.TRUE) == S.Exists("x", S.G, S.TRUE)
+        assert Lin(coeffs=(("a", 1),)) == Lin.var("a")
+        with pytest.raises(TypeError):
+            S.And(S.TRUE)
+        with pytest.raises(TypeError):
+            S.Neg(S.Zero(), S.Zero())
