@@ -16,6 +16,9 @@ expected, or a string where a list is), 3 unsupported fragment, 4
 resource limit, 5 internal error (any other exception, RecursionError
 included, with one line on stderr).
 
+A reader that closes stdout early ends the output there: the verb runs
+on and exits with its own code, and nothing is printed on stderr.
+
 Output is deterministic: the same command and seed give the same bytes.
 Wall-clock times appear only with --timings: stats.elapsed_ms in the
 --json report (null without the flag) and the seconds after each
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -170,6 +174,23 @@ def _stats(args, start: float, eliminations: int, atoms: int) -> dict:
     return {"elapsed_ms": elapsed, "eliminations": eliminations, "atoms": atoms}
 
 
+def _drop_stdout() -> None:
+    """Point stdout at os.devnull, once its reader has closed the pipe:
+    later output and the flush at exit then write nowhere, and raise no
+    BrokenPipeError."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
+def _emit(text: str) -> None:
+    """Print one line of output; a closed pipe ends the output."""
+    try:
+        print(text)
+    except BrokenPipeError:
+        _drop_stdout()
+
+
 def _report(args, command, source, verdict, stats, trace, exit_code):
     if args.json:
         doc = {
@@ -180,15 +201,15 @@ def _report(args, command, source, verdict, stats, trace, exit_code):
         }
         if args.trace:
             doc["trace"] = trace
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        _emit(json.dumps(doc, indent=2, sort_keys=True))
     else:
         if args.trace:
             for line in trace:
-                print(f"# {line}")
+                _emit(f"# {line}")
         if isinstance(verdict, bool):
-            print("true" if verdict else "false")
+            _emit("true" if verdict else "false")
         else:
-            print(json.dumps(verdict, indent=2, sort_keys=True))
+            _emit(json.dumps(verdict, indent=2, sort_keys=True))
     return exit_code
 
 
@@ -313,13 +334,13 @@ def _cmd_selftest(args) -> int:
             line += f" ({elapsed:.1f}s)"
         lines.append(line)
         if not args.json:
-            print(line)
+            _emit(line)
 
     results = run_all(seed, report=report)
     passed = sum(1 for _, ok, _, _ in results if ok)
     verdict = passed == len(results)
     if not args.json:
-        print(f"{passed}/{len(results)} criteria passed")
+        _emit(f"{passed}/{len(results)} criteria passed")
     stats = _stats(args, start, 0, 0)
     return _report(
         args, "selftest", f"seed={seed}", verdict, stats, lines,
@@ -337,8 +358,9 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        # argparse prints --help on stdout too, then raises SystemExit
+        args = _build_parser().parse_args(argv)
         return _DISPATCH[args.command](args)
     except (FormulaSyntaxError, SortError, NotSentence, NotLatticeSorted,
             UnboundVariable, BadArgument, json.JSONDecodeError) as e:
@@ -354,6 +376,11 @@ def main(argv=None) -> int:
         msg = " ".join(str(e).splitlines())
         print(f"internal error: {type(e).__name__}: {msg}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:
+            _drop_stdout()
 
 
 if __name__ == "__main__":

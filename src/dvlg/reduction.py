@@ -13,11 +13,11 @@ The fresh names _y0, _y1, ... and p1, p2, ... skip the free variables
 of the input; its bound ones are renamed to _q0, _q1, ... first.
 
 From normalization to extraction a valuation atom is Val(LinForm(lin)),
-lin its primitive integer linear form (rewrites.normalize makes it,
-and rewrites.val_leaf makes the side conditions' atoms), so c and rest
-are read from lin and no G-term is linearized again. _extract_terms
-converts each extracted atom once with lin_to_gterm, so chi and the
-terms hold no LinForm.
+lin its primitive integer linear form (rewrites.normalize makes it, and
+eliminate_group_var builds the side conditions' atoms in the same
+form), so c and rest are read from lin and no G-term is linearized
+again. _extract_terms converts each extracted atom once with
+lin_to_gterm, so chi and the terms hold no LinForm.
 
 Neither mode eliminates a lattice quantifier. tplus mode refuses one
 that a group variable crosses; ec mode keeps it in chi, and ba_decide
@@ -32,23 +32,28 @@ folds (rewrites.fold) each node it builds, and a walk returns each node
 through rewrites.refold, so a node whose children did not change comes
 back as it is. The naming walk (_name_val_atoms) renames Val atoms
 injectively to fresh lattice variables, which keeps a formula simplify
-output, since simplify never looks inside a Val atom; one such walk
-serves each elimination and the final extraction of the terms. Bound
-names stay distinct, so one walk over a body tells which variables of
-a peeled lattice block occur in it, and only those are bound again.
+output, since simplify never looks inside a Val atom. In an elimination
+the same walk applies the one-point rule (rewrites.one_point_at) at
+each existential binder on its way back up, and eliminate_exists then
+applies it at the new binders, innermost first: one walk per
+elimination does what naming and a separate one_point over the body
+did. The final extraction of the terms uses the walk without the rule,
+and reduce runs one_point once over the whole result. Bound names stay
+distinct, so one walk over a body tells which variables of a peeled
+lattice block occur in it, and only those are bound again.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
+from math import gcd
 
 from . import syntax as S
 # ba_qe is not called here; perfbench/tracing.py rebinds reduction.ba_qe
 from .boolalg import ba_decide, ba_qe
 from .errors import NotPrimitive, NotSentence, UnsupportedFragment
 from .linear import Lin
-from .rewrites import fold, fresh_names, normalize, one_point, refold, val_leaf
+from .rewrites import fold, fresh_names, normalize, one_point, one_point_at, refold
 # not called here either: normalize does their work in one walk, the
 # reducer reads each valuation atom's Lin from its LinForm leaf, and
 # perfbench/tracing.py rebinds these names in reduction
@@ -107,56 +112,124 @@ def eliminate_group_var(bounds) -> S.Formula:
     no other condition is needed. P(u - l) is computed as P of
     |c_i*c_j|*(u - l), an integer form: P is unchanged by a positive
     factor.
+
+    Each condition is built in the form fold would give it: the
+    difference as a sorted integer form divided by the gcd of its
+    coefficients, and its negation for a strict pair. A zero difference
+    is the one case that folds: P(0) is top, so the condition vanishes,
+    or, for a strict pair, becomes r meet r' below bot.
     """
+    # per atom: the region of its lower bound and that of its upper one
+    regions = [
+        (y, S.Compl(y)) if c > 0 else (S.Compl(y), y) for y, _, c in bounds
+    ]
     out = S.TRUE
-    for i, (y, rest_i, c_i) in enumerate(bounds):
-        r = y if c_i > 0 else S.Compl(y)
-        for j, (yp, rest_j, c_j) in enumerate(bounds):
+    for i, (_, rest_i, c_i) in enumerate(bounds):
+        r = regions[i][0]
+        for j, (_, rest_j, c_j) in enumerate(bounds):
             if i == j:
                 continue
-            rp = S.Compl(yp) if c_j > 0 else yp
             # |c_i*c_j|*(b_j - b_i) = f_i*rest_i - f_j*rest_j
             f_i = abs(c_j) if c_i > 0 else -abs(c_j)
             f_j = abs(c_i) if c_j > 0 else -abs(c_i)
             acc = {v: f_i * q for v, q in rest_i.coeffs}
             for v, q in rest_j.coeffs:
                 acc[v] = acc.get(v, 0) - f_j * q
-            diff = Lin.make(acc)
-            target = val_leaf(diff)
-            if c_j > 0 or c_i < 0:
-                target = S.LMeet(target, S.Compl(val_leaf(-diff)))
-            out = fold(S.And(out, fold(S.LBelow(S.LMeet(r, rp), target))))
+            diff = sorted(item for item in acc.items() if item[1])
+            strict = c_j > 0 or c_i < 0
+            if diff:
+                g = gcd(*[q for _, q in diff])
+                if g != 1:
+                    diff = [(v, q // g) for v, q in diff]
+                target = S.Val(S.LinForm(Lin(tuple(diff))))
+                if strict:
+                    neg = Lin(tuple((v, -q) for v, q in diff))
+                    target = S.LMeet(target, S.Compl(S.Val(S.LinForm(neg))))
+            elif strict:
+                target = S.Bot()
+            else:
+                continue
+            cond = S.LBelow(S.LMeet(r, regions[j][1]), target)
+            out = cond if out is S.TRUE else S.And(out, cond)
     return out
 
 
 def _name_val_atoms(f: S.Formula, fresh, var: str | None = None):
     """f with each Val atom that has var free, or every Val atom if var
     is None, replaced by a lattice variable named by fresh, one per
-    distinct atom in order of first occurrence; and the list of
-    (atom, variable) pairs. The renaming is injective, so simplify
-    output stays simplify output and no node is folded."""
-    seen = {}  # Val atom -> its variable, or the atom if it keeps its place
+    distinct atom in order of first occurrence; the list of (the atom's
+    linear form, its variable) pairs; and whether the one-point rule
+    fired.
+
+    With var given, the walk also applies the one-point rule
+    (rewrites.one_point_at) at each existential binder on its way back
+    up, as one_point over the renamed formula would. The renaming is
+    injective, so simplify output stays simplify output: a rebuilt node
+    is folded only where the rule fired below it, as refold does. The
+    walk dispatches on node class and takes one Python frame per tree
+    level."""
+    seen = {}  # an atom's lin.coeffs -> its variable, or False if it stays
+    pin = var is not None
+    fired = 0  # how often the one-point rule fired so far
 
     def go(n):
+        nonlocal fired
         cls = type(n)
         if cls is S.Val:
-            out = seen.get(n)
+            coeffs = n.arg.lin.coeffs
+            out = seen.get(coeffs)
             if out is None:
-                named = var is None or S.occurs_free(var, n.arg)
-                out = seen[n] = S.LVar(next(fresh)) if named else n
-            return out
+                if var is None or any(v == var for v, _ in coeffs):
+                    out = S.LVar(next(fresh))
+                else:
+                    out = False
+                seen[coeffs] = out
+            return out or n
+        if cls is S.And or cls is S.Or or cls is S.Implies:
+            before = fired
+            left, right = go(n.left), go(n.right)
+            if left is n.left and right is n.right:
+                return n
+            out = cls(left, right)
+            return fold(out) if fired != before else out
+        if (
+            cls is S.LBelow or cls is S.LEq or cls is S.LMeet or cls is S.LJoin
+        ):
+            left, right = go(n.left), go(n.right)
+            if left is n.left and right is n.right:
+                return n
+            return cls(left, right)
+        if cls is S.Compl:
+            arg = go(n.arg)
+            return n if arg is n.arg else S.Compl(arg)
+        if cls is S.Not:
+            before = fired
+            arg = go(n.arg)
+            if arg is n.arg:
+                return n
+            out = S.Not(arg)
+            return fold(out) if fired != before else out
+        if cls is S.Exists or cls is S.Forall:
+            before = fired
+            body = go(n.body)
+            if pin and cls is S.Exists:
+                out = one_point_at(n.var, n.sort, body)
+                if out is not None:
+                    fired += 1
+                    return out
+            if body is n.body:
+                return n
+            out = cls(n.var, n.sort, body)
+            return fold(out) if fired != before else out
         if cls is S.GLeq or cls is S.GEq:
             raise NotPrimitive(
                 f"group atom survived normalization: {S.print_formula(n)}"
             )
-        old = S.children(n)
-        new = tuple(map(go, old))
-        if all(map(operator.is_, new, old)):
-            return n
-        return S.rebuild(n, new)
+        return n  # a variable, a constant or true/false
 
     renamed = go(f)
-    return renamed, [(v, y) for v, y in seen.items() if y is not v]
+    named = [(coeffs, y) for coeffs, y in seen.items() if y is not False]
+    return renamed, named, fired > 0
 
 
 def _wrap_exists(names: list, body: S.Formula) -> S.Formula:
@@ -231,34 +304,41 @@ class _Reducer:
             else:
                 break
         # after normalization, var occurs in Val atoms only
-        named_body, named = _name_val_atoms(body, self.fresh, var)
+        named_body, named, fired = _name_val_atoms(body, self.fresh, var)
         if named:
             if self.mode == "tplus":
                 _reject_crossing(var, body)
             bounds = []
-            for vt, y in named:
-                # vt is P(c*var + rest), kept as a LinForm since normalize
-                lin = vt.arg.lin
-                c = lin.get(var)
-                rest = Lin(tuple(item for item in lin.coeffs if item[0] != var))
-                bounds.append((y, rest, c))
-            # named_body holds every y, and no side condition folds to
-            # FALSE (the left of each is a meet of two regions), so the
-            # fold keeps named_body and each y is bound without a check
+            for coeffs, y in named:
+                # the atom is P(c*var + rest), kept as a LinForm since normalize
+                rest = tuple(item for item in coeffs if item[0] != var)
+                c = next(q for v, q in coeffs if v == var)
+                bounds.append((y, Lin(rest), c))
+            # named_body holds every y unless the one-point rule fired in
+            # it, and no side condition folds to FALSE (the left of each
+            # is a meet of two regions)
             body = fold(S.And(named_body, eliminate_group_var(bounds)))
+            # the one-point rule at the new binders, innermost first; a
+            # binder is folded, which may drop it, only where the rule
+            # fired below it
             for _, y in reversed(named):
-                body = S.Exists(y.name, S.L, body)
-            body = one_point(body)
+                out = one_point_at(y.name, S.L, body)
+                if out is not None:
+                    body, fired = out, True
+                else:
+                    body = S.Exists(y.name, S.L, body)
+                    if fired:
+                        body = fold(body)
         return _wrap_exists(block, body)
 
 
 def _extract_terms(phi: S.Formula, taken):
     """Replace Val atoms over free group variables by fresh p_i, named
     apart from taken: phi, the terms and the names."""
-    phi, named = _name_val_atoms(phi, fresh_names("p", taken, start=1))
+    phi, named, _ = _name_val_atoms(phi, fresh_names("p", taken, start=1))
     return (
         phi,
-        tuple(S.lin_to_gterm(v.arg.lin) for v, _ in named),
+        tuple(S.lin_to_gterm(Lin(coeffs)) for coeffs, _ in named),
         tuple(p.name for _, p in named),
     )
 
@@ -269,7 +349,12 @@ def reduce(phi: S.Formula, mode: str = "tplus") -> ReductionOutput:
     phi = normalize(phi, free)
     reducer = _Reducer(mode, free)
     chi = one_point(reducer.run(phi))
-    chi, terms, names = _extract_terms(chi, free)
+    terms = names = ()
+    # every Val atom has a group variable (val_leaf makes P(0) top), and
+    # every bound one is eliminated by now: with no free group variable,
+    # chi has no Val atom
+    if S.G in free.values():
+        chi, terms, names = _extract_terms(chi, free)
     return ReductionOutput(
         chi=chi,
         terms=terms,

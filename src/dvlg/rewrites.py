@@ -335,26 +335,42 @@ def _conjuncts(f: S.Formula):
             yield f
 
 
+def one_point_at(var: str, sort: str, body: S.Formula) -> S.Formula | None:
+    """The one-point rule at one binder 'exists var:sort. body': if a
+    top-level conjunct of body is var = t or t = var with var not in t,
+    the first such t, in conjunct order, substituted for var in body and
+    simplified; None if no conjunct pins var. body must be simplify
+    output with no binder of var inside."""
+    var_cls = S.GVar if sort == S.G else S.LVar
+    eq_cls = S.GEq if sort == S.G else S.LEq
+    for c in _conjuncts(body):
+        if type(c) is eq_cls:
+            for mine, other in ((c.left, c.right), (c.right, c.left)):
+                if (
+                    type(mine) is var_cls
+                    and mine.name == var
+                    and not S.occurs_free(var, other)
+                ):
+                    return simplify(substitute(body, {mine: other}))
+    return None
+
+
 def one_point(phi: S.Formula) -> S.Formula:
     """Inline quantified variables pinned by a top-level equality.
 
-    'exists x (... and x = t and ...)' with x not in t becomes the body
-    with t substituted for x; requires the binders to be non-shadowing
-    (run rename_bound first if unsure). Each node comes back as refold
+    Bottom-up, one_point_at at each existential binder: 'exists x (...
+    and x = t and ...)' with x not in t becomes the body with t
+    substituted for x. Requires the binders to be non-shadowing (run
+    rename_bound first if unsure). Each other node comes back as refold
     returns it, so simplify output stays simplify output.
     """
     if isinstance(phi, S.ATOMS):
         return phi
     new = tuple(map(one_point, S.children(phi)))
-    if isinstance(phi, S.Exists):
-        (body,) = new
-        var = S.GVar(phi.var) if phi.sort == S.G else S.LVar(phi.var)
-        eq_cls = S.GEq if phi.sort == S.G else S.LEq
-        for c in _conjuncts(body):
-            if isinstance(c, eq_cls):
-                for mine, other in ((c.left, c.right), (c.right, c.left)):
-                    if mine == var and not S.occurs_free(phi.var, other):
-                        return simplify(substitute(body, {var: other}))
+    if type(phi) is S.Exists:
+        out = one_point_at(phi.var, phi.sort, new[0])
+        if out is not None:
+            return out
     return refold(phi, new)
 
 

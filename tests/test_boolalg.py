@@ -410,7 +410,7 @@ class TestDeepFamilies:
         assert ba_decide(chi) is True
         assert _depth(chi) <= 64
 
-    # chi is deeper here (91 to 512 levels), and ba_decide splits each
+    # chi is deeper here (91 to 544 levels), and ba_decide splits each
     # long block body into parts with its own stack
     @pytest.mark.parametrize("text", [
         pytest.param(_patching(5), id="patching-5"),
@@ -419,6 +419,8 @@ class TestDeepFamilies:
         pytest.param(_cyclic(64), id="cyclic-64"),
         pytest.param(_chain(64), id="chain-64"),
         pytest.param(_chain(128), id="chain-128"),
+        # the deepest member that decides: at k=144 ba_decide overflows
+        pytest.param(_chain(136), id="chain-136"),
     ])
     def test_decided_at_the_frontier(self, text):
         assert sys.getrecursionlimit() == 1000

@@ -1,9 +1,14 @@
 """Command-line interface: exit codes, JSON schema, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dvlg
 from dvlg.cli import main
 
 
@@ -272,3 +277,36 @@ class TestDeterminism:
         code1, out1, _ = run(capsys, "decide", text)
         code2, out2, _ = run(capsys, "decide", text)
         assert (code1, out1) == (code2, out2)
+
+
+class TestClosedPipe:
+    """A reader that closes stdout before the output ends: the verb's
+    own exit code, and nothing on stderr."""
+
+    SHIFT = ["model", "--op", "shift", "--args", '[{"k": 2, "vals": ["1","2","3","4"]}]']
+
+    @pytest.mark.parametrize("argv, code", [
+        (SHIFT, 0),
+        (["decide", "top = bot"], 1),
+        (["decide", "--json", "--trace", "forall v:G. exists b:G. b + b = v"], 0),
+        (["--help"], 0),
+    ])
+    # unbuffered, each line is written, and fails, as it is printed;
+    # buffered, the flush at the end of main fails
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_exit_code_and_quiet_stderr(self, argv, code, unbuffered):
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(dvlg.__file__).parents[1]),
+            "PYTHONUNBUFFERED": unbuffered,
+        }
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe now fails with EPIPE
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "dvlg.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (code, b"")

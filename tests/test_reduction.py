@@ -19,8 +19,19 @@ from dvlg.reduction import (
     eliminate_group_var,
     reduce,
 )
-from dvlg.rewrites import lin_to_gterm, normalize, rename_bound, val_of_lin
+from dvlg.rewrites import (
+    fold,
+    fresh_names,
+    lin_to_gterm,
+    normalize,
+    one_point,
+    rename_bound,
+    substitute,
+    val_leaf,
+    val_of_lin,
+)
 from dvlg.standard import FinStdStructure, GroupVector, SubsetL
+from test_boolalg import _chain, _cyclic, _patching
 from test_rewrites import _closures, _expand, _family_members
 
 CTX = {"a": S.G, "b": S.G, "l": S.L, "m": S.L}
@@ -64,6 +75,27 @@ def _reduct_matches_oracle(text, seed=17, per_n=6):
             assert lhs == rhs, (text, n)
 
 
+def _folded_conditions(bounds):
+    """eliminate_group_var(bounds) built by folding: each difference
+    through Lin.make and val_leaf, each condition and conjunction
+    through fold."""
+    out = S.TRUE
+    for i, (y, rest_i, c_i) in enumerate(bounds):
+        r = y if c_i > 0 else S.Compl(y)
+        for j, (yp, rest_j, c_j) in enumerate(bounds):
+            if i == j:
+                continue
+            rp = S.Compl(yp) if c_j > 0 else yp
+            f_i = abs(c_j) if c_i > 0 else -abs(c_j)
+            f_j = abs(c_i) if c_j > 0 else -abs(c_i)
+            diff = rest_i.scale(f_i) - rest_j.scale(f_j)
+            target = val_leaf(diff)
+            if c_j > 0 or c_i < 0:
+                target = S.LMeet(target, S.Compl(val_leaf(-diff)))
+            out = fold(S.And(out, fold(S.LBelow(S.LMeet(r, rp), target))))
+    return out
+
+
 class TestEliminateGroupVar:
     # one (y, rest, c) per valuation atom P(c*x + rest): with b = -rest/c,
     # x >= b on y if c > 0, else x <= b; the output keeps each valuation
@@ -100,6 +132,24 @@ class TestEliminateGroupVar:
         assert _expand(out.left) == S.LBelow(
             S.LMeet(self.L, self.M), val_of_lin(self.B.scale(2) - self.A.scale(9))
         )
+
+    def test_zero_difference(self):
+        # exists x (l below P(x - a) and m below P(a - x)): x = a. The
+        # pair's non-strict condition l cap m << P(0) = top vanishes, and
+        # the strict one says that compl(m) and compl(l) are disjoint
+        out = eliminate_group_var([(self.L, -self.A, 1), (self.M, self.A, -1)])
+        assert out == S.LBelow(S.LMeet(S.Compl(self.M), S.Compl(self.L)), S.Bot())
+
+    @pytest.mark.parametrize("bounds", [
+        [(L, -A, 1), (M, A, -1)],
+        [(L, -A, 1), (M, B, -1)],
+        [(L, A.scale(-3), 2), (M, B, -3)],
+        [(L, -A, 1), (M, -A, 1)],
+        [(L, -A, 1), (M, A - B, -1), (S.LVar("n"), B.scale(2), -4)],
+        [(S.Top(), -A, 1)],
+    ])
+    def test_equals_the_folded_construction(self, bounds):
+        assert eliminate_group_var(bounds) == _folded_conditions(bounds)
 
     def test_oracle_equivalence(self):
         # frozen instances checked semantically against the oracle
@@ -212,8 +262,9 @@ FROZEN_REDUCTS = [
      "exists _q1:L. exists _q2:L. exists _y0:L. exists _y1:L. "
      "~_q2 cap _q1 << _y0 cap _y1 & (_y0 cap _y1 << p1 & "
      "compl(_y1) cap compl(_y0) << p2 cap compl(p1))", 1),
-    # one_point runs over the whole body after each elimination: run only
-    # at the new _y binders, it numbers the fresh names differently here
+    # each elimination applies the one-point rule at every binder its
+    # walk passes: applied only at the new _y binders, it numbers the
+    # fresh names differently here
     ("forall a:G. forall b:G. exists x:G. (P(x) << P(a) | exists l:L. "
      "(l = P(a) & compl(l) cap P(a + b) = compl(P(a)) cap P(a + b) & "
      "P(x) << l))", "ec", [],
@@ -300,6 +351,98 @@ class TestPinnedOutput:
                 with pytest.raises(SortError) as gterm_err:
                     S.free_vars(gterm, {name: S.L})
                 assert str(leaf_err.value) == str(gterm_err.value)
+
+
+def _names(f):
+    """Every variable name in f: free, bound and in LinForm leaves."""
+    out = set()
+    for n in S.nodes(f):
+        cls = type(n)
+        if cls is S.GVar or cls is S.LVar:
+            out.add(n.name)
+        elif cls is S.LinForm:
+            out.update(v for v, _ in n.lin.coeffs)
+        elif cls is S.Exists or cls is S.Forall:
+            out.add(n.var)
+    return out
+
+
+def _sequential_elimination(var, body, fresh):
+    """_Reducer.eliminate_exists(var, body) as a sequence of passes over
+    the whole formula: peel the lattice block, name the atoms that
+    mention var with substitute (fresh names in pre-order), conjoin the
+    side conditions, bind the new names, run one_point, then bind the
+    block again. Also the number of named atoms, and whether one_point
+    changes the named body alone, that is, fires at a binder that was
+    in the body."""
+    block = []
+    while True:
+        if type(body) is S.Not and type(body.arg) is S.Forall:
+            q = body.arg
+            body = fold(S.Exists(q.var, S.L, fold(S.Not(q.body))))
+        elif type(body) is S.Exists and body.sort == S.L:
+            block.append(body.var)
+            body = body.body
+        else:
+            break
+    atoms = {}
+    for n in S.nodes(body):
+        if type(n) is S.Val and n.arg.lin.get(var) and n not in atoms:
+            atoms[n] = S.LVar(next(fresh))
+    old_pin = False
+    if atoms:
+        bounds = []
+        for atom, y in atoms.items():
+            lin = atom.arg.lin
+            rest = Lin(tuple(item for item in lin.coeffs if item[0] != var))
+            bounds.append((y, rest, lin.get(var)))
+        named = substitute(body, atoms)
+        old_pin = one_point(named) is not named
+        body = fold(S.And(named, eliminate_group_var(bounds)))
+        for y in reversed(atoms.values()):
+            body = S.Exists(y.name, S.L, body)
+        body = one_point(body)
+    return reduction._wrap_exists(block, body), len(atoms), old_pin
+
+
+class TestEliminationStep:
+    """eliminate_exists names the atoms and applies the one-point rule
+    in one walk; it gives what the sequential passes give on every
+    (var, body) that reducing the pinned inputs and deeper family
+    members meets."""
+
+    @pytest.fixture(scope="class")
+    def steps(self):
+        met = []
+        eliminate = reduction._Reducer.eliminate_exists
+
+        def record(self, var, body):
+            met.append((var, body))
+            return eliminate(self, var, body)
+
+        phis = _pinned_inputs() + [
+            parse(text) for text in (_patching(5), _cyclic(16), _chain(16))
+        ]
+        # the last one pins at a lattice binder that was in the body
+        phis += [parse(text, CTX) for text, *_ in FROZEN_REDUCTS]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reduction._Reducer, "eliminate_exists", record)
+            for phi in phis:
+                reduce(phi, "ec")
+        return met
+
+    def test_equals_the_sequential_passes(self, steps):
+        named = old_pins = 0
+        for var, body in steps:
+            taken = _names(body)
+            got = reduction._Reducer("ec", taken).eliminate_exists(var, body)
+            want, atoms, old_pin = _sequential_elimination(
+                var, body, fresh_names("_y", taken)
+            )
+            assert got == want, (var, S.print_formula(body))
+            named += atoms > 0
+            old_pins += old_pin
+        assert len(steps) > 2000 and named > 1000 and old_pins >= 1
 
 
 class TestDecideEc:
