@@ -1,9 +1,12 @@
-"""Recursive-descent parser for the ASCII surface syntax.
+"""Parser for the ASCII surface syntax.
 
-Grammar summary (tightest binding first): unary minus and integer
-scaling, meet/join/cap/cup, + and binary -, relations (<=, <<, =, and
-strict < as sugar), ~, &, |, ->, quantifiers. Quantifier bodies extend
-as far right as possible.
+The grammar lives in the operator table syntax.BINARY, with
+syntax.RELATIONS and the precedences of ~, n* and unary minus, which
+the printer reads too. _Parser.expr is one precedence-climbing loop
+over it (Pratt's top-down operator precedence). A parenthesis is read
+once, as whatever it holds; above the relations only term operators
+bind. A syntax error names the first token that cannot continue the
+formula.
 """
 
 from __future__ import annotations
@@ -43,9 +46,19 @@ def _tokenize(text: str):
     return tokens
 
 
+# the loosest precedence of a term operator: from here up, only term
+# operators bind and expr reads a term
+_TERM_PREC = S.RELATION_PREC + 1
+
+# word -> (node class, precedence), for each sort of left operand
+_FORMULA_OPS = {w: (cls, p) for cls, (w, p) in S.BINARY.items() if cls not in S.SORT}
+_TERM_OPS = {w: (cls, p) for cls, (w, p) in S.BINARY.items() if cls in S.SORT}
+_TERM_OPS["-"] = _TERM_OPS["+"]  # a - b reads as a + -b
+_RELATION_WORDS = {*S.RELATIONS.values(), "<"}
+
+
 class _Parser:
     def __init__(self, text: str, context: dict[str, str] | None):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.context = dict(context or {})
@@ -83,12 +96,108 @@ class _Parser:
                 return sort
         return self.context.get(name)
 
-    # --- formulas ---
+    # --- the precedence-climbing loop ---
 
-    def formula(self) -> S.Formula:
-        kind, val, _ = self.peek()
-        if val in ("forall", "exists"):
+    def formula(self, prec: int = 0) -> S.Formula:
+        """The formula at the cursor whose operators bind at precedence
+        prec or tighter."""
+        node = self.expr(prec)
+        if type(node) in S.SORT:
+            _, val, pos = self.peek()
+            raise FormulaSyntaxError(
+                f"expected a relation, found {val or 'end of input'!r}", position=pos
+            )
+        return node
+
+    def expr(self, prec: int) -> S.Formula | S.Term:
+        """The longest formula or term at the cursor whose operators
+        bind at precedence prec or tighter; a term if prec is above the
+        relations. A term ends where no term operator continues it;
+        below the relations, a relation may then follow. A run of ->
+        is read in one loop and grouped to the right."""
+        pos = self.peek()[2]
+        left = self.prefix(prec)
+        while True:
+            word = self.peek()[1]
+            if type(left) in S.SORT:
+                if word in _RELATION_WORDS and prec <= S.RELATION_PREC:
+                    left = self.relation(left, pos)
+                    continue
+                op = _TERM_OPS.get(word)
+            else:
+                op = _FORMULA_OPS.get(word)
+            if op is None or op[1] < prec:
+                return left
             self.next()
+            cls, p = op
+            if cls is S.Implies:
+                parts = [left, self.formula(p + 1)]
+                while self.accept("->"):
+                    parts.append(self.formula(p + 1))
+                left = parts.pop()
+                while parts:
+                    left = S.Implies(parts.pop(), left)
+            elif cls in S.SORT:
+                right = self.expr(p + 1)
+                left = cls(left, S.Neg(right) if word == "-" else right)
+            else:
+                left = cls(left, self.formula(p + 1))
+
+    def prefix(self, prec: int) -> S.Formula | S.Term:
+        """The operand at the cursor with its prefix operators: true,
+        false, a run of ~ or a run of quantifiers where a formula may
+        stand (prec at most the relations'), and otherwise a term."""
+        kind, val, pos = self.peek()
+        if prec < _TERM_PREC:
+            if val in ("forall", "exists"):
+                return self.quantified()
+            if val == "~":
+                count = 0
+                while self.accept("~"):
+                    count += 1
+                out = self.formula(S.NOT_PREC)
+                for _ in range(count):
+                    out = S.Not(out)
+                return out
+            if val == "true" or val == "false":
+                self.next()
+                return S.TRUE if val == "true" else S.FALSE
+        self.next()
+        if val == "(":
+            inner = self.expr(0 if prec < _TERM_PREC else _TERM_PREC)
+            self.expect(")")
+            return inner
+        if val == "-":
+            return S.Neg(self.expr(S.UNARY_PREC))
+        if kind == "num":
+            if val == "0" and not self.at("*"):
+                return S.Zero()
+            self.expect("*")
+            return S.IntScale(int(val), self.expr(S.UNARY_PREC))
+        if val == "bot":
+            return S.Bot()
+        if val == "top":
+            return S.Top()
+        if val == "P" or val == "compl":
+            self.expect("(")
+            arg = self.expr(_TERM_PREC)
+            self.expect(")")
+            return S.Val(arg) if val == "P" else S.Compl(arg)
+        if kind == "ident":
+            # an LVar when a binder in scope or the context gives it sort
+            # L, a GVar otherwise; the free_vars walk at the end of parse
+            # rejects the tree if that disagrees with how it is used
+            sort = self.var_sort(val)
+            return S.LVar(val) if sort == S.L else S.GVar(val)
+        raise FormulaSyntaxError(
+            f"expected a term, found {val or 'end of input'!r}", position=pos
+        )
+
+    def quantified(self) -> S.Formula:
+        """A run of quantifier prefixes and the body they scope over."""
+        binders = []
+        while self.at("forall") or self.at("exists"):
+            cls = S.Forall if self.next()[1] == "forall" else S.Exists
             names = [self.ident()]
             while self.accept(","):
                 names.append(self.ident())
@@ -97,13 +206,12 @@ class _Parser:
             self.expect(".")
             for name in names:
                 self.bound.append((name, sort))
-            body = self.formula()
-            cls = S.Forall if val == "forall" else S.Exists
-            for name in reversed(names):
-                self.bound.pop()
-                body = cls(name, sort, body)
-            return body
-        return self.implies()
+                binders.append((cls, name, sort))
+        body = self.formula()
+        del self.bound[-len(binders):]
+        for cls, name, sort in reversed(binders):
+            body = cls(name, sort, body)
+        return body
 
     def ident(self) -> str:
         kind, val, pos = self.next()
@@ -117,59 +225,11 @@ class _Parser:
             raise FormulaSyntaxError(f"expected sort G or L, found {val!r}", position=pos)
         return val
 
-    def implies(self) -> S.Formula:
-        left = self.or_()
-        if self.accept("->"):
-            return S.Implies(left, self.implies())
-        return left
-
-    def or_(self) -> S.Formula:
-        out = self.and_()
-        while self.accept("|"):
-            out = S.Or(out, self.and_())
-        return out
-
-    def and_(self) -> S.Formula:
-        out = self.not_()
-        while self.accept("&"):
-            out = S.And(out, self.not_())
-        return out
-
-    def not_(self) -> S.Formula:
-        if self.accept("~"):
-            return S.Not(self.not_())
-        return self.atom()
-
-    def atom(self) -> S.Formula:
-        if self.accept("true"):
-            return S.TRUE
-        if self.accept("false"):
-            return S.FALSE
-        kind, val, pos = self.peek()
-        if val in ("forall", "exists"):
-            return self.formula()
-        if val == "(":
-            # Could be a parenthesized formula or a parenthesized term
-            # opening a relation; try the formula reading first.
-            mark = self.i
-            try:
-                self.next()
-                inner = self.formula()
-                self.expect(")")
-                return inner
-            except (FormulaSyntaxError, SortError):
-                self.i = mark
-        return self.relation()
-
-    def relation(self) -> S.Formula:
-        _, _, pos = self.peek()
-        left = self.term()
-        kind, op, oppos = self.next()
-        if op not in ("<=", "<<", "=", "<"):
-            raise FormulaSyntaxError(
-                f"expected a relation, found {op or 'end of input'!r}", position=oppos
-            )
-        right = self.term()
+    def relation(self, left: S.Term, pos: int) -> S.Formula:
+        """left, the term that starts at pos, related to the term after
+        the relation word at the cursor."""
+        op = self.next()[1]
+        right = self.expr(_TERM_PREC)
         lsort = self.term_sort_of(left)
         rsort = self.term_sort_of(right)
         sort = lsort or rsort
@@ -199,76 +259,6 @@ class _Parser:
         if type(t) is S.GVar:
             return self.var_sort(t.name)
         return S.SORT[type(t)]
-
-    # --- terms ---
-    # A variable parses as an LVar when a binder in scope or the context
-    # gives it sort L, and as a GVar otherwise; the free_vars walk at the
-    # end of parse rejects the tree if that disagrees with how the
-    # variable is used.
-
-    def term(self) -> S.Term:
-        left = self.lat_level()
-        while True:
-            if self.accept("+"):
-                left = S.Add(left, self.lat_level())
-            elif self.accept("-"):
-                left = S.Add(left, S.Neg(self.lat_level()))
-            else:
-                return left
-
-    def lat_level(self) -> S.Term:
-        left = self.unary()
-        while True:
-            if self.accept("meet"):
-                left = S.GMeet(left, self.unary())
-            elif self.accept("join"):
-                left = S.GJoin(left, self.unary())
-            elif self.accept("cap"):
-                left = S.LMeet(left, self.unary())
-            elif self.accept("cup"):
-                left = S.LJoin(left, self.unary())
-            else:
-                return left
-
-    def unary(self) -> S.Term:
-        kind, val, pos = self.peek()
-        if val == "-":
-            self.next()
-            return S.Neg(self.unary())
-        if kind == "num":
-            self.next()
-            if val == "0" and not self.at("*"):
-                return S.Zero()
-            self.expect("*")
-            return S.IntScale(int(val), self.unary())
-        return self.primary()
-
-    def primary(self) -> S.Term:
-        kind, val, pos = self.next()
-        if val == "bot":
-            return S.Bot()
-        if val == "top":
-            return S.Top()
-        if val == "P":
-            self.expect("(")
-            arg = self.term()
-            self.expect(")")
-            return S.Val(arg)
-        if val == "compl":
-            self.expect("(")
-            arg = self.term()
-            self.expect(")")
-            return S.Compl(arg)
-        if val == "(":
-            inner = self.term()
-            self.expect(")")
-            return inner
-        if kind == "ident":
-            sort = self.var_sort(val)
-            return S.LVar(val) if sort == S.L else S.GVar(val)
-        raise FormulaSyntaxError(
-            f"expected a term, found {val or 'end of input'!r}", position=pos
-        )
 
 
 def parse(text: str, context: dict[str, str] | None = None) -> S.Formula:

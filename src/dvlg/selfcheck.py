@@ -60,10 +60,10 @@ def is_purely_existential_g(phi: S.Formula) -> bool:
     return bool(names) and matrix is not None
 
 
-def periodic_witness_search(phi: S.Formula, max_period_exp: int = 6, grid=WITNESS_GRID):
+def periodic_witness_search(phi: S.Formula, max_period_exp: int = 6):
     """Witnesses in the periodic model for a purely existential sentence.
 
-    Tries value lists over the coefficient grid, one per variable, at
+    Tries value lists over WITNESS_GRID, one per variable, at
     increasing period exponents, generating them as it goes; returns
     {var: PeriodicFn}, or None once every exponent up to max_period_exp
     is searched. Raises ResourceLimit after WITNESS_MAX_CANDIDATES
@@ -85,7 +85,7 @@ def periodic_witness_search(phi: S.Formula, max_period_exp: int = 6, grid=WITNES
     tried = 0
     for k in range(max_period_exp + 1):
         period = 1 << k
-        for vals in itertools.product(grid, repeat=period * len(names)):
+        for vals in itertools.product(WITNESS_GRID, repeat=period * len(names)):
             if tried == WITNESS_MAX_CANDIDATES:
                 raise ResourceLimit(
                     f"witness search: candidate cap {WITNESS_MAX_CANDIDATES} reached "
@@ -129,9 +129,9 @@ def _rand_periodic_nonneg(rng, max_k: int = 3) -> P.PeriodicFn:
 
 # --- the ten criteria ---
 
-def criterion_1(seed: int, count: int = 200):
+def criterion_1(seed: int):
     """Reduction-oracle equivalence on a generated tplus corpus."""
-    corpus = gen_tplus_corpus(seed, count)
+    corpus = gen_tplus_corpus(seed, 200)
     rng = named_rng(seed, "criterion1-assignments")
     checked = 0
     for text, phi, ctx in corpus:
@@ -165,8 +165,9 @@ def criterion_2(seed: int):
     return True, f"{len(entries)}/{len(entries)} exact matches"
 
 
-def criterion_3(seed: int, count: int = 100):
+def criterion_3(seed: int):
     """ba_decide against interval_check on random lattice sentences."""
+    count = 100
     for text, phi in gen_lattice_corpus(seed, count):
         a = ba_decide(phi)
         b = interval_check(phi, 3)
@@ -175,8 +176,9 @@ def criterion_3(seed: int, count: int = 100):
     return True, f"{count} sentences, full agreement"
 
 
-def criterion_4(seed: int, count: int = 1000):
+def criterion_4(seed: int):
     """Patch and split postconditions on random valid inputs."""
+    count = 1000
     rng = named_rng(seed, "criterion4")
     for _ in range(count):
         n = rng.randint(1, 4)
@@ -220,8 +222,9 @@ def criterion_4(seed: int, count: int = 1000):
     return True, f"{count} patch + {count} split instances exact"
 
 
-def criterion_5(seed: int, count: int = 1000):
+def criterion_5(seed: int):
     """Valuation axioms in Stan(Q^3) and in the periodic model."""
+    count = 1000
     rng = named_rng(seed, "criterion5")
     for _ in range(count):
         a, b = _rand_vector(rng, 3), _rand_vector(rng, 3)
@@ -262,8 +265,9 @@ def criterion_5(seed: int, count: int = 1000):
     return True, f"{count} instances per model, all axioms exact"
 
 
-def criterion_6(seed: int, count: int = 500):
+def criterion_6(seed: int):
     """Stage-map squares, directed-limit coherence, atomless splitting."""
+    count = 500
     rng = named_rng(seed, "criterion6")
     for _ in range(count):
         n = rng.randint(0, 4)
@@ -293,8 +297,9 @@ def criterion_6(seed: int, count: int = 500):
     return True, f"{count} stage elements + {count} splits verified"
 
 
-def criterion_7(seed: int, count: int = 500):
+def criterion_7(seed: int):
     """Archimedean scan terminates within the analytic bound."""
+    count = 500
     rng = named_rng(seed, "criterion7")
     done = 0
     while done < count:
@@ -314,8 +319,9 @@ def criterion_7(seed: int, count: int = 500):
     return True, f"{count} pairs within the analytic bound"
 
 
-def criterion_8(seed: int, count: int = 500, probes: int = 200):
+def criterion_8(seed: int):
     """Polar characterization via zero sets, and the shift square."""
+    count, probes = 500, 200
     rng = named_rng(seed, "criterion8")
     for _ in range(count):
         a = _rand_periodic_nonneg(rng)
@@ -343,8 +349,9 @@ def criterion_8(seed: int, count: int = 500, probes: int = 200):
     return True, f"{count} polar pairs, {probes} probes, {count} shift checks"
 
 
-def criterion_9(seed: int, count: int = 500):
+def criterion_9(seed: int):
     """Fourier-Motzkin single eliminations against dense grid search."""
+    count = 500
     rng = named_rng(seed, "criterion9")
     grid = [Fraction(i, 8) for i in range(-32, 33)]
     for _ in range(count):
@@ -375,7 +382,7 @@ def criterion_9(seed: int, count: int = 500):
     return True, f"{count} eliminations agree with grid search"
 
 
-def criterion_10(seed: int, max_period_exp: int = 6):
+def criterion_10(seed: int):
     """Periodic-model witnesses for decider-true existential sentences."""
     entries = load_known_answers()
     searched = 0
@@ -384,7 +391,7 @@ def criterion_10(seed: int, max_period_exp: int = 6):
         if not (entry["expected_ec"] and is_purely_existential_g(phi)):
             continue
         searched += 1
-        witness = periodic_witness_search(phi, max_period_exp)
+        witness = periodic_witness_search(phi)
         if witness is None:
             return False, f"no witness found for {entry['formula']!r}"
     if searched == 0:

@@ -228,6 +228,29 @@ FALSE = FalseF()
 
 ATOMS = (GLeq, GEq, LBelow, LEq)
 
+# The operator table of the surface syntax; the parser and the printer
+# both read it. Precedence, loosest first: a quantifier 0 (its body
+# extends as far right as possible), -> 1, | 2, & 3, ~ 4, the relations
+# 5 (never chained), + and binary - 6, meet/join/cap/cup 7, n* 8, unary
+# - 9. -> groups to the right, every other binary operator to the left.
+# n* and unary - both take the unary operand after them; SCALE_PREC only
+# makes the printer put a scaling under either in parentheses.
+BINARY = {
+    Implies: ("->", 1),
+    Or: ("|", 2),
+    And: ("&", 3),
+    Add: ("+", 6),
+    GMeet: ("meet", 7),
+    GJoin: ("join", 7),
+    LMeet: ("cap", 7),
+    LJoin: ("cup", 7),
+}
+RELATIONS = {GLeq: "<=", GEq: "=", LBelow: "<<", LEq: "="}
+NOT_PREC = 4
+RELATION_PREC = 5
+SCALE_PREC = 8
+UNARY_PREC = 9
+
 # term class -> its sort
 SORT = {
     **dict.fromkeys((GVar, Zero, Add, Neg, GMeet, GJoin, IntScale, LinForm), G),
@@ -476,70 +499,47 @@ def lin_to_gterm(lin: Lin) -> Term:
 
 
 # --- printing ---
-#
-# Precedence (loosest to tightest): quantifier, ->, |, &, ~, relations,
-# +/-, meet/join/cap/cup, scaling, unary.
+
+_LEAVES = {Zero: "0", Bot: "bot", Top: "top", TrueF: "true", FalseF: "false"}
+_QUANTIFIERS = {Exists: "exists", Forall: "forall"}
+_APPLIED = {Val: "P", Compl: "compl"}
+
+
+def _print(node: Term | Formula, prec: int) -> str:
+    """node as text, in parentheses if it binds looser than prec."""
+    cls = type(node)
+    if cls in BINARY:
+        word, p = BINARY[cls]
+        right = cls is Implies  # the one operator that groups to the right
+        s = f"{_print(node.left, p + right)} {word} {_print(node.right, p + (not right))}"
+        return f"({s})" if prec > p else s
+    if cls in RELATIONS:
+        side = RELATION_PREC + 1
+        return f"{_print(node.left, side)} {RELATIONS[cls]} {_print(node.right, side)}"
+    if cls is GVar or cls is LVar:
+        return node.name
+    if cls in _LEAVES:
+        return _LEAVES[cls]
+    if cls is Not:
+        return f"~{_print(node.arg, NOT_PREC)}"
+    if cls is Neg:
+        return f"-{_print(node.arg, UNARY_PREC)}"
+    if cls is IntScale:
+        s = f"{node.factor}*{_print(node.arg, UNARY_PREC)}"
+        return f"({s})" if prec > SCALE_PREC else s
+    if cls in _APPLIED:
+        return f"{_APPLIED[cls]}({_print(node.arg, 0)})"
+    if cls in _QUANTIFIERS:
+        s = f"{_QUANTIFIERS[cls]} {node.var}:{node.sort}. {_print(node.body, 0)}"
+        return f"({s})" if prec > 0 else s
+    if cls is LinForm:
+        return _print(lin_to_gterm(node.lin), prec)
+    raise ValueError(f"unknown node {node!r}")
+
 
 def print_term(t: Term) -> str:
-    def go(t: Term, prec: int) -> str:
-        if isinstance(t, GVar) or isinstance(t, LVar):
-            return t.name
-        if isinstance(t, Zero):
-            return "0"
-        if isinstance(t, Bot):
-            return "bot"
-        if isinstance(t, Top):
-            return "top"
-        if isinstance(t, Add):
-            s = f"{go(t.left, 1)} + {go(t.right, 2)}"
-            return f"({s})" if prec > 1 else s
-        if isinstance(t, Neg):
-            return f"-{go(t.arg, 4)}"
-        if isinstance(t, (GMeet, GJoin, LMeet, LJoin)):
-            word = {GMeet: "meet", GJoin: "join", LMeet: "cap", LJoin: "cup"}[type(t)]
-            s = f"{go(t.left, 2)} {word} {go(t.right, 3)}"
-            return f"({s})" if prec > 2 else s
-        if isinstance(t, IntScale):
-            s = f"{t.factor}*{go(t.arg, 4)}"
-            return f"({s})" if prec > 3 else s
-        if isinstance(t, Compl):
-            return f"compl({go(t.arg, 0)})"
-        if isinstance(t, Val):
-            return f"P({go(t.arg, 0)})"
-        if isinstance(t, LinForm):
-            return go(lin_to_gterm(t.lin), prec)
-        raise ValueError(f"unknown term {t!r}")
-
-    return go(t, 0)
+    return _print(t, 0)
 
 
 def print_formula(phi: Formula) -> str:
-    def go(f: Formula, prec: int) -> str:
-        if isinstance(f, TrueF):
-            return "true"
-        if isinstance(f, FalseF):
-            return "false"
-        if isinstance(f, GLeq):
-            return f"{print_term(f.left)} <= {print_term(f.right)}"
-        if isinstance(f, LBelow):
-            return f"{print_term(f.left)} << {print_term(f.right)}"
-        if isinstance(f, (GEq, LEq)):
-            return f"{print_term(f.left)} = {print_term(f.right)}"
-        if isinstance(f, Not):
-            return f"~{go(f.arg, 4)}"
-        if isinstance(f, And):
-            s = f"{go(f.left, 3)} & {go(f.right, 4)}"
-            return f"({s})" if prec > 3 else s
-        if isinstance(f, Or):
-            s = f"{go(f.left, 2)} | {go(f.right, 3)}"
-            return f"({s})" if prec > 2 else s
-        if isinstance(f, Implies):
-            s = f"{go(f.left, 2)} -> {go(f.right, 1)}"
-            return f"({s})" if prec > 1 else s
-        if isinstance(f, (Exists, Forall)):
-            word = "exists" if isinstance(f, Exists) else "forall"
-            s = f"{word} {f.var}:{f.sort}. {go(f.body, 0)}"
-            return f"({s})" if prec > 0 else s
-        raise ValueError(f"unknown formula {f!r}")
-
-    return go(phi, 0)
+    return _print(phi, 0)

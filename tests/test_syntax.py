@@ -1,8 +1,12 @@
 """Parser and printer: round trips, sort checking, error positions;
 the generic tree walk."""
 
+import importlib.util
+import itertools
 import operator
+import sys
 from dataclasses import FrozenInstanceError, fields
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +24,7 @@ from dvlg.syntax import (
 )
 
 CTX = {"a": S.G, "b": S.G, "l": S.L, "m": S.L}
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 class TestParseBasics:
@@ -166,6 +171,133 @@ class TestRoundTrip:
             assert parse(print_formula(phi), ctx) == phi
         for text, phi in gen_lattice_corpus(11, count=200):
             assert parse(print_formula(phi)) == phi
+
+
+class TestErrorsInsideParentheses:
+    """A parenthesis is read once, as whatever it holds, so an error
+    names the first token that cannot continue the formula."""
+
+    @pytest.mark.parametrize("text, message, position", [
+        ("(a <= b", "expected ')', found 'end of input'", 7),
+        ("(c cap d << P ~ f - g)", "expected '(', found '~'", 13),
+    ])
+    def test_syntax_error(self, text, message, position):
+        with pytest.raises(FormulaSyntaxError) as ei:
+            parse(text)
+        assert str(ei.value) == message
+        assert ei.value.position == position
+
+    def test_sort_error(self):
+        with pytest.raises(SortError) as ei:
+            parse("(x = y)")
+        assert str(ei.value) == "cannot infer the sort of 'x = y'; declare the variables"
+
+
+def _alternation_chain(k):
+    """alternation_chain(k) of perfbench/workloads.py, which imports no
+    part of the package."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # its dataclasses look their module up
+    spec.loader.exec_module(mod)
+    return mod.alternation_chain(k)
+
+
+def _count(phi, classes):
+    return sum(1 for n in nodes(phi) if isinstance(n, classes))
+
+
+class TestParseDepth:
+    """Runs of quantifiers, of -> and of ~ are read in loops: only a
+    parenthesis or a change of precedence takes a Python frame."""
+
+    @pytest.mark.parametrize("k", [512, 1024])
+    def test_alternation_chain(self, k):
+        assert sys.getrecursionlimit() == 1000
+        phi = parse(_alternation_chain(k))
+        assert _count(phi, (S.Forall, S.Exists)) == 2 * k
+
+    def test_nested_parentheses_around_a_term(self):
+        assert sys.getrecursionlimit() == 1000
+        phi = parse("(" * 300 + "a + b" + ")" * 300 + " <= a", CTX)
+        assert phi == S.GLeq(S.Add(S.GVar("a"), S.GVar("b")), S.GVar("a"))
+
+    # the runs below are as long as the recursion limit: a parser that
+    # took a frame per link or per ~ would overflow
+    def test_implication_chain(self):
+        assert sys.getrecursionlimit() == 1000
+        phi = parse(" -> ".join(["a <= b"] * 1001), CTX)
+        for _ in range(1000):
+            assert type(phi) is S.Implies and type(phi.left) is S.GLeq
+            phi = phi.right
+        assert type(phi) is S.GLeq
+
+    def test_negation_run(self):
+        assert sys.getrecursionlimit() == 1000
+        phi = parse("~" * 1000 + "a <= b", CTX)
+        assert _count(phi, S.Not) == 1000
+        assert _count(phi, S.GLeq) == 1
+
+
+# a leaf of each operand sort; None is the sort of formulas
+_LEAF = {
+    None: S.GLeq(S.GVar("a"), S.GVar("b")),
+    S.G: S.GVar("b"),
+    S.L: S.LVar("m"),
+}
+
+
+def _binary(cls, sort):
+    """Instances of the binary operator cls over operands of sort: its
+    leaves, and quantified and negated formulas or negated and scaled
+    group terms."""
+    leaf = _LEAF[sort]
+    out = [cls(leaf, leaf)]
+    if sort is None:
+        out.append(cls(S.Exists("x", S.G, leaf), S.Not(leaf)))
+    elif sort == S.G:
+        out.append(cls(S.Neg(leaf), S.IntScale(2, leaf)))
+    return out
+
+
+def _wrap(node, sort):
+    """node as a formula: the left side of a relation if it is a term."""
+    if sort is None:
+        return node
+    return S.GLeq(node, _LEAF[S.G]) if sort == S.G else S.LBelow(node, _LEAF[S.L])
+
+
+class TestOperatorTable:
+    """print_formula parenthesizes by the table that parse reads."""
+
+    def _check(self, phi):
+        text = print_formula(phi)
+        assert parse(text, CTX) == phi, text
+
+    @pytest.mark.parametrize("outer, inner", [
+        (o, i) for o, i in itertools.product(S.BINARY, repeat=2)
+        if S.SORT.get(o) == S.SORT.get(i)
+    ])
+    def test_every_pair_as_left_and_right_child(self, outer, inner):
+        sort = S.SORT.get(outer)
+        leaf = _LEAF[sort]
+        for child in _binary(inner, sort):
+            for node in (outer(child, leaf), outer(leaf, child), outer(child, child)):
+                self._check(_wrap(node, sort))
+
+    @pytest.mark.parametrize("cls", list(S.BINARY))
+    def test_under_prefix_operators_and_a_quantifier(self, cls):
+        sort = S.SORT.get(cls)
+        for node in _binary(cls, sort):
+            if sort is None:
+                under = [S.Not(node), S.Forall("x", S.G, node)]
+            elif sort == S.G:
+                under = [_wrap(S.Neg(node), sort), _wrap(S.IntScale(3, node), sort)]
+            else:
+                under = [_wrap(S.Compl(node), sort)]
+            for phi in [*under, S.Exists("x", S.G, _wrap(node, sort))]:
+                self._check(phi)
+                self._check(S.Not(phi))
 
 
 def _corpus_formulas():
