@@ -26,17 +26,17 @@ whole body. The final DNF is rendered once, each node as a term split
 on its base, so a term over m bases is at most 2m + 1 deep.
 
 interval_check is an independent bounded checker in a concrete atomless
-algebra of rational half-open subintervals of [0, 1), INTERVALS, where
-syntax.holds evaluates its atoms; ba_decide does not use holds. It
-raises ResourceLimit after INTERVAL_MAX_CANDIDATES witness candidates.
+algebra, the periodic subsets of the naturals that are the lattice sort
+of periodic.PERIODIC, where syntax.holds evaluates its atoms; ba_decide
+does not use holds. It raises ResourceLimit after
+INTERVAL_MAX_CANDIDATES witness candidates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
+from . import periodic as P
 from . import syntax as S
 from .errors import (
     DepthExceeded,
@@ -47,7 +47,6 @@ from .errors import (
 from .rewrites import rename_bound, simplify
 
 __all__ = [
-    "IntervalAlgebraElem",
     "ba_qe",
     "ba_decide",
     "interval_check",
@@ -427,131 +426,48 @@ def ba_decide(sigma: S.Formula) -> bool:
     return dnf == _TRUE
 
 
-# --- the concrete interval algebra ---
+# --- the bounded checker in the periodic model ---
 
-@dataclass(frozen=True)
-class IntervalAlgebraElem:
-    """Finite union of half-open rational intervals within [0, 1)."""
-
-    intervals: tuple[tuple[Fraction, Fraction], ...]
-
-    def __post_init__(self):
-        prev_end = None
-        for p, q in self.intervals:
-            if not (0 <= p < q <= 1):
-                raise ValueError(f"bad interval [{p}, {q})")
-            if prev_end is not None and p <= prev_end:
-                raise ValueError("intervals must be disjoint, sorted, non-adjacent")
-            prev_end = q
-
-    @classmethod
-    def make(cls, pairs) -> "IntervalAlgebraElem":
-        """Canonicalize arbitrary interval pairs: sort, merge, drop empty."""
-        items = sorted(
-            (Fraction(p), Fraction(q)) for p, q in pairs if Fraction(p) < Fraction(q)
-        )
-        merged: list[list[Fraction]] = []
-        for p, q in items:
-            if merged and p <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], q)
-            else:
-                merged.append([p, q])
-        return cls(tuple((p, q) for p, q in merged))
-
-    def is_bot(self) -> bool:
-        return not self.intervals
-
-    def meet(self, other: "IntervalAlgebraElem") -> "IntervalAlgebraElem":
-        out = []
-        for a, b in self.intervals:
-            for c, d in other.intervals:
-                lo, hi = max(a, c), min(b, d)
-                if lo < hi:
-                    out.append((lo, hi))
-        return IntervalAlgebraElem.make(out)
-
-    def join(self, other: "IntervalAlgebraElem") -> "IntervalAlgebraElem":
-        return IntervalAlgebraElem.make(self.intervals + other.intervals)
-
-    def complement(self) -> "IntervalAlgebraElem":
-        out = []
-        cursor = Fraction(0)
-        for p, q in self.intervals:
-            if cursor < p:
-                out.append((cursor, p))
-            cursor = q
-        if cursor < 1:
-            out.append((cursor, Fraction(1)))
-        return IntervalAlgebraElem.make(out)
-
-    def below(self, other: "IntervalAlgebraElem") -> bool:
-        return self.meet(other.complement()).is_bot()
-
-    def proper_half(self) -> "IntervalAlgebraElem":
-        """Canonical strictly-smaller nonempty part: half the first interval."""
-        p, q = self.intervals[0]
-        return IntervalAlgebraElem.make([(p, (p + q) / 2)])
-
-
-INTERVAL_BOT = IntervalAlgebraElem(())
-INTERVAL_TOP = IntervalAlgebraElem(((Fraction(0), Fraction(1)),))
-
-
-class IntervalModel:
-    """The interval algebra as a model for syntax.holds. It has no group
-    sort: the group operations raise NotLatticeSorted."""
-
-    bot = INTERVAL_BOT
-    top = INTERVAL_TOP
-
-    def set_op(self, kind: str, c, d=None):
-        return c.complement() if kind == "complement" else getattr(c, kind)(d)
-
-    def _no_group(self, *args):
-        raise NotLatticeSorted("the interval algebra has no group sort")
-
-    zero = group_op = scale = leq = val = _no_group
-
-
-INTERVALS = IntervalModel()
 # Witness candidates one interval_check call tries before it raises
 # ResourceLimit. Criterion 3 tries at most 273 per call at seed 0 and 221
 # at seed 20260823; gen_lattice_corpus(7, 400, max_depth=4) at depth 4 at
-# most 65,808 (about 13 s), so every sentence of these stays decided.
+# most 65,808 (about 2 s on a 2-core Xeon), so every sentence of these
+# stays decided.
 INTERVAL_MAX_CANDIDATES = 100_000
 
 
-def _interval_candidates(env) -> list[IntervalAlgebraElem]:
+def _interval_candidates(env) -> list[P.PeriodicSet]:
     """Witness candidates over the minterm regions of the current values.
 
-    Per nonempty region the witness may contain nothing, the canonical
-    proper half, or the whole region; this exhausts the realizable
-    emptiness patterns in an atomless algebra.
+    Per nonempty region the witness may contain nothing, a proper
+    nonempty part (split_nonempty), or the whole region; this exhausts
+    the realizable emptiness patterns in an atomless algebra.
     """
     vals = list(env.values())
-    regions = []
-    for signs in product((True, False), repeat=len(vals)):
-        r = INTERVAL_TOP
-        for keep, v in zip(signs, vals):
-            r = r.meet(v if keep else v.complement())
-        if not r.is_bot():
-            regions.append(r)
     choices = []
-    for r in regions:
-        choices.append((INTERVAL_BOT, r.proper_half(), r))
+    for signs in product((True, False), repeat=len(vals)):
+        r = P.PERIODIC_TOP
+        for keep, v in zip(signs, vals):
+            r = P.set_op("meet", r, v if keep else P.set_op("complement", v))
+        if not r.is_empty():
+            choices.append((P.PERIODIC_BOT, P.split_nonempty(r), r))
     out = []
     for picks in product(*choices):
-        y = INTERVAL_BOT
+        y = P.PERIODIC_BOT
         for p in picks:
-            y = y.join(p)
+            y = P.set_op("join", y, p)
         out.append(y)
     return out
 
 
 def _reject_group_sort(f: S.Formula) -> None:
-    """Raise NotLatticeSorted at the first group atom or group quantifier
-    in f."""
+    """Raise NotLatticeSorted at the first group atom, valuation term or
+    group quantifier in f."""
     for n in S.nodes(f):
+        if isinstance(n, S.Val):
+            raise NotLatticeSorted(
+                f"valuation term in lattice-sort formula: {S.print_term(n)}"
+            )
         if isinstance(n, (S.GLeq, S.GEq)):
             raise NotLatticeSorted(
                 f"group atom in lattice-sort formula: {S.print_formula(n)}"
@@ -563,7 +479,8 @@ def _reject_group_sort(f: S.Formula) -> None:
 
 
 def interval_check(sigma: S.Formula, depth: int) -> bool:
-    """Bounded truth in the interval algebra; complete up to the depth."""
+    """Bounded truth in the lattice sort of the periodic model, an
+    atomless Boolean algebra; complete up to the depth."""
     if depth > 4:
         raise DepthExceeded("interval_check supports quantifier depth <= 4")
     free = S.free_vars(sigma)
@@ -600,6 +517,6 @@ def interval_check(sigma: S.Formula, depth: int) -> bool:
                 if go(f.body, {**env, f.var: y}, remaining - 1) == stop:
                     return stop
             return not stop
-        return S.holds(INTERVALS, {}, env, f)
+        return S.holds(P.PERIODIC, {}, env, f)
 
     return go(sigma, {}, depth)

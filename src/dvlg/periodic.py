@@ -3,9 +3,9 @@
 Group elements are functions from the naturals to the rationals whose
 period divides some power of two; they are stored as the value list of
 one minimal period. Lattice elements are periodic subsets of the
-naturals, stored the same way as bitmasks. Stage vectors keep an
-explicit (non-minimal) period exponent so the doubling embeddings
-between finite stages are representable without collapsing.
+naturals, stored the same way as bitmasks; they form an atomless
+Boolean algebra (split_nonempty), in which boolalg.interval_check
+evaluates its sentences.
 """
 
 from __future__ import annotations
@@ -112,19 +112,6 @@ class PeriodicSet:
                 raise BadLength(f"index {i} outside the period 2^{k}")
             mask |= 1 << i
         return normalize_set(k, mask)
-
-
-@dataclass(frozen=True)
-class StageVector:
-    """An element of the finite stage n, deliberately not normalized."""
-
-    n: int
-    vals: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "vals", tuple(rat(v) for v in self.vals))
-        if len(self.vals) != 1 << self.n:
-            raise BadLength(f"stage {self.n} needs exactly 2^{self.n} values")
 
 
 PERIODIC_BOT = PeriodicSet(0, 0)
@@ -240,27 +227,6 @@ class PeriodicModel:
 PERIODIC = PeriodicModel()
 
 
-def alpha_embed(v: StageVector) -> StageVector:
-    """Stage embedding: repeat the value list into the next stage."""
-    return StageVector(v.n + 1, v.vals + v.vals)
-
-
-def beta_embed(mask: int, n: int) -> int:
-    """Lattice half of the stage embedding: duplicate the mask."""
-    width = 1 << n
-    if mask < 0 or mask >> width:
-        raise BadLength(f"mask wider than 2^{n}")
-    return mask | mask << width
-
-
-def stage_valuation(v: StageVector) -> int:
-    mask = 0
-    for i, x in enumerate(v.vals):
-        if x >= 0:
-            mask |= 1 << i
-    return mask
-
-
 def zero_set(f: PeriodicFn) -> PeriodicSet:
     mask = 0
     for i, v in enumerate(f.vals):
@@ -289,18 +255,20 @@ def polar_equiv(a: PeriodicFn, b: PeriodicFn) -> bool:
 def archimedean_bound(f: PeriodicFn, g: PeriodicFn) -> int:
     """Least n >= 1 for which n*f < g fails, in the lattice partial order.
 
-    Always terminates: the rationals are Archimedean, so some pointwise
-    multiple of f escapes below g wherever f is positive.
+    One pass over the values at a common period: n*f <= g exactly when
+    n <= r, the least g/f where f is positive, and n*f = g only when
+    g = r*f. So the bound is r when r is an integer and g = r*f, and
+    floor(r) + 1 otherwise.
     """
     for h in (f, g):
         if not h.is_nonnegative() or h.is_zero():
             raise PreconditionViolated("inputs must be strictly positive")
-    n = 1
-    while True:
-        nf = periodic_scale(n, f)
-        if not (periodic_leq(nf, g) and nf != g):
-            return n
-        n += 1
+    k = max(f.k, g.k)
+    pairs = list(zip(f.lift(k), g.lift(k)))
+    r = min(b / a for a, b in pairs if a > 0)
+    if r.denominator == 1 and all(b == r * a for a, b in pairs):
+        return int(r)
+    return math.floor(r) + 1
 
 
 def archimedean_analytic_bound(f: PeriodicFn, g: PeriodicFn) -> int:

@@ -271,16 +271,16 @@ def criterion_6(seed: int):
     rng = named_rng(seed, "criterion6")
     for _ in range(count):
         n = rng.randint(0, 4)
-        v = P.StageVector(n, tuple(_rand_rat(rng) for _ in range(1 << n)))
-        w = P.StageVector(n, tuple(_rand_rat(rng) for _ in range(1 << n)))
-        av, aw = P.alpha_embed(v), P.alpha_embed(w)
-        if P.stage_valuation(av) != P.beta_embed(P.stage_valuation(v), n):
+        v = ST.GroupVector(tuple(_rand_rat(rng) for _ in range(1 << n)))
+        w = ST.GroupVector(tuple(_rand_rat(rng) for _ in range(1 << n)))
+        av, pv = ST.double_embed(v, ST.std_valuation(v))
+        aw, _ = ST.double_embed(w, ST.std_valuation(w))
+        if ST.std_valuation(av) != pv:
             return False, "valuation square failed for the stage embedding"
-        summed = P.StageVector(n, tuple(x + y for x, y in zip(v.vals, w.vals)))
-        asum = P.StageVector(n + 1, tuple(x + y for x, y in zip(av.vals, aw.vals)))
-        if P.alpha_embed(summed) != asum:
+        vw = ST.pointwise_op("add", v, w)
+        if ST.double_embed(vw, ST.std_valuation(vw))[0] != ST.pointwise_op("add", av, aw):
             return False, "stage embedding is not additive"
-        if P.normalize(av.n, av.vals) != P.normalize(v.n, v.vals):
+        if P.normalize(n + 1, av.values) != P.normalize(n, v.values):
             return False, "limit coherence failed: embedding moved the element"
     for _ in range(count):
         k = rng.randint(0, 4)

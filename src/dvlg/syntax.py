@@ -12,8 +12,9 @@ quantifier-free formulas. A model gives them zero(), bot, top, val(a)
 group_op(kind, a, b=None) for add, neg (b absent), meet and join, and
 set_op(kind, c, d=None) for meet, join, complement (d absent) and below
 (the lattice order, a bool). Elements of both sorts compare with ==.
-The models are standard.FinStdStructure (the stages Stan(Q^n)),
-periodic.PERIODIC and boolalg.INTERVALS (no group sort).
+The models are standard.FinStdStructure (the stages Stan(Q^n)) and
+periodic.PERIODIC; boolalg.interval_check reads the lattice sort of
+the latter alone.
 """
 
 from __future__ import annotations

@@ -1,17 +1,13 @@
-"""Atomless-Boolean-algebra engine and the interval-algebra checker."""
+"""Atomless-Boolean-algebra engine and the bounded checker interval_check."""
 
 import random
 import sys
-from fractions import Fraction
 
 import pytest
 
 from dvlg import boolalg
 from dvlg import syntax as S
 from dvlg.boolalg import (
-    INTERVAL_BOT,
-    INTERVAL_TOP,
-    IntervalAlgebraElem,
     _BDD,
     _conj,
     _dnf,
@@ -320,8 +316,9 @@ class TestBlocks:
         assert bool(calls) is bucket
 
     def test_agrees_with_interval_check(self):
-        for text, phi in gen_lattice_corpus(7, 400, 3):
-            assert ba_decide(phi) == interval_check(phi, 3), text
+        for seed, count, depth in [(7, 400, 3), (8, 100, 4)]:
+            for text, phi in gen_lattice_corpus(seed, count, depth):
+                assert ba_decide(phi) == interval_check(phi, depth), text
 
     # a group atom, a group quantifier alone, one inside a lattice block,
     # and a group atom among the parts of a block
@@ -442,30 +439,7 @@ class TestDeepFamilies:
 
 
 class TestIntervalAlgebra:
-    def test_canonical_merge(self):
-        a = IntervalAlgebraElem.make(
-            [(Fraction(0), Fraction(1, 2)), (Fraction(1, 2), Fraction(3, 4))]
-        )
-        assert a.intervals == ((Fraction(0), Fraction(3, 4)),)
-
-    def test_empty_dropped(self):
-        a = IntervalAlgebraElem.make([(Fraction(1, 3), Fraction(1, 3))])
-        assert a == INTERVAL_BOT
-
-    def test_complement(self):
-        a = IntervalAlgebraElem.make([(Fraction(1, 4), Fraction(1, 2))])
-        c = a.complement()
-        assert c.intervals == (
-            (Fraction(0), Fraction(1, 4)),
-            (Fraction(1, 2), Fraction(1)),
-        )
-        assert a.join(c) == INTERVAL_TOP
-        assert a.meet(c) == INTERVAL_BOT
-
-    def test_proper_half(self):
-        a = IntervalAlgebraElem.make([(Fraction(0), Fraction(1, 2))])
-        h = a.proper_half()
-        assert h.below(a) and h != a and h != INTERVAL_BOT
+    """interval_check in the periodic model's atomless Boolean algebra."""
 
     def test_checker_examples(self):
         assert interval_check(parse(ATOMLESS), 2) is True
@@ -475,6 +449,11 @@ class TestIntervalAlgebra:
     def test_depth_exceeded(self):
         with pytest.raises(DepthExceeded):
             interval_check(parse(ATOMLESS), 5)
+
+    @pytest.mark.parametrize("text", ["P(0) = top", "exists y:L. y << P(0)"])
+    def test_refuses_group_terms(self, text):
+        with pytest.raises(NotLatticeSorted):
+            interval_check(parse(text), 1)
 
     def test_candidate_cap_raises(self, monkeypatch):
         monkeypatch.setattr(boolalg, "INTERVAL_MAX_CANDIDATES", 5)

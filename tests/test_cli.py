@@ -251,6 +251,15 @@ class TestJsonReports:
         )
         assert code == 0 and out.strip() == "4"
 
+    def test_model_archimedean_large_ratio(self, capsys):
+        # the bound is computed in one pass, not by trying n = 1, 2, ...
+        code, out, _ = run(
+            capsys,
+            "model", "--op", "archimedean", "--args",
+            '[{"k": 0, "vals": ["1"]}, {"k": 0, "vals": ["10000000000"]}]',
+        )
+        assert code == 0 and out.strip() == "10000000000"
+
     def test_model_witness(self, capsys):
         code, out, _ = run(
             capsys,

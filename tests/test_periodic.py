@@ -1,5 +1,6 @@
-"""Periodic model: frozen values, stage maps, automorphism laws."""
+"""Periodic model: frozen values, splitting, automorphism laws."""
 
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -13,11 +14,8 @@ from dvlg.periodic import (
     PERIODIC_TOP,
     PeriodicFn,
     PeriodicSet,
-    StageVector,
-    alpha_embed,
     archimedean_analytic_bound,
     archimedean_bound,
-    beta_embed,
     induced_lattice_auto,
     normalize,
     normalize_set,
@@ -29,7 +27,6 @@ from dvlg.periodic import (
     set_op,
     shift,
     split_nonempty,
-    stage_valuation,
     zero_set,
 )
 from dvlg.rationals import rat
@@ -140,25 +137,6 @@ class TestValuation:
         assert periodic_valuation(pf(0, [0])) == PERIODIC_TOP
 
 
-class TestStageMaps:
-    def test_alpha(self):
-        v = StageVector(1, (rat(1), rat(-1)))
-        assert alpha_embed(v) == StageVector(2, (rat(1), rat(-1), rat(1), rat(-1)))
-
-    def test_beta(self):
-        # {0} at stage 1 -> {0, 2} at stage 2
-        assert beta_embed(0b01, 1) == 0b0101
-
-    def test_valued_embedding_square(self):
-        v = StageVector(1, (rat(-1), rat(2)))
-        assert stage_valuation(alpha_embed(v)) == beta_embed(stage_valuation(v), 1)
-        assert stage_valuation(alpha_embed(v)) == 0b1010  # {1, 3}
-
-    def test_directed_system_coherence(self):
-        v = StageVector(1, (rat(1), rat(-2)))
-        assert alpha_embed(alpha_embed(v)).vals == v.vals * 4
-
-
 class TestSplit:
     def test_top_gives_evens(self):
         assert split_nonempty(PERIODIC_TOP) == ps(1, [0])
@@ -217,6 +195,16 @@ class TestPolar:
         assert polar_equiv(a, b) == (zero_set(a) == zero_set(b))
 
 
+def scan_bound(f, g):
+    """archimedean_bound by its definition: try n = 1, 2, ... in turn."""
+    n = 1
+    while True:
+        nf = periodic_scale(n, f)
+        if not (periodic_leq(nf, g) and nf != g):
+            return n
+        n += 1
+
+
 class TestArchimedean:
     def test_constants(self):
         assert archimedean_bound(pf(0, [1]), pf(0, [5])) == 5
@@ -249,6 +237,23 @@ class TestArchimedean:
             for m in range(1, n):
                 mf = periodic_scale(m, f)
                 assert periodic_leq(mf, g) and mf != g
+
+    def test_matches_scan(self):
+        rng = random.Random(20261020)
+
+        def positive(k):
+            vals = [Fraction(rng.randint(0, 12), rng.randint(1, 4)) for _ in range(1 << k)]
+            vals[rng.randrange(1 << k)] += 1
+            return normalize(k, vals)
+
+        for i in range(2000):
+            f = positive(rng.randint(0, 3))
+            # every fourth g is an integer multiple of f
+            if i % 4 == 0:
+                g = periodic_scale(rng.randint(1, 6), f)
+            else:
+                g = positive(rng.randint(0, 3))
+            assert archimedean_bound(f, g) == scan_bound(f, g), (f, g)
 
 
 class TestShift:

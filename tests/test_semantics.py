@@ -1,6 +1,6 @@
 """The one Tarskian evaluator (syntax.eval_term / syntax.holds) in the
-three models: the finite stages Stan(Q^n), the periodic model and the
-interval algebra."""
+two models: the finite stages Stan(Q^n) and the periodic model, whose
+lattice sort is also read alone, as boolalg.interval_check reads it."""
 
 import random
 from fractions import Fraction
@@ -9,8 +9,8 @@ import pytest
 
 from dvlg import periodic as P
 from dvlg import syntax as S
-from dvlg.boolalg import INTERVALS, IntervalAlgebraElem, ba_decide, interval_check
-from dvlg.errors import NotLatticeSorted, PreconditionViolated, UnboundVariable
+from dvlg.boolalg import ba_decide, interval_check
+from dvlg.errors import PreconditionViolated, UnboundVariable
 from dvlg.oracle import Assignment, eval_qf
 from dvlg.rewrites import simplify
 from dvlg.selfcheck import eval_qf_periodic
@@ -33,10 +33,6 @@ def pf(k, *xs):
     return P.PeriodicFn(k, tuple(Fraction(x) for x in xs))
 
 
-def ivl(*pairs):
-    return IntervalAlgebraElem.make([(Fraction(p), Fraction(q)) for p, q in pairs])
-
-
 STAN = FinStdStructure(2)
 STAN_G = {"a": vec(1, -2), "b": vec(3, 0)}
 STAN_L = {"l": sub(0), "m": sub(1)}
@@ -44,7 +40,8 @@ PER_ENV = {
     "a": pf(1, 1, -2), "b": pf(0, 3),
     "l": P.PeriodicSet(1, 0b01), "m": P.PeriodicSet(1, 0b10),
 }
-INT_L = {"l": ivl((0, "1/2")), "m": ivl(("1/4", 1))}
+# lattice values alone, with l and m overlapping: {0, 1} and {1, 2, 3}
+PER_L = {"l": P.PeriodicSet(2, 0b0011), "m": P.PeriodicSet(2, 0b1110)}
 
 # (term, value in Stan(Q^2), value in the periodic model), hand-computed
 TERMS = [
@@ -68,19 +65,19 @@ TERMS = [
     (S.Val(b), sub(0, 1), P.PERIODIC_TOP),
 ]
 
-# (lattice term, value in the interval algebra), hand-computed
-INTERVAL_TERMS = [
-    (l, ivl((0, "1/2"))),
-    (bot, ivl()),
-    (top, ivl((0, 1))),
-    (S.LMeet(l, m), ivl(("1/4", "1/2"))),
-    (S.LJoin(l, m), ivl((0, 1))),
-    (S.Compl(l), ivl(("1/2", 1))),
-    (S.Compl(S.LJoin(S.LMeet(l, m), S.Compl(m))), ivl(("1/2", 1))),
+# (lattice term, value in the periodic model under PER_L), hand-computed
+LATTICE_TERMS = [
+    (l, P.PeriodicSet(2, 0b0011)),
+    (bot, P.PERIODIC_BOT),
+    (top, P.PERIODIC_TOP),
+    (S.LMeet(l, m), P.PeriodicSet(2, 0b0010)),
+    (S.LJoin(l, m), P.PERIODIC_TOP),
+    (S.Compl(l), P.PeriodicSet(2, 0b1100)),
+    (S.Compl(S.LJoin(S.LMeet(l, m), S.Compl(m))), P.PeriodicSet(2, 0b1100)),
 ]
 
-# (formula, truth in Stan(Q^2), in the periodic model, in the interval
-# algebra or None where the formula has group symbols)
+# (formula, truth in Stan(Q^2), in the periodic model, in the periodic
+# model under PER_L or None where the formula has group symbols)
 FORMULAS = [
     (S.GLeq(S.GMeet(a, b), a), True, True, None),
     (S.GLeq(a, b), True, True, None),
@@ -111,35 +108,28 @@ class TestTable:
         assert S.eval_term(STAN, STAN_G, STAN_L, t) == in_stan
         assert S.eval_term(P.PERIODIC, PER_ENV, PER_ENV, t) == in_periodic
 
-    @pytest.mark.parametrize("t, value", INTERVAL_TERMS)
-    def test_interval_terms(self, t, value):
-        assert S.eval_term(INTERVALS, {}, INT_L, t) == value
+    @pytest.mark.parametrize("t, value", LATTICE_TERMS)
+    def test_lattice_terms(self, t, value):
+        assert S.eval_term(P.PERIODIC, {}, PER_L, t) == value
 
-    @pytest.mark.parametrize("phi, in_stan, in_periodic, in_intervals", FORMULAS)
-    def test_formulas(self, phi, in_stan, in_periodic, in_intervals):
+    @pytest.mark.parametrize("phi, in_stan, in_periodic, in_lattice", FORMULAS)
+    def test_formulas(self, phi, in_stan, in_periodic, in_lattice):
         assert S.holds(STAN, STAN_G, STAN_L, phi) is in_stan
         assert eval_qf(STAN, Assignment(STAN_G, STAN_L), phi) is in_stan
         assert S.holds(P.PERIODIC, PER_ENV, PER_ENV, phi) is in_periodic
         assert eval_qf_periodic(PER_ENV, phi) is in_periodic
-        if in_intervals is not None:
-            assert S.holds(INTERVALS, {}, INT_L, phi) is in_intervals
-
-    @pytest.mark.parametrize("t", [zero, S.Val(zero), S.IntScale(2, zero)])
-    def test_interval_algebra_has_no_group_sort(self, t):
-        with pytest.raises(NotLatticeSorted):
-            S.eval_term(INTERVALS, {}, INT_L, t)
-        with pytest.raises(NotLatticeSorted):
-            S.holds(INTERVALS, {}, INT_L, S.GLeq(zero, zero))
+        if in_lattice is not None:
+            assert S.holds(P.PERIODIC, {}, PER_L, phi) is in_lattice
 
     @pytest.mark.parametrize("model, genv, lenv", [
         (STAN, STAN_G, STAN_L),
         (P.PERIODIC, PER_ENV, PER_ENV),
-        (INTERVALS, {}, INT_L),
+        (P.PERIODIC, {}, PER_L),
     ])
     def test_unbound_variable(self, model, genv, lenv):
         with pytest.raises(UnboundVariable, match="z not assigned"):
             S.holds(model, genv, lenv, S.LEq(S.LVar("z"), top))
-        if model is not INTERVALS:
+        if genv:
             with pytest.raises(UnboundVariable, match="z not assigned"):
                 S.eval_term(model, genv, lenv, S.Add(a, z))
 
@@ -235,7 +225,7 @@ def test_direct_limit_property():
 def test_simplify_decides_ground_lattice_formulas():
     """ba_decide relies on this: simplify folds every variable-free
     lattice formula to TRUE or FALSE, and the constant is its truth in
-    the interval algebra."""
+    the periodic model's lattice sort."""
     rng = random.Random(20261019)
     for _ in range(400):
         phi = rand_formula(rng, 3, ground_atom)

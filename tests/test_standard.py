@@ -195,6 +195,26 @@ class TestDoubleEmbed:
         f2, c2 = double_embed(f, std_valuation(f))
         assert std_valuation(f2) == c2
 
+    def test_group_half(self):
+        f2, _ = double_embed(gv(1, -1), sub([], 2))
+        assert f2 == gv(1, -1, 1, -1)
+
+    def test_lattice_half(self):
+        # {0} at stage 1 -> {0, 2} at stage 2
+        _, c2 = double_embed(gv(0, 0), sub([0], 2))
+        assert c2 == sub([0, 2], 4)
+
+    def test_valued_embedding_square(self):
+        f = gv(-1, 2)
+        f2, c2 = double_embed(f, std_valuation(f))
+        assert std_valuation(f2) == c2 == sub([1, 3], 4)
+
+    def test_directed_system_coherence(self):
+        f, c = gv(1, -2), sub([0], 2)
+        f4, c4 = double_embed(*double_embed(f, c))
+        assert f4.values == f.values * 4
+        assert c4 == sub([0, 2, 4, 6], 8)
+
 
 rats = st.fractions(
     min_value=Fraction(-5), max_value=Fraction(5), max_denominator=6
