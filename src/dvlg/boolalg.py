@@ -21,8 +21,7 @@ the conjuncts of its negation, read through Not, Or and Implies by
 polarity. Block variables are eliminated by bucket elimination: the
 variable whose parts touch the fewest other block variables goes first,
 and it is abstracted from the product of the parts whose support tests
-it only. A block of one variable is eliminated from the DNF of its
-whole body. The final DNF is rendered once, each node as a term split
+it only. The final DNF is rendered once, each node as a term split
 on its base, so a term over m bases is at most 2m + 1 deep.
 
 interval_check is an independent bounded checker in a concrete atomless
@@ -224,15 +223,6 @@ class _BDD:
             names[f.var] = None
             f = f.body
         positive = kind is S.Exists
-        if len(names) == 1:  # no order to choose: splitting costs more
-            (var,) = names
-            out = self.qe(f)
-            level = self.level.get(S.LVar(var))
-            if level is None:  # y does not occur
-                return out
-            if positive:
-                return _exists(self, level, out)
-            return _not(self, _exists(self, level, _not(self, out)))
         parts = []
         for g, pos in _parts(f, positive):
             d = self.qe(g)

@@ -191,69 +191,55 @@ def _cap_message(phase: str, cap: int, size: int) -> str:
 
 def to_dnf(f, cap: int) -> list[dict]:
     """Pruned DNF of f as a list of distinct stores, at most cap of them."""
-
-    def nnf(f, neg: bool):
-        if f is True or f is False:
-            return (f != neg)
-        if isinstance(f, LinConstraint):
-            if not neg:
-                return f
-            return b_or(f.negated())
-        tag = f[0]
-        if tag == "not":
-            return nnf(f[1], not neg)
-        if tag == "and":
-            parts = [nnf(p, neg) for p in f[1]]
-            return b_or(parts) if neg else b_and(parts)
-        if tag == "or":
-            parts = [nnf(p, neg) for p in f[1]]
-            return b_and(parts) if neg else b_or(parts)
-        raise ValueError(f"bad boolean node {f!r}")
-
-    def dist(f) -> list[dict]:
-        """Distinct stores in first-seen order; contradictions dropped.
-        Stores are told apart by a frozenset of their items, which is
-        hashed and compared but never iterated."""
-        if f is True:
-            return [{}]
-        if f is False:
-            return []
-        if isinstance(f, LinConstraint):
-            store: dict = {}
-            return [store] if store_insert(store, f.key, f.mask) else []
-        tag = f[0]
-        if tag == "or":
-            out = {}
-            for p in f[1]:
-                for store in dist(p):
-                    out.setdefault(frozenset(store.items()), store)
-                if len(out) > cap:
-                    raise ResourceLimit(_cap_message("to_dnf or", cap, len(out)))
-            return list(out.values())
-        if tag == "and":
-            out = [{}]
-            for p in f[1]:
-                branches = dist(p)
-                last = len(branches) - 1
-                merged = {}
-                for a in out:
-                    # every store here is this call's own: the last branch
-                    # can extend a itself instead of a copy
-                    for i, b in enumerate(branches):
-                        combo = a if i == last else dict(a)
-                        if _store_and(combo, b):
-                            merged.setdefault(frozenset(combo.items()), combo)
-                            if len(merged) > cap:
-                                raise ResourceLimit(
-                                    _cap_message("to_dnf and", cap, len(merged))
-                                )
-                out = list(merged.values())
-            return out
-        raise ValueError(f"bad boolean node {f!r}")
-
     # a root "or" checks the cap on the root's own output too
-    root = ("or", (nnf(f, False),))
-    return prune_dnf(dist(root))
+    return prune_dnf(_dist(("or", (f,)), False, cap))
+
+
+def _dist(f, neg: bool, cap: int) -> list[dict]:
+    """Distinct stores of f (of not f when neg) in first-seen order;
+    contradictions dropped. Negation is read as polarity: under it an
+    "and" is taken as an "or" and the reverse, and a constraint as the
+    disjunction of its negated() parts. Stores are told apart by a
+    frozenset of their items, which is hashed and compared but never
+    iterated."""
+    if f is True or f is False:
+        return [{}] if f != neg else []
+    if isinstance(f, LinConstraint):
+        if neg:
+            return _dist(b_or(f.negated()), False, cap)
+        store: dict = {}
+        return [store] if store_insert(store, f.key, f.mask) else []
+    tag = f[0]
+    if tag == "not":
+        return _dist(f[1], not neg, cap)
+    if tag not in ("and", "or"):
+        raise ValueError(f"bad boolean node {f!r}")
+    if (tag == "or") != neg:
+        out = {}
+        for p in f[1]:
+            for store in _dist(p, neg, cap):
+                out.setdefault(frozenset(store.items()), store)
+            if len(out) > cap:
+                raise ResourceLimit(_cap_message("to_dnf or", cap, len(out)))
+        return list(out.values())
+    out = [{}]
+    for p in f[1]:
+        branches = _dist(p, neg, cap)
+        last = len(branches) - 1
+        merged = {}
+        for a in out:
+            # every store here is this call's own: the last branch
+            # can extend a itself instead of a copy
+            for i, b in enumerate(branches):
+                combo = a if i == last else dict(a)
+                if _store_and(combo, b):
+                    merged.setdefault(frozenset(combo.items()), combo)
+                    if len(merged) > cap:
+                        raise ResourceLimit(
+                            _cap_message("to_dnf and", cap, len(merged))
+                        )
+        out = list(merged.values())
+    return out
 
 
 def _dnf_to_bform(dnf: list[dict]):

@@ -223,45 +223,34 @@ def criterion_4(seed: int):
 
 
 def criterion_5(seed: int):
-    """Valuation axioms in Stan(Q^3) and in the periodic model."""
+    """Valuation axioms in Stan(Q^3) and in the periodic model, stated
+    once over the model interface."""
     count = 1000
     rng = named_rng(seed, "criterion5")
-    for _ in range(count):
-        a, b = _rand_vector(rng, 3), _rand_vector(rng, 3)
-        pa, pb = ST.std_valuation(a), ST.std_valuation(b)
-        for m in range(1, 6):
-            if ST.std_valuation(ST.scale(m, a)) != pa:
-                return False, "scaling invariance failed in Stan"
-        if ST.std_valuation(ST.pointwise_op("meet", a, b)) != ST.subset_op("meet", pa, pb):
-            return False, "meet morphism failed in Stan"
-        if ST.std_valuation(ST.pointwise_op("join", a, b)) != ST.subset_op("join", pa, pb):
-            return False, "join morphism failed in Stan"
-        nonneg = ST.GroupVector(tuple(abs(v) for v in a.values))
-        if not ST.std_valuation(nonneg).is_full():
-            return False, "positivity affirming failed in Stan"
-        if pa.is_full() and not a.is_nonnegative():
-            return False, "positivity detecting failed in Stan"
-        psum = ST.std_valuation(ST.pointwise_op("add", a, b))
-        lo = ST.subset_op("meet", pa, pb)
-        hi = ST.subset_op("join", pa, pb)
-        if not (ST.subset_op("below", lo, psum) and ST.subset_op("below", psum, hi)):
-            return False, "double inclusion failed in Stan"
-    for _ in range(count):
-        a, b = _rand_periodic(rng), _rand_periodic(rng)
-        pa, pb = P.periodic_valuation(a), P.periodic_valuation(b)
-        for m in range(1, 6):
-            if P.periodic_valuation(P.periodic_scale(m, a)) != pa:
-                return False, "scaling invariance failed in the periodic model"
-        if P.periodic_valuation(P.periodic_op("meet", a, b)) != P.set_op("meet", pa, pb):
-            return False, "meet morphism failed in the periodic model"
-        if P.periodic_valuation(P.periodic_op("join", a, b)) != P.set_op("join", pa, pb):
-            return False, "join morphism failed in the periodic model"
-        if pa.is_full() and not a.is_nonnegative():
-            return False, "positivity detecting failed in the periodic model"
-        psum = P.periodic_valuation(P.periodic_op("add", a, b))
-        lo, hi = P.set_op("meet", pa, pb), P.set_op("join", pa, pb)
-        if not (P.set_op("below", lo, psum) and P.set_op("below", psum, hi)):
-            return False, "double inclusion failed in the periodic model"
+    cases = (
+        (ST.FinStdStructure(3), lambda: _rand_vector(rng, 3), "in Stan"),
+        (P.PERIODIC, lambda: _rand_periodic(rng), "in the periodic model"),
+    )
+    for model, draw, where in cases:
+        val, group_op, set_op = model.val, model.group_op, model.set_op
+        for _ in range(count):
+            a, b = draw(), draw()
+            pa, pb = val(a), val(b)
+            for m in range(1, 6):
+                if val(model.scale(m, a)) != pa:
+                    return False, f"scaling invariance failed {where}"
+            if val(group_op("meet", a, b)) != set_op("meet", pa, pb):
+                return False, f"meet morphism failed {where}"
+            if val(group_op("join", a, b)) != set_op("join", pa, pb):
+                return False, f"join morphism failed {where}"
+            if not val(group_op("join", a, group_op("neg", a))).is_full():
+                return False, f"positivity affirming failed {where}"
+            if pa.is_full() and not a.is_nonnegative():
+                return False, f"positivity detecting failed {where}"
+            psum = val(group_op("add", a, b))
+            lo, hi = set_op("meet", pa, pb), set_op("join", pa, pb)
+            if not (set_op("below", lo, psum) and set_op("below", psum, hi)):
+                return False, f"double inclusion failed {where}"
     return True, f"{count} instances per model, all axioms exact"
 
 
@@ -298,7 +287,9 @@ def criterion_6(seed: int):
 
 
 def criterion_7(seed: int):
-    """Archimedean scan terminates within the analytic bound."""
+    """Archimedean bound: for nonnegative nonzero periodic f and g, the
+    direct bound n is at most the analytic cap, and n*f is not strictly
+    below g."""
     count = 500
     rng = named_rng(seed, "criterion7")
     done = 0

@@ -507,12 +507,24 @@ _APPLIED = {Val: "P", Compl: "compl"}
 
 
 def _print(node: Term | Formula, prec: int) -> str:
-    """node as text, in parentheses if it binds looser than prec."""
+    """node as text, in parentheses if it binds looser than prec. A chain
+    of binary operators at one precedence, a run of ~ and a run of
+    quantifiers each print in one loop, as the parser reads them."""
     cls = type(node)
     if cls in BINARY:
-        word, p = BINARY[cls]
+        p = BINARY[cls][1]
         right = cls is Implies  # the one operator that groups to the right
-        s = f"{_print(node.left, p + right)} {word} {_print(node.right, p + (not right))}"
+        links = []
+        while BINARY.get(type(node), (None, None))[1] == p:
+            word = BINARY[type(node)][0]
+            if right:
+                links.append(f"{_print(node.left, p + 1)} {word}")
+                node = node.right
+            else:
+                links.append(f"{word} {_print(node.right, p + 1)}")
+                node = node.left
+        end = _print(node, p)
+        s = " ".join([*links, end] if right else [end, *reversed(links)])
         return f"({s})" if prec > p else s
     if cls in RELATIONS:
         side = RELATION_PREC + 1
@@ -522,7 +534,10 @@ def _print(node: Term | Formula, prec: int) -> str:
     if cls in _LEAVES:
         return _LEAVES[cls]
     if cls is Not:
-        return f"~{_print(node.arg, NOT_PREC)}"
+        tildes = 0
+        while type(node) is Not:
+            node, tildes = node.arg, tildes + 1
+        return "~" * tildes + _print(node, NOT_PREC)
     if cls is Neg:
         return f"-{_print(node.arg, UNARY_PREC)}"
     if cls is IntScale:
@@ -531,7 +546,11 @@ def _print(node: Term | Formula, prec: int) -> str:
     if cls in _APPLIED:
         return f"{_APPLIED[cls]}({_print(node.arg, 0)})"
     if cls in _QUANTIFIERS:
-        s = f"{_QUANTIFIERS[cls]} {node.var}:{node.sort}. {_print(node.body, 0)}"
+        heads = []
+        while type(node) in _QUANTIFIERS:
+            heads.append(f"{_QUANTIFIERS[type(node)]} {node.var}:{node.sort}. ")
+            node = node.body
+        s = "".join(heads) + _print(node, 0)
         return f"({s})" if prec > 0 else s
     if cls is LinForm:
         return _print(lin_to_gterm(node.lin), prec)

@@ -266,7 +266,8 @@ class TestBaDecide:
 
 # Lattice sentences of quantifier depth at most 3 that reach each case of
 # a quantifier block in _BDD.block, with their truth and whether the
-# block is eliminated by _bucket (two or more variables).
+# block is eliminated by _bucket. Every block is, a block of one
+# variable included: _BDD.block has no other elimination path.
 BLOCKS = [
     # an exists-block over a conjunction
     ("exists x:L. exists y:L. ~(x = bot) & x cap y = bot & ~(y = bot)",
@@ -280,7 +281,7 @@ BLOCKS = [
     ("exists x:L. exists y:L. ~(x = bot | y = bot | ~(x cap y = bot))",
      True, True),
     # a name repeated inside a block: the outer y is vacuous
-    ("exists y:L. exists y:L. ~(y = bot) & ~(y = top)", True, False),
+    ("exists y:L. exists y:L. ~(y = bot) & ~(y = top)", True, True),
     ("forall y:L. forall y:L. forall z:L. y << z | z << y", False, True),
     # a vacuous variable never met, and one whose base an outer w placed
     ("exists x:L. exists w:L. exists y:L. ~(x = bot) & x = compl(y)",
@@ -293,7 +294,7 @@ BLOCKS = [
     ("forall z:L. exists x:L. exists y:L. "
      "x cup y = z & x cap y = bot & (z = bot | ~(z = bot))", True, True),
     # one variable, and several variables over one part
-    ("forall x:L. exists y:L. y << x & ~(y = x)", False, False),
+    ("forall x:L. exists y:L. y << x & ~(y = x)", False, True),
     ("exists x:L. exists y:L. exists z:L. x cap y cap z = top", True, True),
     ("forall x:L. forall y:L. ~(x cup y = bot)", False, True),
 ]
@@ -416,8 +417,11 @@ class TestDeepFamilies:
         pytest.param(_cyclic(64), id="cyclic-64"),
         pytest.param(_chain(64), id="chain-64"),
         pytest.param(_chain(128), id="chain-128"),
-        # the deepest member that decides: at k=144 ba_decide overflows
         pytest.param(_chain(136), id="chain-136"),
+        pytest.param(_chain(144), id="chain-144"),
+        # the deepest member that decides under pytest: at k=160 ba_decide
+        # overflows
+        pytest.param(_chain(152), id="chain-152"),
     ])
     def test_decided_at_the_frontier(self, text):
         assert sys.getrecursionlimit() == 1000

@@ -53,6 +53,13 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == "error: G-operator over L-sorted operand: l\n"
 
+    def test_sort_error_on_a_long_operand(self, capsys):
+        # the 1,000-term operand prints in one loop within its message
+        terms = " + ".join(["a"] * 1000)
+        code, out, err = run(capsys, "decide", f"forall l:L. l = {terms}")
+        assert code == 2 and out == ""
+        assert err == f"error: L-relation over G-sorted term: {terms}\n"
+
     def test_open_formula_rejected(self, capsys):
         code, _, err = run(capsys, "decide", "0 <= a")
         assert code == 2

@@ -1,5 +1,6 @@
 """Brute-force decision over finite standard structures."""
 
+import gc
 from fractions import Fraction
 from itertools import product
 
@@ -353,6 +354,36 @@ class TestDnfPipeline:
         # without deduplication the product holds 2**12 stores; the
         # distinct ones are a, b and a & b, and a & b is subsumed
         assert len(to_dnf(f, 8)) == 2
+
+    # a strict, a non-strict and an equality constraint under and, or
+    # and not: x - y > 0 & (~(y >= 1) | x + y = 2)
+    STRICT = _ge({"x": 1, "y": -1}, ">")
+    WEAK = _ge({"y": 1, "1": -1})
+    EQUAL = _ge({"x": 1, "y": 1, "1": -2}, "=")
+    NESTED = ("and", (STRICT, ("or", (("not", WEAK), EQUAL))))
+
+    def test_negation_read_by_polarity(self):
+        # ~f written out: y - x >= 0 | (y >= 1 & (2 - x - y > 0 | 2 - x - y < 0)),
+        # each disjunct in the order in which negated() gives it
+        unequal = (
+            _ge({"x": -1, "y": -1, "1": 2}, ">"), _ge({"x": 1, "y": 1, "1": -2}, ">"),
+        )
+        by_hand = ("or", (
+            _ge({"x": -1, "y": 1}), ("and", (self.WEAK, ("or", unequal))),
+        ))
+        assert to_dnf(("not", self.NESTED), 100) == to_dnf(by_hand, 100)
+        assert len(to_dnf(by_hand, 100)) == 3
+
+    def test_leaves_no_garbage(self):
+        # no call leaves a reference cycle for the collector to find
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(100):
+                to_dnf(("not", self.NESTED), 100)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("names", [["x", "y"], ["x", "y", "z"]])
     def test_fm_agrees_with_grid(self, names):

@@ -239,6 +239,29 @@ class TestParseDepth:
         assert _count(phi, S.GLeq) == 1
 
 
+class TestPrintDepth:
+    """The printer writes each run the parser reads in a loop in a loop
+    too: a left chain at one precedence, a -> chain, a run of ~ and a
+    run of quantifiers. Strings are compared, since dataclass == on
+    trees this deep would recurse once per level."""
+
+    @pytest.mark.parametrize("text", [
+        pytest.param("~" * 1000 + "a <= b", id="not"),
+        pytest.param(" -> ".join(["a <= b"] * 1001), id="implies"),
+        pytest.param(" & ".join(["a <= b"] * 1001), id="and"),
+        pytest.param(" + ".join(["a"] * 1000) + " <= b", id="add"),
+        pytest.param(
+            "".join(f"exists x{i}:G. " for i in range(1000)) + "x0 <= a",
+            id="quantifiers",
+        ),
+    ])
+    def test_run_prints_and_reparses(self, text):
+        assert sys.getrecursionlimit() == 1000
+        out = print_formula(parse(text, CTX))
+        assert out == text
+        assert print_formula(parse(out, CTX)) == out
+
+
 # a leaf of each operand sort; None is the sort of formulas
 _LEAF = {
     None: S.GLeq(S.GVar("a"), S.GVar("b")),
