@@ -405,7 +405,7 @@ def ba_decide(sigma: S.Formula) -> bool:
     """Truth of a lattice sentence in the theory of nontrivial atomless
     Boolean algebras, read from the eliminated DNF: any DNF but TRUE and
     FALSE has a node that tests a base, which here is a P term."""
-    free = S.free_vars(sigma)
+    free = S.free_names(sigma)
     if free:
         raise NotSentence(f"free variables: {sorted(free)}")
     bdd = _BDD()

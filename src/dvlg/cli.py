@@ -55,7 +55,7 @@ from .parser import parse
 from .reduction import reduce
 from .selfcheck import periodic_witness_search, run_all
 from .standard import FinStdStructure, GroupVector, SubsetL
-from .syntax import G, L, free_vars, print_formula
+from .syntax import G, L, free_names, print_formula
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -216,7 +216,7 @@ def _report(args, command, source, verdict, stats, trace, exit_code):
 def _cmd_decide(args) -> int:
     source = _read_formula(args)
     phi = parse(source)
-    free = free_vars(phi)
+    free = free_names(phi)
     if free:
         raise NotSentence(f"decide needs a sentence; free variables: {sorted(free)}")
     start = time.time()

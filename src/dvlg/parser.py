@@ -3,10 +3,17 @@
 The grammar lives in the operator table syntax.BINARY, with
 syntax.RELATIONS and the precedences of ~, n* and unary minus, which
 the printer reads too. _Parser.expr is one precedence-climbing loop
-over it (Pratt's top-down operator precedence). A parenthesis is read
+over it (Pratt's top-down operator precedence), and _Parser.prefix
+reads a run of prefix operators in one loop. A parenthesis is read
 once, as whatever it holds; above the relations only term operators
 bind. A syntax error names the first token that cannot continue the
 formula.
+
+The parser checks each operand's sort (syntax._OPERANDS) as it builds
+the node, so parse walks no tree afterwards. A sort fault is raised
+once the whole text has parsed, so that a syntax error anywhere comes
+first, and the fault raised is the first that syntax.free_vars would
+meet: a fault in a left operand before anything in the right one.
 """
 
 from __future__ import annotations
@@ -22,28 +29,42 @@ _TOKEN_RE = re.compile(
     r"|(?P<op>->|<=|<<|[()\.:,;&|~+\-*=<])|(?P<bad>\S))"
 )
 
+# the words of _TOKEN_RE but `bad`, without the whitespace before them
+_WORD_RE = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_']*|->|<=|<<|[()\.:,;&|~+\-*=<]")
+
 _KEYWORDS = {
     "forall", "exists", "meet", "join", "cap", "cup", "compl",
     "bot", "top", "true", "false", "P",
 }
 
 
-def _tokenize(text: str):
-    """(kind, text, position) triples ending in an eof token. A token's
-    position is where the whitespace before it starts."""
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        word = m.group(kind)
-        if kind == "bad":
-            raise FormulaSyntaxError(
-                f"unexpected character {word!r}", position=m.start(kind)
-            )
-        if kind == "ident" and word in _KEYWORDS:
-            kind = "kw"
-        tokens.append((kind, word, m.start()))
-    tokens.append(("eof", "", len(text)))
-    return tokens
+def _tokenize(text: str) -> list[str]:
+    """The words of text's tokens, ending in "" for the end of input. A
+    token's kind is read from its word: digits make a number, a letter
+    or _ first a keyword or a variable name (_is_name), and anything
+    else an operator."""
+    words = _WORD_RE.findall(text)
+    if sum(map(len, words)) != len("".join(text.split())):
+        # findall skipped a character that no token takes
+        for m in _TOKEN_RE.finditer(text):
+            if m.lastgroup == "bad":
+                raise FormulaSyntaxError(
+                    f"unexpected character {m['bad']!r}", position=m.start("bad")
+                )
+    words.append("")
+    return words
+
+
+def _positions(text: str) -> list[int]:
+    """Where each token of text starts, with the whitespace before it,
+    and then the end of input: a parse error's position. Only an error
+    computes them."""
+    return [m.start() for m in _TOKEN_RE.finditer(text)] + [len(text)]
+
+
+def _is_name(word: str) -> bool:
+    """Whether a token's word is a variable name."""
+    return (word[:1].isalpha() or word[:1] == "_") and word not in _KEYWORDS
 
 
 # the loosest precedence of a term operator: from here up, only term
@@ -59,36 +80,44 @@ _RELATION_WORDS = {*S.RELATIONS.values(), "<"}
 
 class _Parser:
     def __init__(self, text: str, context: dict[str, str] | None):
+        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.context = dict(context or {})
         self.bound: list[tuple[str, str]] = []
+        # (message, operand) for each operand of the wrong sort, in the
+        # order free_vars meets them
+        self.faults: list[tuple[str, S.Term]] = []
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
+    def next(self) -> str:
+        word = self.tokens[self.i]
         self.i += 1
-        return tok
+        return word
 
-    def expect(self, value: str):
-        kind, val, pos = self.next()
-        if val != value:
-            raise FormulaSyntaxError(
-                f"expected {value!r}, found {val or 'end of input'!r}", position=pos
-            )
+    def error(self, message: str, i: int) -> FormulaSyntaxError:
+        """A syntax error at token i."""
+        return FormulaSyntaxError(message, position=_positions(self.text)[i])
 
-    def at(self, value: str) -> bool:
-        return self.tokens[self.i][1] == value
+    def found(self, message: str) -> FormulaSyntaxError:
+        """A syntax error at the token at the cursor, which it names."""
+        word = self.tokens[self.i]
+        return self.error(f"{message}, found {word or 'end of input'!r}", self.i)
 
-    def accept(self, value: str) -> bool:
-        if self.tokens[self.i][1] == value:
+    def expect(self, word: str):
+        if self.tokens[self.i] != word:
+            raise self.found(f"expected {word!r}")
+        self.i += 1
+
+    def at(self, word: str) -> bool:
+        return self.tokens[self.i] == word
+
+    def accept(self, word: str) -> bool:
+        if self.tokens[self.i] == word:
             self.i += 1
             return True
         return False
 
-    # --- sorts of variables in scope ---
+    # --- sorts ---
 
     def var_sort(self, name: str):
         for var, sort in reversed(self.bound):
@@ -96,39 +125,64 @@ class _Parser:
                 return sort
         return self.context.get(name)
 
+    def check(self, cls, t: S.Term, at: int | None = None) -> S.Term:
+        """t, an operand of a cls node; if its sort is not the one cls
+        takes, its fault is noted at index at of faults, by default at
+        the end. Faults are raised once the whole text has parsed, so
+        that a syntax error anywhere comes first."""
+        need, message = S._OPERANDS[cls]
+        if S.SORT[type(t)] != need:
+            self.faults.insert(len(self.faults) if at is None else at, (message, t))
+        return t
+
+    def raise_fault(self, first: int = 0):
+        """Raise the SortError of faults[first], if there is one."""
+        if len(self.faults) > first:
+            message, t = self.faults[first]
+            raise SortError(f"{message}: {S.print_term(t)}")
+
     # --- the precedence-climbing loop ---
 
     def formula(self, prec: int = 0) -> S.Formula:
         """The formula at the cursor whose operators bind at precedence
         prec or tighter."""
-        node = self.expr(prec)
+        return self.as_formula(self.expr(prec))
+
+    def as_formula(self, node: S.Formula | S.Term) -> S.Formula:
+        """node, which the token at the cursor ends, unless it is a term."""
         if type(node) in S.SORT:
-            _, val, pos = self.peek()
-            raise FormulaSyntaxError(
-                f"expected a relation, found {val or 'end of input'!r}", position=pos
-            )
+            raise self.found("expected a relation")
         return node
+
+    def mark(self) -> tuple[int, int]:
+        """The cursor and the number of faults noted so far."""
+        return self.i, len(self.faults)
 
     def expr(self, prec: int) -> S.Formula | S.Term:
         """The longest formula or term at the cursor whose operators
         bind at precedence prec or tighter; a term if prec is above the
-        relations. A term ends where no term operator continues it;
-        below the relations, a relation may then follow. A run of ->
-        is read in one loop and grouped to the right."""
-        pos = self.peek()[2]
-        left = self.prefix(prec)
+        relations."""
+        mark = self.mark()
+        return self.infix(self.prefix(prec), prec, mark)
+
+    def infix(self, left, prec: int, mark) -> S.Formula | S.Term:
+        """left, which starts at mark, continued by the binary operators
+        at the cursor that bind at precedence prec or tighter. A term
+        ends where no term operator continues it; below the relations, a
+        relation may then follow. A run of -> is read in one loop and
+        grouped to the right."""
         while True:
-            word = self.peek()[1]
+            word = self.tokens[self.i]
             if type(left) in S.SORT:
                 if word in _RELATION_WORDS and prec <= S.RELATION_PREC:
-                    left = self.relation(left, pos)
+                    left = self.relation(left, mark)
                     continue
                 op = _TERM_OPS.get(word)
             else:
                 op = _FORMULA_OPS.get(word)
             if op is None or op[1] < prec:
                 return left
-            self.next()
+            self.i += 1
             cls, p = op
             if cls is S.Implies:
                 parts = [left, self.formula(p + 1)]
@@ -138,97 +192,118 @@ class _Parser:
                 while parts:
                     left = S.Implies(parts.pop(), left)
             elif cls in S.SORT:
+                # the left operand is checked before anything in the right
+                self.check(cls, left)
                 right = self.expr(p + 1)
-                left = cls(left, S.Neg(right) if word == "-" else right)
+                if word == "-":
+                    right = S.Neg(self.check(S.Neg, right))
+                left = cls(left, self.check(cls, right))
             else:
                 left = cls(left, self.formula(p + 1))
 
     def prefix(self, prec: int) -> S.Formula | S.Term:
-        """The operand at the cursor with its prefix operators: true,
-        false, a run of ~ or a run of quantifiers where a formula may
-        stand (prec at most the relations'), and otherwise a term."""
-        kind, val, pos = self.peek()
-        if prec < _TERM_PREC:
-            if val in ("forall", "exists"):
-                return self.quantified()
-            if val == "~":
-                count = 0
-                while self.accept("~"):
-                    count += 1
-                out = self.formula(S.NOT_PREC)
-                for _ in range(count):
-                    out = S.Not(out)
-                return out
-            if val == "true" or val == "false":
-                self.next()
-                return S.TRUE if val == "true" else S.FALSE
-        self.next()
-        if val == "(":
+        """The operand at the cursor with its prefix operators, a run of
+        which is read in one loop: unary -, n*, and where a formula may
+        stand (prec at most the relations') ~ and quantifier heads. The
+        operand of each is the longest expr at the operator's own
+        precedence (0 for a quantifier, whose body extends as far right
+        as possible); they are completed innermost first."""
+        # (node class, its fields before the operand, the operand's
+        # precedence, the operand's mark)
+        pending = []
+        while True:
+            word = self.tokens[self.i]
+            if word == "-":
+                self.i += 1
+                prec = S.UNARY_PREC
+                pending.append((S.Neg, (), prec, self.mark()))
+            elif word.isdecimal() and (word != "0" or self.tokens[self.i + 1] == "*"):
+                self.i += 1
+                self.expect("*")
+                prec = S.UNARY_PREC
+                pending.append((S.IntScale, (int(word),), prec, self.mark()))
+            elif prec >= _TERM_PREC:
+                break
+            elif word == "~":
+                self.i += 1
+                prec = S.NOT_PREC
+                pending.append((S.Not, (), prec, self.mark()))
+            elif word == "forall" or word == "exists":
+                self.i += 1
+                cls = S.Forall if word == "forall" else S.Exists
+                names = [self.ident()]
+                while self.accept(","):
+                    names.append(self.ident())
+                self.expect(":")
+                sort = self.sort()
+                self.expect(".")
+                prec = 0
+                for name in names:
+                    self.bound.append((name, sort))
+                    pending.append((cls, (name, sort), prec, self.mark()))
+            else:
+                break
+        left = self.primary(prec)
+        while pending:
+            cls, fields, p, mark = pending.pop()
+            left = self.infix(left, p, mark)
+            if cls in S.SORT:
+                self.check(cls, left)
+            else:
+                self.as_formula(left)
+                if fields:  # a binder, whose scope ends here
+                    self.bound.pop()
+            left = cls(*fields, left)
+        return left
+
+    def primary(self, prec: int) -> S.Formula | S.Term:
+        """The operand at the cursor that no prefix operator starts:
+        true or false where a formula may stand, and otherwise a term."""
+        word = self.next()
+        if prec < _TERM_PREC and (word == "true" or word == "false"):
+            return S.TRUE if word == "true" else S.FALSE
+        if word == "(":
             inner = self.expr(0 if prec < _TERM_PREC else _TERM_PREC)
             self.expect(")")
             return inner
-        if val == "-":
-            return S.Neg(self.expr(S.UNARY_PREC))
-        if kind == "num":
-            if val == "0" and not self.at("*"):
-                return S.Zero()
-            self.expect("*")
-            return S.IntScale(int(val), self.expr(S.UNARY_PREC))
-        if val == "bot":
+        if word == "0":  # with no * after it: prefix read n*
+            return S.Zero()
+        if word == "bot":
             return S.Bot()
-        if val == "top":
+        if word == "top":
             return S.Top()
-        if val == "P" or val == "compl":
+        if word == "P" or word == "compl":
             self.expect("(")
-            arg = self.expr(_TERM_PREC)
+            cls = S.Val if word == "P" else S.Compl
+            arg = self.check(cls, self.expr(_TERM_PREC))
             self.expect(")")
-            return S.Val(arg) if val == "P" else S.Compl(arg)
-        if kind == "ident":
+            return cls(arg)
+        if _is_name(word):
             # an LVar when a binder in scope or the context gives it sort
-            # L, a GVar otherwise; the free_vars walk at the end of parse
-            # rejects the tree if that disagrees with how it is used
-            sort = self.var_sort(val)
-            return S.LVar(val) if sort == S.L else S.GVar(val)
-        raise FormulaSyntaxError(
-            f"expected a term, found {val or 'end of input'!r}", position=pos
-        )
-
-    def quantified(self) -> S.Formula:
-        """A run of quantifier prefixes and the body they scope over."""
-        binders = []
-        while self.at("forall") or self.at("exists"):
-            cls = S.Forall if self.next()[1] == "forall" else S.Exists
-            names = [self.ident()]
-            while self.accept(","):
-                names.append(self.ident())
-            self.expect(":")
-            sort = self.sort()
-            self.expect(".")
-            for name in names:
-                self.bound.append((name, sort))
-                binders.append((cls, name, sort))
-        body = self.formula()
-        del self.bound[-len(binders):]
-        for cls, name, sort in reversed(binders):
-            body = cls(name, sort, body)
-        return body
+            # L, a GVar otherwise; the operand checks note a fault where
+            # that disagrees with how it is used
+            return S.LVar(word) if self.var_sort(word) == S.L else S.GVar(word)
+        self.i -= 1
+        raise self.found("expected a term")
 
     def ident(self) -> str:
-        kind, val, pos = self.next()
-        if kind != "ident":
-            raise FormulaSyntaxError(f"expected a variable, found {val!r}", position=pos)
-        return val
+        word = self.next()
+        if not _is_name(word):
+            raise self.error(f"expected a variable, found {word!r}", self.i - 1)
+        return word
 
     def sort(self) -> str:
-        kind, val, pos = self.next()
-        if val not in (S.G, S.L):
-            raise FormulaSyntaxError(f"expected sort G or L, found {val!r}", position=pos)
-        return val
+        word = self.next()
+        if word not in (S.G, S.L):
+            raise self.error(f"expected sort G or L, found {word!r}", self.i - 1)
+        return word
 
-    def relation(self, left: S.Term, pos: int) -> S.Formula:
-        """left, the term that starts at pos, related to the term after
+    def relation(self, left: S.Term, mark) -> S.Formula:
+        """left, the term that starts at mark, related to the term after
         the relation word at the cursor."""
-        op = self.next()[1]
+        start, before = mark
+        op = self.next()
+        middle = len(self.faults)  # where the faults of right begin
         right = self.expr(_TERM_PREC)
         lsort = self.term_sort_of(left)
         rsort = self.term_sort_of(right)
@@ -237,21 +312,27 @@ class _Parser:
             need = S.G if op == "<=" else S.L
             if (sort or need) != need:
                 # a fault inside a side is named before the relation's
-                S.free_vars(left)
-                S.free_vars(right)
-                raise SortError(f"{op} relates {need}-sorted terms near position {pos}")
-            return S.GLeq(left, right) if need == S.G else S.LBelow(left, right)
+                self.raise_fault(before)
+                near = _positions(self.text)[start]
+                raise SortError(f"{op} relates {need}-sorted terms near position {near}")
+            cls = S.GLeq if need == S.G else S.LBelow
+            return self.atom(cls, left, right, middle)
         if sort is None:
             raise SortError(
                 f"cannot infer the sort of '{S.print_term(left)} {op} "
                 f"{S.print_term(right)}'; declare the variables"
             )
         if op == "=":
-            return S.GEq(left, right) if sort == S.G else S.LEq(left, right)
+            return self.atom(S.GEq if sort == S.G else S.LEq, left, right, middle)
         # strict < is sugar for (<= or <<) plus disequality
-        if sort == S.G:
-            return S.And(S.GLeq(left, right), S.Not(S.GEq(left, right)))
-        return S.And(S.LBelow(left, right), S.Not(S.LEq(left, right)))
+        leq, eq = (S.GLeq, S.GEq) if sort == S.G else (S.LBelow, S.LEq)
+        return S.And(self.atom(leq, left, right, middle), S.Not(eq(left, right)))
+
+    def atom(self, cls, left: S.Term, right: S.Term, middle: int) -> S.Formula:
+        """cls(left, right), its operands checked; a fault of left goes
+        before those of right, which begin at index middle of faults."""
+        self.check(cls, left, middle)
+        return cls(left, self.check(cls, right))
 
     def term_sort_of(self, t: S.Term):
         """The sort of t's class; for a G-variable, its sort from the
@@ -262,11 +343,12 @@ class _Parser:
 
 
 def parse(text: str, context: dict[str, str] | None = None) -> S.Formula:
-    """Parse one formula; context declares the sorts of free variables."""
+    """Parse one formula; context declares the sorts of free variables.
+    Raises FormulaSyntaxError, and then SortError at the first operand
+    of the wrong sort in the order syntax.free_vars checks them."""
     parser = _Parser(text, context)
     phi = parser.formula()
-    kind, val, pos = parser.peek()
-    if kind != "eof":
-        raise FormulaSyntaxError(f"trailing input at {val!r}", position=pos)
-    S.free_vars(phi, context)
+    if not parser.at(""):
+        raise parser.error(f"trailing input at {parser.tokens[parser.i]!r}", parser.i)
+    parser.raise_fault()
     return phi

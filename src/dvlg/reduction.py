@@ -39,8 +39,9 @@ applies it at the new binders, innermost first: one walk per
 elimination does what naming and a separate one_point over the body
 did. The final extraction of the terms uses the walk without the rule,
 and reduce runs one_point once over the whole result. Bound names stay
-distinct, so one walk over a body tells which variables of a peeled
-lattice block occur in it, and only those are bound again.
+distinct, so a body's free names (syntax.occurs_free) tell which
+variables of a peeled lattice block occur in it, and only those are
+bound again.
 """
 
 from __future__ import annotations
@@ -234,20 +235,10 @@ def _name_val_atoms(f: S.Formula, fresh, var: str | None = None):
 
 def _wrap_exists(names: list, body: S.Formula) -> S.Formula:
     """fold(S.Exists(y, S.L, ...)) over body for each y in names, the
-    last innermost, when no binder inside body reuses a name: one walk,
-    which stops once it has seen every name, finds those that occur, and
-    only they are bound."""
-    missing = set(names)
-    stack = [body]
-    while stack and missing:
-        n = stack.pop()
-        cls = type(n)
-        if cls is S.LVar:
-            missing.discard(n.name)
-        elif cls is not S.Val:  # no lattice variable below a Val atom
-            stack += S.children(n)
+    last innermost, when no binder inside body reuses a name: only the
+    names that occur in body are bound."""
     for y in reversed(names):
-        if y not in missing:
+        if S.occurs_free(y, body):
             body = S.Exists(y, S.L, body)
     return body
 
@@ -345,15 +336,15 @@ def _extract_terms(phi: S.Formula, taken):
 
 def reduce(phi: S.Formula, mode: str = "tplus") -> ReductionOutput:
     """Lattice-sort reduction of an arbitrary well-sorted formula."""
-    free = S.free_vars(phi)
+    free = S.free_names(phi)
     phi = normalize(phi, free)
     reducer = _Reducer(mode, free)
     chi = one_point(reducer.run(phi))
     terms = names = ()
     # every Val atom has a group variable (val_leaf makes P(0) top), and
-    # every bound one is eliminated by now: with no free group variable,
-    # chi has no Val atom
-    if S.G in free.values():
+    # every bound one is eliminated by now: with no free variable, chi
+    # has no Val atom
+    if free:
         chi, terms, names = _extract_terms(chi, free)
     return ReductionOutput(
         chi=chi,
@@ -377,7 +368,7 @@ def assemble_reduct(out: ReductionOutput) -> S.Formula:
 
 def decide_ec(sigma: S.Formula) -> bool:
     """Truth in every existentially closed densely valued l-group."""
-    free = S.free_vars(sigma)
+    free = S.free_names(sigma)
     if free:
         raise NotSentence(f"free variables: {sorted(free)}")
     out = reduce(sigma, mode="ec")

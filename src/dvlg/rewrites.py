@@ -362,16 +362,31 @@ def one_point(phi: S.Formula) -> S.Formula:
     and x = t and ...)' with x not in t becomes the body with t
     substituted for x. Requires the binders to be non-shadowing (run
     rename_bound first if unsure). Each other node comes back as refold
-    returns it, so simplify output stays simplify output.
+    returns it, so simplify output stays simplify output. The walk keeps
+    its own stack, so it adds no recursion depth.
     """
-    if isinstance(phi, S.ATOMS):
-        return phi
-    new = tuple(map(one_point, S.children(phi)))
-    if type(phi) is S.Exists:
-        out = one_point_at(phi.var, phi.sort, new[0])
-        if out is not None:
-            return out
-    return refold(phi, new)
+    done = []  # the result of each node walked, after its children's
+    stack = [phi]
+    while stack:
+        n = stack.pop()
+        cls = type(n)
+        if cls is tuple:  # (a node, its children), whose results are done
+            n, kids = n
+            k = len(done) - len(kids)
+            new = tuple(done[k:])
+            del done[k:]
+            out = one_point_at(n.var, n.sort, new[0]) if type(n) is S.Exists else None
+            if out is None:  # refold(n, new), with n's children at hand
+                same = all(map(operator.is_, new, kids))
+                out = n if same else fold(S.rebuild(n, new))
+            done.append(out)
+        elif cls in S.ATOMS:
+            done.append(n)
+        else:
+            kids = S.children(n)
+            stack.append((n, kids))
+            stack += reversed(kids)
+    return done[0]
 
 
 # --- simplification ---

@@ -3,8 +3,12 @@
 Sorts are G (group) and L (lattice). A term's sort is fixed by its
 class (SORT). All nodes are immutable; rewriting passes build fresh
 trees. nodes, which reads, and rebuild, which rewrites, are the one
-generic walk over both sorts of node. free_vars is the one scoped walk:
-it collects the free variables and checks every sort on the way.
+generic walk over both sorts of node. Every node carries its free
+names, computed from its children's when it is built, so occurs_free
+and free_names read them and walk nothing. free_vars is the reference
+scoped walk: it collects the free variables with their sorts and checks
+every sort on the way, for callers that need the sorts (the parser
+checks each operand's sort as it builds the node instead).
 
 eval_term and holds are the one Tarskian evaluator of terms and
 quantifier-free formulas. A model gives them zero(), bot, top, val(a)
@@ -32,27 +36,76 @@ G = "G"
 L = "L"
 
 
+class Term:
+    __slots__ = ()
+
+
+class Formula:
+    __slots__ = ()
+
+
+# A node's free names are a bit mask over the names the process has met:
+# _BIT gives each name its bit, and _NAMES[i] is the name of bit i. A
+# name keeps its bit for the life of the process, so the table grows
+# with the distinct names met; no result depends on the order of bits.
+_BIT: dict[str, int] = {}
+_NAMES: list[str] = []
+
+
+def _bit(name: str) -> int:
+    """The bit of name, given it on first use."""
+    bit = _BIT.get(name)
+    if bit is None:
+        bit = _BIT[name] = 1 << len(_NAMES)
+        _NAMES.append(name)
+    return bit
+
+
+def _free_source(cls) -> str:
+    """The expression that __init__ computes a Term or Formula node's
+    free names with, from the node's fields: a variable's own name, the
+    names in a LinForm's coefficients, a binder's body names less its
+    variable, and otherwise the union of the children's names."""
+    names = [f.name for f in fields(cls)]
+    if names == ["name"]:
+        return "_BIT.get(name) or _bit(name)"
+    if names == ["lin"]:
+        return "_bits(lin.coeffs)"
+    if "var" in names:
+        return "body.free & ~(_BIT.get(var) or _bit(var))"
+    kids = [f.name for f in fields(cls) if f.type in ("Term", "Formula")]
+    return " | ".join(f"{k}.free" for k in kids) or "0"
+
+
+def _bits(coeffs) -> int:
+    mask = 0
+    for name, _ in coeffs:
+        mask |= _BIT.get(name) or _bit(name)
+    return mask
+
+
 def frozen_node(cls):
     """cls as a frozen dataclass whose __init__ stores the fields
     straight into the instance __dict__, which is cheaper than the
-    dataclass's object.__setattr__ per field. Assigning to a field still
-    raises FrozenInstanceError; fields, equality, hash and repr are the
+    dataclass's object.__setattr__ per field. A Term or Formula node
+    also stores its free names, as the bit mask free (free_names reads
+    it), computed from its children's when it is built; they are not a
+    field. Assigning to a field or to free still raises
+    FrozenInstanceError; fields, equality, hash and repr are the
     dataclass's."""
     cls = dataclass(frozen=True, init=False)(cls)
     names = [f.name for f in fields(cls)]
     source = f"def __init__(self{''.join(f', {n}' for n in names)}):\n"
     source += "    d = self.__dict__\n"
     source += "".join(f"    d[{n!r}] = {n}\n" for n in names)
-    namespace = {}
+    if issubclass(cls, (Term, Formula)):
+        source += f"    d['free'] = {_free_source(cls)}\n"
+    namespace = {"_BIT": _BIT, "_bit": _bit, "_bits": _bits}
     exec(source, namespace)
     init = namespace["__init__"]
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     cls.__init__ = init
     return cls
-
-
-class Term:
-    __slots__ = ()
 
 
 # --- group-sorted terms ---
@@ -148,10 +201,6 @@ class Val(Term):
 
 
 # --- formulas ---
-
-class Formula:
-    __slots__ = ()
-
 
 @frozen_node
 class GLeq(Formula):
@@ -335,19 +384,21 @@ def nodes(node: Term | Formula):
 
 
 def occurs_free(name: str, node: Term | Formula) -> bool:
-    """Whether a variable called name occurs free in node. Stops at the
-    first occurrence, and does not look below a binder of name."""
-    cls = type(node)
-    if cls is GVar or cls is LVar:
-        return node.name == name
-    if cls is LinForm:
-        return any(v == name for v, _ in node.lin.coeffs)
-    if (cls is Exists or cls is Forall) and node.var == name:
-        return False
-    for child in _FIELDS[cls][1](node):
-        if occurs_free(name, child):
-            return True
-    return False
+    """Whether a variable called name occurs free in node."""
+    bit = _BIT.get(name)
+    return bit is not None and node.free & bit != 0
+
+
+def free_names(node: Term | Formula) -> set[str]:
+    """The names of the variables that occur free in node, of either
+    sort; unlike free_vars, this reads them off the node and checks no
+    sort."""
+    mask, out = node.free, set()
+    while mask:
+        low = mask & -mask
+        out.add(_NAMES[low.bit_length() - 1])
+        mask ^= low
+    return out
 
 
 def _formula(f):

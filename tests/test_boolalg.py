@@ -415,6 +415,8 @@ class TestDeepFamilies:
         pytest.param(_cyclic(16), id="cyclic-16"),
         pytest.param(_cyclic(32), id="cyclic-32"),
         pytest.param(_cyclic(64), id="cyclic-64"),
+        # neither one_point nor occurs_free takes a frame per level of chi
+        pytest.param(_cyclic(176), id="cyclic-176"),
         pytest.param(_chain(64), id="chain-64"),
         pytest.param(_chain(128), id="chain-128"),
         pytest.param(_chain(136), id="chain-136"),
@@ -427,15 +429,19 @@ class TestDeepFamilies:
         assert sys.getrecursionlimit() == 1000
         assert ba_decide(reduce(parse(text), "ec").chi) is True
 
-    # 2,016 premise conjuncts and 512 nested quantifiers: the sort check
-    # keeps its own stack
+    # 2,016 premise conjuncts, 512 nested quantifiers, 1,000 unary minus
+    # signs and 400 alternations of ~ and a quantifier: the parser reads
+    # each run in one loop and checks sorts as it builds each node, so no
+    # walk over the tree follows
     @pytest.mark.parametrize("text", [
         pytest.param(_patching(64), id="patching-64"),
         pytest.param(_chain(256), id="chain-256"),
+        pytest.param("forall a:G. forall b:G. " + "-" * 1000 + "a <= b", id="minus-1000"),
+        pytest.param("forall a:G. " + "~exists x:G. " * 400 + "x <= a", id="not-exists-400"),
     ])
     def test_parsed_past_the_recursion_limit(self, text):
         assert sys.getrecursionlimit() == 1000
-        assert sum(1 for _ in S.nodes(parse(text))) > 1000
+        assert _depth(parse(text)) > 800
 
     def test_cli_decides_patching(self, capsys):
         assert main(["decide", PATCHING_3]) == 0

@@ -14,7 +14,10 @@ from dvlg import syntax as S
 from dvlg.corpus import gen_lattice_corpus, gen_tplus_corpus, load_known_answers
 from dvlg.errors import FormulaSyntaxError, SortError
 from dvlg.linear import Lin
+from dvlg.boolalg import ba_qe
 from dvlg.parser import parse
+from dvlg.reduction import reduce
+from dvlg.rewrites import normalize
 from dvlg.syntax import (
     children,
     free_vars,
@@ -96,14 +99,28 @@ class TestSorts:
         ("forall l:L. -l = l", "G-operator over L-sorted operand: l"),
         ("(a cap b) = c", "L-operator over G-sorted operand: a"),
         ("forall l:L. (l cap P(a)) + a = 0", "G-operator over L-sorted operand: l cap P(a)"),
-        # a fault inside a side is named before the relation's
+        # a fault in both operands: the left one is named, and a left
+        # operand before anything inside the right one
+        ("l + m <= a", "G-operator over L-sorted operand: l"),
+        ("(l cap m) + (a + l) <= 0", "G-operator over L-sorted operand: l cap m"),
+        ("x = top cap (b + l)", "L-relation over G-sorted term: x"),
+        # a fault inside a side is named before the relation's, and one
+        # outside the relation is not
         ("P(l) <= a", "P takes a G-sorted argument: l"),
+        ("l <= P(m)", "P takes a G-sorted argument: m"),
         ("l <= m", "<= relates G-sorted terms near position 0"),
+        ("(l + a = 0) & (l <= m)", "<= relates G-sorted terms near position 15"),
     ])
     def test_sort_error_names_first_offender(self, text, message):
         with pytest.raises(SortError) as ei:
             parse(text, CTX)
         assert str(ei.value) == message
+
+    def test_syntax_error_after_a_sort_fault_wins(self):
+        with pytest.raises(FormulaSyntaxError) as ei:
+            parse("l + a <= b &", CTX)
+        assert str(ei.value) == "expected a term, found 'end of input'"
+        assert ei.value.position == 12
 
     @pytest.mark.parametrize("phi, message", [
         (S.Exists("x", S.L, S.GLeq(S.GVar("x"), S.Zero())),
@@ -193,14 +210,17 @@ class TestErrorsInsideParentheses:
         assert str(ei.value) == "cannot infer the sort of 'x = y'; declare the variables"
 
 
-def _alternation_chain(k):
-    """alternation_chain(k) of perfbench/workloads.py, which imports no
-    part of the package."""
+def _workloads():
+    """perfbench/workloads.py, which imports no part of the package."""
     spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
     mod = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = mod  # its dataclasses look their module up
     spec.loader.exec_module(mod)
-    return mod.alternation_chain(k)
+    return mod
+
+
+def _alternation_chain(k):
+    return _workloads().alternation_chain(k)
 
 
 def _count(phi, classes):
@@ -400,25 +420,50 @@ class TestFrozenNodes:
     CLASSES = (*S.Term.__subclasses__(), *S.Formula.__subclasses__(), Lin)
 
     @staticmethod
-    def _instance(cls):
-        # one distinct value per field: equality and hash read them all
-        return cls(*(f"v{i}" for i, _ in enumerate(fields(cls))))
+    def _values(cls):
+        # one distinct value per field, of the field's type: equality
+        # and hash read them all
+        make = {
+            "Term": lambda i: S.GVar(f"v{i}"),
+            "Formula": lambda i: S.GEq(S.GVar(f"v{i}"), S.Zero()),
+            "Lin": lambda i: Lin.var(f"v{i}"),
+            "int": lambda i: i,
+        }
+        return {
+            f.name: make.get(f.type, lambda i: f"v{i}")(i)
+            for i, f in enumerate(fields(cls))
+        }
+
+    def _instance(self, cls):
+        return cls(**self._values(cls))
 
     def test_assigning_any_field_raises(self):
         for cls in self.CLASSES:
             node = self._instance(cls)
-            for f in fields(cls):
+            # a Term or Formula node also stores its free names
+            stored = [f.name for f in fields(cls)]
+            if cls is not Lin:
+                stored.append("free")
+            for name in stored:
                 with pytest.raises(FrozenInstanceError):
-                    setattr(node, f.name, "other")
+                    setattr(node, name, "other")
                 with pytest.raises(FrozenInstanceError):
-                    delattr(node, f.name)
+                    delattr(node, name)
             assert node == self._instance(cls), cls
 
     def test_fields_are_stored_in_the_instance_dict(self):
         for cls in self.CLASSES:
             node = self._instance(cls)
-            values = {f.name: f"v{i}" for i, f in enumerate(fields(cls))}
-            assert vars(node) == values, cls
+            values = self._values(cls)
+            if cls is Lin:
+                assert vars(node) == values
+            else:
+                # a Term or Formula node stores its free names too, which
+                # are no field, and equality, hash and repr do not read
+                assert "free" not in values
+                assert vars(node) == {**values, "free": node.free}, cls
+                vars(node)["free"] = ~node.free
+            assert node == self._instance(cls), cls
             assert hash(node) == hash(self._instance(cls))
             args = ", ".join(f"{k}={v!r}" for k, v in values.items())
             assert repr(node) == f"{cls.__name__}({args})"
@@ -430,3 +475,51 @@ class TestFrozenNodes:
             S.And(S.TRUE)
         with pytest.raises(TypeError):
             S.Neg(S.Zero(), S.Zero())
+
+
+class TestFreeNames:
+    """Every node carries its free names from when it was built; they
+    are the names that the reference walk free_vars finds, at every node
+    of the parser's, normalize's, reduce's and ba_qe's trees."""
+
+    @pytest.fixture(scope="class")
+    def formulas(self):
+        out = [phi for s in (1, 2) for _, phi, _ in gen_tplus_corpus(s, 300)]
+        out += [phi for _, phi in gen_lattice_corpus(7, 400, 3)]
+        out += [parse(e["formula"]) for e in load_known_answers()]
+        mod = _workloads()
+        out += [
+            parse(make(k))
+            for make in (mod.patching, mod.cyclic_chain, mod.alternation_chain)
+            for k in range(1, 7)
+        ]
+        return out
+
+    @staticmethod
+    def _check(tree):
+        for n in nodes(tree):
+            free = free_vars(n)
+            assert S.free_names(n) == set(free), print_formula(tree)
+            assert not S.occurs_free("_absent", n)
+            assert all(S.occurs_free(name, n) for name in free)
+
+    def test_parsed(self, formulas):
+        for phi in formulas:
+            self._check(phi)
+
+    def test_normalized_with_linform_leaves(self, formulas):
+        leaves = 0
+        for phi in formulas:
+            out = normalize(phi, S.free_names(phi))
+            self._check(out)
+            leaves += sum(type(n) is S.LinForm for n in nodes(out))
+        assert leaves > 1000
+
+    def test_reduced_and_ba_qe_rendered(self, formulas):
+        for phi in formulas:
+            out = reduce(phi, "ec")
+            self._check(out.chi)
+            for t in out.terms:
+                self._check(t)
+            self._check(ba_qe(out.chi))
+
