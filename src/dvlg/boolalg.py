@@ -265,9 +265,7 @@ def _support(bdd: _BDD, dnf: tuple) -> int:
 
 
 def _conjoin(bdd: _BDD, dnfs: list) -> tuple:
-    """The product of the DNFs, TRUE for none."""
-    if not dnfs:
-        return _TRUE
+    """The product of the DNFs, of which there is at least one."""
     out = dnfs[0]
     for d in dnfs[1:]:
         out = _product(bdd, out, d)

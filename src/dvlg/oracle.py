@@ -269,10 +269,8 @@ class _Compiler:
     def point_constraint(self, lin: Lin, x: int) -> "LinConstraint | bool":
         """ lin(x) >= 0 with free group variables folded to constants."""
         out: dict[str, Fraction] = {}
-        for var, c in lin.coeffs:
-            if var == CONST:
-                out[CONST] = out.get(CONST, 0) + c
-            elif var in self.genv:
+        for var, c in lin.coeffs:  # lin names variables only
+            if var in self.genv:
                 out[CONST] = out.get(CONST, 0) + c * self.genv[var].values[x]
             else:
                 key = f"{var}@{x}"

@@ -27,14 +27,15 @@ each Val term is an opaque base, so lattice QE commutes with renaming
 Val terms to fresh lattice variables.
 
 The reducer normalizes its input in one walk (rewrites.normalize). From
-there on every formula it holds or returns is simplify output: it
-folds (rewrites.fold) each node it builds, and a walk returns each node
-through rewrites.refold, so a node whose children did not change comes
-back as it is. The naming walk (_name_val_atoms) renames Val atoms
+there on every formula it holds or returns is simplify output: it folds
+(rewrites.fold) each node it builds. One bottom-up walk
+(rewrites.bottom_up) eliminates the group quantifiers, innermost first,
+reading forall x as not exists x not; fold cancels the double
+negations. The naming walk (_name_val_atoms) renames Val atoms
 injectively to fresh lattice variables, which keeps a formula simplify
 output, since simplify never looks inside a Val atom. In an elimination
 the same walk applies the one-point rule (rewrites.one_point_at) at
-each existential binder on its way back up, and eliminate_exists then
+each existential binder on its way back up, and _eliminate_exists then
 applies it at the new binders, innermost first: one walk per
 elimination does what naming and a separate one_point over the body
 did. The final extraction of the terms uses the walk without the rule,
@@ -54,7 +55,7 @@ from . import syntax as S
 from .boolalg import ba_decide, ba_qe
 from .errors import NotPrimitive, NotSentence, UnsupportedFragment
 from .linear import Lin
-from .rewrites import fold, fresh_names, normalize, one_point, one_point_at, refold
+from .rewrites import bottom_up, fold, fresh_names, normalize, one_point, one_point_at
 # not called here either: normalize does their work in one walk, the
 # reducer reads each valuation atom's Lin from its LinForm leaf, and
 # perfbench/tracing.py rebinds these names in reduction
@@ -166,9 +167,8 @@ def _name_val_atoms(f: S.Formula, fresh, var: str | None = None):
     (rewrites.one_point_at) at each existential binder on its way back
     up, as one_point over the renamed formula would. The renaming is
     injective, so simplify output stays simplify output: a rebuilt node
-    is folded only where the rule fired below it, as refold does. The
-    walk dispatches on node class and takes one Python frame per tree
-    level."""
+    is folded only where the rule fired below it. The walk dispatches
+    on node class and takes one Python frame per tree level."""
     seen = {}  # an atom's lin.coeffs -> its variable, or False if it stays
     pin = var is not None
     fired = 0  # how often the one-point rule fired so far
@@ -255,72 +255,48 @@ def _reject_crossing(var: str, f: S.Formula) -> None:
             )
 
 
-class _Reducer:
-    def __init__(self, mode: str, taken):
-        if mode not in ("tplus", "ec"):
-            raise ValueError(f"unknown mode {mode!r}")
-        self.mode = mode
-        self.fresh = fresh_names("_y", taken)
-        self.eliminations = 0
-
-    def run(self, phi: S.Formula) -> S.Formula:
-        if isinstance(phi, (S.Exists, S.Forall)) and phi.sort == S.G:
-            kind, names = type(phi), []
-            while isinstance(phi, kind) and phi.sort == S.G:
-                names.append(phi.var)
-                phi = phi.body
-            # forall x is ~exists x ~
-            negate = kind is S.Forall
-            body = fold(S.Not(self.run(phi))) if negate else self.run(phi)
-            for var in reversed(names):
-                self.eliminations += 1
-                body = self.eliminate_exists(var, body)
-            return fold(S.Not(body)) if negate else body
-        if isinstance(phi, S.ATOMS):
-            return phi
-        return refold(phi, tuple(map(self.run, S.children(phi))))
-
-    def eliminate_exists(self, var: str, body: S.Formula) -> S.Formula:
-        """Eliminate 'exists var:G.' from a body with no group quantifiers."""
-        # peel the top-of-scope existential lattice block, which commutes
-        # with var; simplify output has no double negation on top
-        block = []
-        while True:
-            if isinstance(body, S.Not) and isinstance(body.arg, S.Forall):
-                q = body.arg
-                body = fold(S.Exists(q.var, S.L, fold(S.Not(q.body))))
-            elif isinstance(body, S.Exists) and body.sort == S.L:
-                block.append(body.var)
-                body = body.body
+def _eliminate_exists(var: str, body: S.Formula, fresh, mode: str) -> S.Formula:
+    """Eliminate 'exists var:G.' from a body with no group quantifiers,
+    naming the atoms with fresh."""
+    # peel the top-of-scope existential lattice block, which commutes
+    # with var; simplify output has no double negation on top
+    block = []
+    while True:
+        if isinstance(body, S.Not) and isinstance(body.arg, S.Forall):
+            q = body.arg
+            body = fold(S.Exists(q.var, S.L, fold(S.Not(q.body))))
+        elif isinstance(body, S.Exists) and body.sort == S.L:
+            block.append(body.var)
+            body = body.body
+        else:
+            break
+    # after normalization, var occurs in Val atoms only
+    named_body, named, fired = _name_val_atoms(body, fresh, var)
+    if named:
+        if mode == "tplus":
+            _reject_crossing(var, body)
+        bounds = []
+        for coeffs, y in named:
+            # the atom is P(c*var + rest), kept as a LinForm since normalize
+            rest = tuple(item for item in coeffs if item[0] != var)
+            c = next(q for v, q in coeffs if v == var)
+            bounds.append((y, Lin(rest), c))
+        # named_body holds every y unless the one-point rule fired in
+        # it, and no side condition folds to FALSE (the left of each
+        # is a meet of two regions)
+        body = fold(S.And(named_body, eliminate_group_var(bounds)))
+        # the one-point rule at the new binders, innermost first; a
+        # binder is folded, which may drop it, only where the rule
+        # fired below it
+        for _, y in reversed(named):
+            out = one_point_at(y.name, S.L, body)
+            if out is not None:
+                body, fired = out, True
             else:
-                break
-        # after normalization, var occurs in Val atoms only
-        named_body, named, fired = _name_val_atoms(body, self.fresh, var)
-        if named:
-            if self.mode == "tplus":
-                _reject_crossing(var, body)
-            bounds = []
-            for coeffs, y in named:
-                # the atom is P(c*var + rest), kept as a LinForm since normalize
-                rest = tuple(item for item in coeffs if item[0] != var)
-                c = next(q for v, q in coeffs if v == var)
-                bounds.append((y, Lin(rest), c))
-            # named_body holds every y unless the one-point rule fired in
-            # it, and no side condition folds to FALSE (the left of each
-            # is a meet of two regions)
-            body = fold(S.And(named_body, eliminate_group_var(bounds)))
-            # the one-point rule at the new binders, innermost first; a
-            # binder is folded, which may drop it, only where the rule
-            # fired below it
-            for _, y in reversed(named):
-                out = one_point_at(y.name, S.L, body)
-                if out is not None:
-                    body, fired = out, True
-                else:
-                    body = S.Exists(y.name, S.L, body)
-                    if fired:
-                        body = fold(body)
-        return _wrap_exists(block, body)
+                body = S.Exists(y.name, S.L, body)
+                if fired:
+                    body = fold(body)
+    return _wrap_exists(block, body)
 
 
 def _extract_terms(phi: S.Formula, taken):
@@ -338,8 +314,23 @@ def reduce(phi: S.Formula, mode: str = "tplus") -> ReductionOutput:
     """Lattice-sort reduction of an arbitrary well-sorted formula."""
     free = S.free_names(phi)
     phi = normalize(phi, free)
-    reducer = _Reducer(mode, free)
-    chi = one_point(reducer.run(phi))
+    if mode not in ("tplus", "ec"):
+        raise ValueError(f"unknown mode {mode!r}")
+    fresh = fresh_names("_y", free)
+    eliminations = 0
+
+    def at_binder(n, body):
+        nonlocal eliminations
+        if n.sort != S.G:
+            return None
+        eliminations += 1
+        if type(n) is S.Exists:
+            return _eliminate_exists(n.var, body, fresh, mode)
+        # forall x is ~exists x ~; fold cancels the double negations
+        body = _eliminate_exists(n.var, fold(S.Not(body)), fresh, mode)
+        return fold(S.Not(body))
+
+    chi = one_point(bottom_up(phi, at_binder))
     terms = names = ()
     # every Val atom has a group variable (val_leaf makes P(0) top), and
     # every bound one is eliminated by now: with no free variable, chi
@@ -352,7 +343,7 @@ def reduce(phi: S.Formula, mode: str = "tplus") -> ReductionOutput:
         names=names,
         k=len(terms),
         mode=mode,
-        eliminations=reducer.eliminations,
+        eliminations=eliminations,
     )
 
 

@@ -21,7 +21,8 @@ names that the caller passes.
 
 simplify applies fold, the constant folding of one node, bottom-up, and
 leaves its own output unchanged. A pass that keeps its formulas
-simplified folds only the nodes it builds.
+simplified folds only the nodes it builds; bottom_up is the walk that
+one_point and the reducer's group elimination share.
 
 substitute is the one substitution: it replaces the nodes that are keys
 of a mapping, and returns each subtree that holds no key as it is.
@@ -58,25 +59,27 @@ def _linearize(t: S.Term, names: dict) -> JoinOfMeets:
 
 def _accumulate(t: S.Term, factor, acc: dict, names: dict) -> bool:
     """Add factor times the linear form of t into acc, variable by
-    variable; False, with acc part-filled, at a meet or a join."""
-    cls = type(t)
-    if cls is S.GVar:
-        name = names.get(t.name, t.name)
-        acc[name] = acc.get(name, 0) + factor
-        return True
-    if cls is S.Add:
-        return _accumulate(t.left, factor, acc, names) and _accumulate(
-            t.right, factor, acc, names
-        )
-    if cls is S.Neg:
-        return _accumulate(t.arg, -factor, acc, names)
-    if cls is S.IntScale:
-        return _accumulate(t.arg, factor * t.factor, acc, names)
-    if cls is S.Zero:
-        return True
-    if cls is S.GMeet or cls is S.GJoin:
-        return False
-    raise SortError(f"not a G-sorted term: {S.print_term(t)}")
+    variable; False, with acc part-filled, at a meet or a join. The walk
+    keeps its own stack of (term, factor) pairs, left operand first, so
+    a long run of unary minus adds no recursion depth."""
+    stack = [(t, factor)]
+    while stack:
+        t, factor = stack.pop()
+        cls = type(t)
+        if cls is S.GVar:
+            name = names.get(t.name, t.name)
+            acc[name] = acc.get(name, 0) + factor
+        elif cls is S.Add:
+            stack += ((t.right, factor), (t.left, factor))
+        elif cls is S.Neg:
+            stack.append((t.arg, -factor))
+        elif cls is S.IntScale:
+            stack.append((t.arg, factor * t.factor))
+        elif cls is S.GMeet or cls is S.GJoin:
+            return False
+        elif cls is not S.Zero:
+            raise SortError(f"not a G-sorted term: {S.print_term(t)}")
+    return True
 
 
 def _join_of_meets(t: S.Term, names: dict) -> JoinOfMeets:
@@ -355,16 +358,13 @@ def one_point_at(var: str, sort: str, body: S.Formula) -> S.Formula | None:
     return None
 
 
-def one_point(phi: S.Formula) -> S.Formula:
-    """Inline quantified variables pinned by a top-level equality.
-
-    Bottom-up, one_point_at at each existential binder: 'exists x (...
-    and x = t and ...)' with x not in t becomes the body with t
-    substituted for x. Requires the binders to be non-shadowing (run
-    rename_bound first if unsure). Each other node comes back as refold
-    returns it, so simplify output stays simplify output. The walk keeps
-    its own stack, so it adds no recursion depth.
-    """
+def bottom_up(phi: S.Formula, at_binder) -> S.Formula:
+    """phi walked post-order, with atoms as leaves. At a binder n whose
+    body came back as body, at_binder(n, body) gives the result; where
+    that is None, and at every other node, the node comes back as it is
+    if its children did, else rebuilt on them and folded, so simplify
+    output stays simplify output. The walk keeps its own stack, so it
+    adds no recursion depth."""
     done = []  # the result of each node walked, after its children's
     stack = [phi]
     while stack:
@@ -375,8 +375,9 @@ def one_point(phi: S.Formula) -> S.Formula:
             k = len(done) - len(kids)
             new = tuple(done[k:])
             del done[k:]
-            out = one_point_at(n.var, n.sort, new[0]) if type(n) is S.Exists else None
-            if out is None:  # refold(n, new), with n's children at hand
+            binder = type(n) is S.Exists or type(n) is S.Forall
+            out = at_binder(n, new[0]) if binder else None
+            if out is None:
                 same = all(map(operator.is_, new, kids))
                 out = n if same else fold(S.rebuild(n, new))
             done.append(out)
@@ -387,6 +388,21 @@ def one_point(phi: S.Formula) -> S.Formula:
             stack.append((n, kids))
             stack += reversed(kids)
     return done[0]
+
+
+def _one_point_at_exists(n, body):
+    return one_point_at(n.var, n.sort, body) if type(n) is S.Exists else None
+
+
+def one_point(phi: S.Formula) -> S.Formula:
+    """Inline quantified variables pinned by a top-level equality.
+
+    bottom_up with one_point_at at each existential binder: 'exists x
+    (... and x = t and ...)' with x not in t becomes the body with t
+    substituted for x. Requires the binders to be non-shadowing (run
+    rename_bound first if unsure).
+    """
+    return bottom_up(phi, _one_point_at_exists)
 
 
 # --- simplification ---
@@ -485,11 +501,3 @@ def simplify(phi: S.Formula) -> S.Formula:
     if cls is S.Exists or cls is S.Forall:
         return fold(cls(phi.var, phi.sort, simplify(phi.body)))
     return fold(phi)
-
-
-def refold(phi: S.Formula, new: tuple) -> S.Formula:
-    """phi if new are its children, else phi rebuilt on new and folded:
-    a pass that keeps simplify output returns each node so."""
-    if all(map(operator.is_, new, S.children(phi))):
-        return phi
-    return fold(S.rebuild(phi, new))

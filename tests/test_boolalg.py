@@ -424,10 +424,21 @@ class TestDeepFamilies:
         # the deepest member that decides under pytest: at k=160 ba_decide
         # overflows
         pytest.param(_chain(152), id="chain-152"),
+        # normalize adds up a run of unary minus with its own stack
+        pytest.param("forall a:G. " + "-" * 1000 + "a <= a", id="minus-1000"),
     ])
     def test_decided_at_the_frontier(self, text):
         assert sys.getrecursionlimit() == 1000
         assert ba_decide(reduce(parse(text), "ec").chi) is True
+
+    @pytest.mark.parametrize("text", [
+        pytest.param("forall a:G. forall b:G. " + "-" * 1000 + "a <= b", id="minus-1000"),
+        pytest.param("forall a:G. " + " + ".join(["a"] * 1000) + " <= a", id="sum-1000"),
+        pytest.param("forall a:G. 0 <= " + "2*" * 300 + "a", id="scale-300"),
+    ])
+    def test_long_linear_terms_decided_false(self, text):
+        assert sys.getrecursionlimit() == 1000
+        assert ba_decide(reduce(parse(text), "ec").chi) is False
 
     # 2,016 premise conjuncts, 512 nested quantifiers, 1,000 unary minus
     # signs and 400 alternations of ~ and a quantifier: the parser reads

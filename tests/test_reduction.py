@@ -368,8 +368,8 @@ def _names(f):
 
 
 def _sequential_elimination(var, body, fresh):
-    """_Reducer.eliminate_exists(var, body) as a sequence of passes over
-    the whole formula: peel the lattice block, name the atoms that
+    """_eliminate_exists(var, body, fresh, "ec") as a sequence of passes
+    over the whole formula: peel the lattice block, name the atoms that
     mention var with substitute (fresh names in pre-order), conjoin the
     side conditions, bind the new names, run one_point, then bind the
     block again. Also the number of named atoms, and whether one_point
@@ -406,7 +406,7 @@ def _sequential_elimination(var, body, fresh):
 
 
 class TestEliminationStep:
-    """eliminate_exists names the atoms and applies the one-point rule
+    """_eliminate_exists names the atoms and applies the one-point rule
     in one walk; it gives what the sequential passes give on every
     (var, body) that reducing the pinned inputs and deeper family
     members meets."""
@@ -414,11 +414,11 @@ class TestEliminationStep:
     @pytest.fixture(scope="class")
     def steps(self):
         met = []
-        eliminate = reduction._Reducer.eliminate_exists
+        eliminate = reduction._eliminate_exists
 
-        def record(self, var, body):
+        def record(var, body, fresh, mode):
             met.append((var, body))
-            return eliminate(self, var, body)
+            return eliminate(var, body, fresh, mode)
 
         phis = _pinned_inputs() + [
             parse(text) for text in (_patching(5), _cyclic(16), _chain(16))
@@ -426,7 +426,7 @@ class TestEliminationStep:
         # the last one pins at a lattice binder that was in the body
         phis += [parse(text, CTX) for text, *_ in FROZEN_REDUCTS]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(reduction._Reducer, "eliminate_exists", record)
+            mp.setattr(reduction, "_eliminate_exists", record)
             for phi in phis:
                 reduce(phi, "ec")
         return met
@@ -435,7 +435,9 @@ class TestEliminationStep:
         named = old_pins = 0
         for var, body in steps:
             taken = _names(body)
-            got = reduction._Reducer("ec", taken).eliminate_exists(var, body)
+            got = reduction._eliminate_exists(
+                var, body, fresh_names("_y", taken), "ec"
+            )
             want, atoms, old_pin = _sequential_elimination(
                 var, body, fresh_names("_y", taken)
             )

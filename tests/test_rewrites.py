@@ -16,6 +16,7 @@ from dvlg.parser import parse
 from dvlg.reduction import reduce
 from dvlg.rewrites import (
     _join_of_meets,
+    bottom_up,
     gterm_to_lin,
     group_atoms_to_lattice,
     lin_to_gterm,
@@ -328,6 +329,36 @@ class TestOnePoint:
                 assert decide_finite(STRUCT, phi, env) == decide_finite(
                     STRUCT, one_point(phi), env
                 )
+
+
+class TestBottomUp:
+    PHI = parse("forall l:L. exists x:G. (x <= a & ~(l = top)) | b <= a", CTX)
+
+    def test_no_action_returns_the_same_object(self):
+        met = []
+
+        def at_binder(n, body):
+            met.append(type(n))
+            return None
+
+        assert bottom_up(self.PHI, at_binder) is self.PHI
+        assert met == [S.Exists, S.Forall]
+
+    def test_result_replaces_the_binder(self):
+        phi = parse("b <= a & exists x:G. x <= a", CTX)
+        out = bottom_up(phi, lambda n, body: S.TRUE)
+        # the rebuilt And is folded
+        assert out is phi.left
+
+    def test_deep_formula_walks_past_the_recursion_limit(self):
+        assert sys.getrecursionlimit() == 1000
+        atom = S.LEq(S.LVar("l"), S.Top())
+        phi = atom
+        for i in range(1500):
+            phi = S.Exists(f"y{i}", S.L, S.Not(phi))
+        assert bottom_up(phi, lambda n, body: None) is phi
+        # dropping every binder leaves 1,500 negations, which fold cancels
+        assert bottom_up(phi, lambda n, body: body) is atom
 
 
 class TestLinearization:
