@@ -24,6 +24,11 @@ and it is abstracted from the product of the parts whose support tests
 it only. The final DNF is rendered once, each node as a term split
 on its base, so a term over m bases is at most 2m + 1 deep.
 
+One walk over the formula (syntax.transform), whose children of a
+block are its parts, computes the node of each term and the DNF of
+each formula, so the depth of the formula costs no Python frames; ite,
+smooth and term recurse at most once per base.
+
 interval_check is an independent bounded checker in a concrete atomless
 algebra, the periodic subsets of the naturals that are the lattice sort
 of periodic.PERIODIC, where syntax.holds evaluates its atoms; ba_decide
@@ -145,20 +150,7 @@ class _BDD:
 
     def node(self, t: S.Term) -> int:
         """The node of an L-term."""
-        cls = type(t)
-        if cls is S.LVar or cls is S.Val:
-            return self.mk(self.place(t), 0, 1)
-        if cls is S.Bot:
-            return 0
-        if cls is S.Top:
-            return 1
-        if cls is S.LMeet:
-            return self.ite(self.node(t.left), self.node(t.right), 0)
-        if cls is S.LJoin:
-            return self.ite(self.node(t.left), 1, self.node(t.right))
-        if cls is S.Compl:
-            return self.ite(self.node(t.arg), 0, 1)
-        raise NotLatticeSorted(f"not an L-term: {S.print_term(t)}")
+        return S.transform(t, self._enter, self._leave)
 
     def term(self, u: int) -> S.Term:
         """The node as a term split on its base b (Shannon): b meet the
@@ -185,59 +177,96 @@ class _BDD:
         quantifiers eliminated. Bound names need not be fresh: the DNF
         of a quantifier tests no node at its variable's level, so that
         level can stand for another variable of the name outside the
-        scope."""
-        cls = type(f)
+        scope. One walk computes the node of each term and the DNF of
+        each formula."""
+        return S.transform(f, self._enter, self._leave, _QE_CHILDREN)
+
+    def _enter(self, n):
+        """The node of a base or a constant, the DNF of true or false,
+        and None where the walk goes on below."""
+        cls = type(n)
+        if cls in _OPEN:
+            return None
+        if cls is S.LVar or cls is S.Val:
+            return self.mk(self.place(n), 0, 1)
+        if cls in _CONSTANTS:
+            return _CONSTANTS[cls]
+        if cls is S.GLeq or cls is S.GEq:
+            raise NotLatticeSorted(
+                f"group atom in lattice-sort formula: {S.print_formula(n)}"
+            )
+        raise NotLatticeSorted(f"not an L-term: {S.print_term(n)}")
+
+    def _leave(self, n, new: list):
+        """The node of a term or the DNF of a formula from the results
+        of its children, as _QE_CHILDREN gives them."""
+        cls = type(n)
+        if cls is S.Compl:
+            return self.ite(new[0], 0, 1)
         if cls is S.LBelow or cls is S.LEq:
-            l, r = self.node(f.left), self.node(f.right)
+            l, r = new
             # E is l - r for l << r, and l xor r for l = r
             e = self.ite(l, self.ite(r, 0, 1), 0 if cls is S.LBelow else r)
             return _dnf([_conj(self, e, ())])
+        if cls is S.LMeet:
+            return self.ite(new[0], new[1], 0)
+        if cls is S.LJoin:
+            return self.ite(new[0], 1, new[1])
         if cls is S.Not:
-            return _not(self, self.qe(f.arg))
+            return _not(self, new[0])
         if cls is S.And:
-            return _product(self, self.qe(f.left), self.qe(f.right))
-        if cls is S.Or:
-            return _dnf(self.qe(f.left) + self.qe(f.right))
-        if cls is S.Implies:
-            return _dnf(_not(self, self.qe(f.left)) + self.qe(f.right))
-        if cls is S.TrueF:
-            return _TRUE
-        if cls is S.FalseF:
-            return _FALSE
-        if cls is S.GLeq or cls is S.GEq:
-            raise NotLatticeSorted(
-                f"group atom in lattice-sort formula: {S.print_formula(f)}"
-            )
-        return self.block(f)
-
-    def block(self, f: S.Formula) -> tuple:
-        """The DNF of a maximal run of like lattice quantifiers over f,
-        with them eliminated: forall Y phi is not exists Y not phi, so
-        the parts of a forall block are the conjuncts of not phi."""
-        kind, names = type(f), {}
-        while type(f) is kind:
-            if f.sort != S.L:
-                raise NotLatticeSorted(
-                    f"group quantifier in lattice-sort formula: {f.var}"
-                )
-            names[f.var] = None
-            f = f.body
-        positive = kind is S.Exists
-        parts = []
-        for g, pos in _parts(f, positive):
-            d = self.qe(g)
-            parts.append(d if pos else _not(self, d))
-        levels = [self.level.get(S.LVar(name)) for name in names]
+            return _product(self, new[0], new[1])
+        if cls is S.Or or cls is S.Implies:
+            return _dnf(new[0] + new[1])
+        # a block: exists Y phi over the DNFs of its parts, and forall Y
+        # phi is not exists Y not phi
+        levels = [self.level.get(S.LVar(name)) for name in _block(n)[0]]
         levels = [level for level in levels if level is not None]
-        out = _bucket(self, levels, parts)
-        return out if positive else _not(self, out)
+        out = _bucket(self, levels, new)
+        return out if cls is S.Exists else _not(self, out)
 
 
-def _parts(f: S.Formula, positive: bool) -> list:
+# the nodes whose results the walk of _BDD computes from their children's
+_OPEN = frozenset((
+    S.LMeet, S.LJoin, S.Compl, S.LBelow, S.LEq,
+    S.Not, S.And, S.Or, S.Implies, S.Exists, S.Forall,
+))
+
+
+def _block(f: S.Formula) -> tuple:
+    """The names that the maximal run of like lattice quantifiers at f
+    binds, in order, and its body."""
+    kind, names = type(f), {}
+    while type(f) is kind:
+        if f.sort != S.L:
+            raise NotLatticeSorted(
+                f"group quantifier in lattice-sort formula: {f.var}"
+            )
+        names[f.var] = None
+        f = f.body
+    return names, f
+
+
+def _block_parts(f: S.Formula) -> tuple:
+    """The parts of the block at f, whose DNFs _BDD._leave reads."""
+    return _parts(_block(f)[1], type(f) is S.Exists)
+
+
+# what the walk of _BDD.qe descends into: for a block its parts, and for
+# f -> g not f, then g, as f -> g is not f or g; else the children
+_QE_CHILDREN = {
+    **S.CHILDREN,
+    S.Exists: _block_parts,
+    S.Forall: _block_parts,
+    S.Implies: lambda f: (S.Not(f.left), f.right),
+}
+
+
+def _parts(f: S.Formula, positive: bool) -> tuple:
     """The conjuncts of f (positive) or of not f, read through Not, Or
-    and Implies by polarity, as (formula, polarity) pairs from left to
-    right. The walk keeps its own stack, so a long And chain costs no
-    recursion."""
+    and Implies by polarity, from left to right, each under a Not where
+    its polarity is negative. The walk keeps its own stack, so a long
+    And chain costs no recursion."""
     out, todo = [], [(f, positive)]
     while todo:
         g, pos = todo.pop()
@@ -249,8 +278,8 @@ def _parts(f: S.Formula, positive: bool) -> list:
         elif cls is S.Implies and not pos:
             todo += [(g.right, False), (g.left, True)]
         else:
-            out.append((g, pos))
-    return out
+            out.append(g if pos else S.Not(g))
+    return tuple(out)
 
 
 def _support(bdd: _BDD, dnf: tuple) -> int:
@@ -305,6 +334,7 @@ def _bucket(bdd: _BDD, levels: list, dnfs: list) -> tuple:
 # and each N is not", with Ns a sorted tuple of nodes disjoint from E.
 _TRUE = ((0, ()),)
 _FALSE = ()
+_CONSTANTS = {S.Bot: 0, S.Top: 1, S.TrueF: _TRUE, S.FalseF: _FALSE}
 
 
 def _conj(bdd: _BDD, e: int, ns):

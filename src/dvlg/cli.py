@@ -13,8 +13,11 @@ integer, a --file that cannot be read as text, --args operands of the
 wrong shape or outside the op's domain, a --max-period below 0, and in
 --env or --args a zero denominator, a JSON boolean where a number is
 expected, or a string where a list is), 3 unsupported fragment, 4
-resource limit, 5 internal error (any other exception, RecursionError
-included, with one line on stderr).
+resource limit (also an input nested deeper than a recursive step can
+follow within Python's recursion limit: the message names the phase,
+the package function the verb was running, such as parse, reduce or
+ba_decide, and the limit), 5 internal error (any other exception, with
+one line on stderr).
 
 A reader that closes stdout early ends the output there: the verb runs
 on and exits with its own code, and nothing is printed on stderr.
@@ -32,6 +35,7 @@ import json
 import os
 import sys
 import time
+import traceback
 
 from . import periodic as P
 from .boolalg import ba_decide
@@ -348,6 +352,15 @@ def _cmd_selftest(args) -> int:
     )
 
 
+def _phase(e: BaseException) -> str:
+    """The function that the verb called and e was raised in: the first
+    frame of e's traceback outside this module."""
+    for frame, _ in traceback.walk_tb(e.__traceback__):
+        if frame.f_globals.get("__name__") != __name__:
+            return frame.f_code.co_name
+    return "cli"
+
+
 _DISPATCH = {
     "decide": _cmd_decide,
     "reduce": _cmd_reduce,
@@ -371,6 +384,13 @@ def main(argv=None) -> int:
         return EXIT_UNSUPPORTED
     except (ResourceLimit, DepthExceeded) as e:
         print(f"resource limit: {e}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except RecursionError as e:
+        print(
+            f"resource limit: {_phase(e)}: nested deeper than the recursion "
+            f"limit {sys.getrecursionlimit()} allows",
+            file=sys.stderr,
+        )
         return EXIT_RESOURCE
     except Exception as e:
         msg = " ".join(str(e).splitlines())

@@ -29,20 +29,22 @@ Val terms to fresh lattice variables.
 The reducer normalizes its input in one walk (rewrites.normalize). From
 there on every formula it holds or returns is simplify output: it folds
 (rewrites.fold) each node it builds. One bottom-up walk
-(rewrites.bottom_up) eliminates the group quantifiers, innermost first,
-reading forall x as not exists x not; fold cancels the double
-negations. The naming walk (_name_val_atoms) renames Val atoms
-injectively to fresh lattice variables, which keeps a formula simplify
-output, since simplify never looks inside a Val atom. In an elimination
-the same walk applies the one-point rule (rewrites.one_point_at) at
-each existential binder on its way back up, and _eliminate_exists then
-applies it at the new binders, innermost first: one walk per
-elimination does what naming and a separate one_point over the body
-did. The final extraction of the terms uses the walk without the rule,
-and reduce runs one_point once over the whole result. Bound names stay
-distinct, so a body's free names (syntax.occurs_free) tell which
-variables of a peeled lattice block occur in it, and only those are
-bound again.
+(syntax.transform, with rewrites.refold on the way up) eliminates the
+group quantifiers, innermost first, reading forall x as not exists x
+not; fold cancels the double negations. The naming walk
+(_name_val_atoms) renames Val atoms injectively to fresh lattice
+variables, which keeps a formula simplify output, since simplify never
+looks inside a Val atom. In an elimination the same walk applies the
+one-point rule (rewrites.one_point_at) at each existential binder on
+its way back up, and _eliminate_exists then applies it at the new
+binders, innermost first: one walk per elimination does what naming
+and a separate one_point over the body did. The final extraction of
+the terms uses the walk without the rule, and reduce runs one_point
+once over the whole result. Bound names stay distinct, so a body's
+free names (syntax.occurs_free) tell which variables of a peeled
+lattice block occur in it, and only those are bound again. Every walk
+of the reducer runs on syntax.transform, so the depth of its input
+costs no Python frames.
 """
 
 from __future__ import annotations
@@ -55,7 +57,8 @@ from . import syntax as S
 from .boolalg import ba_decide, ba_qe
 from .errors import NotPrimitive, NotSentence, UnsupportedFragment
 from .linear import Lin
-from .rewrites import bottom_up, fold, fresh_names, normalize, one_point, one_point_at
+from .rewrites import FOLDED, atoms_as_leaves, fold, fresh_names, normalize
+from .rewrites import one_point, one_point_at, refold
 # not called here either: normalize does their work in one walk, the
 # reducer reads each valuation atom's Lin from its LinForm leaf, and
 # perfbench/tracing.py rebinds these names in reduction
@@ -165,16 +168,17 @@ def _name_val_atoms(f: S.Formula, fresh, var: str | None = None):
 
     With var given, the walk also applies the one-point rule
     (rewrites.one_point_at) at each existential binder on its way back
-    up, as one_point over the renamed formula would. The renaming is
-    injective, so simplify output stays simplify output: a rebuilt node
-    is folded only where the rule fired below it. The walk dispatches
-    on node class and takes one Python frame per tree level."""
+    up, as one_point over the renamed formula would, and returns an
+    atom without var as it is: it holds no binder, and no Val atom to
+    name. The renaming is injective, so simplify output stays simplify
+    output: a rebuilt node is folded only where the rule fired below
+    it. The walk runs on syntax.transform."""
     seen = {}  # an atom's lin.coeffs -> its variable, or False if it stays
     pin = var is not None
     fired = 0  # how often the one-point rule fired so far
+    marks = []  # per open node, fired when the walk entered it
 
-    def go(n):
-        nonlocal fired
+    def enter(n):
         cls = type(n)
         if cls is S.Val:
             coeffs = n.arg.lin.coeffs
@@ -186,49 +190,29 @@ def _name_val_atoms(f: S.Formula, fresh, var: str | None = None):
                     out = False
                 seen[coeffs] = out
             return out or n
-        if cls is S.And or cls is S.Or or cls is S.Implies:
-            before = fired
-            left, right = go(n.left), go(n.right)
-            if left is n.left and right is n.right:
-                return n
-            out = cls(left, right)
-            return fold(out) if fired != before else out
-        if (
-            cls is S.LBelow or cls is S.LEq or cls is S.LMeet or cls is S.LJoin
-        ):
-            left, right = go(n.left), go(n.right)
-            if left is n.left and right is n.right:
-                return n
-            return cls(left, right)
-        if cls is S.Compl:
-            arg = go(n.arg)
-            return n if arg is n.arg else S.Compl(arg)
-        if cls is S.Not:
-            before = fired
-            arg = go(n.arg)
-            if arg is n.arg:
-                return n
-            out = S.Not(arg)
-            return fold(out) if fired != before else out
-        if cls is S.Exists or cls is S.Forall:
-            before = fired
-            body = go(n.body)
-            if pin and cls is S.Exists:
-                out = one_point_at(n.var, n.sort, body)
-                if out is not None:
-                    fired += 1
-                    return out
-            if body is n.body:
-                return n
-            out = cls(n.var, n.sort, body)
-            return fold(out) if fired != before else out
+        if (cls is S.LBelow or cls is S.LEq) and pin and not S.occurs_free(var, n):
+            return n
+        if cls in FOLDED:
+            marks.append(fired)
+            return None
         if cls is S.GLeq or cls is S.GEq:
             raise NotPrimitive(
                 f"group atom survived normalization: {S.print_formula(n)}"
             )
         return n  # a variable, a constant or true/false
 
-    renamed = go(f)
+    def leave(n, new):
+        nonlocal fired
+        before = marks.pop()
+        if pin and type(n) is S.Exists:
+            out = one_point_at(n.var, n.sort, new[0])
+            if out is not None:
+                fired += 1
+                return out
+        out = S.rebuild(n, new)
+        return fold(out) if fired != before and out is not n else out
+
+    renamed = S.transform(f, enter, leave)
     named = [(coeffs, y) for coeffs, y in seen.items() if y is not False]
     return renamed, named, fired > 0
 
@@ -319,18 +303,19 @@ def reduce(phi: S.Formula, mode: str = "tplus") -> ReductionOutput:
     fresh = fresh_names("_y", free)
     eliminations = 0
 
-    def at_binder(n, body):
+    def leave(n, new):
         nonlocal eliminations
-        if n.sort != S.G:
-            return None
+        cls = type(n)
+        if (cls is not S.Exists and cls is not S.Forall) or n.sort != S.G:
+            return refold(n, new)
         eliminations += 1
-        if type(n) is S.Exists:
-            return _eliminate_exists(n.var, body, fresh, mode)
+        if cls is S.Exists:
+            return _eliminate_exists(n.var, new[0], fresh, mode)
         # forall x is ~exists x ~; fold cancels the double negations
-        body = _eliminate_exists(n.var, fold(S.Not(body)), fresh, mode)
+        body = _eliminate_exists(n.var, fold(S.Not(new[0])), fresh, mode)
         return fold(S.Not(body))
 
-    chi = one_point(bottom_up(phi, at_binder))
+    chi = one_point(S.transform(phi, atoms_as_leaves, leave))
     terms = names = ()
     # every Val atom has a group variable (val_leaf makes P(0) top), and
     # every bound one is eliminated by now: with no free variable, chi

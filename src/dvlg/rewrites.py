@@ -19,19 +19,25 @@ the reducer, builds G-term atoms (val_of_lin). rename_bound and
 normalize draw their fresh names from fresh_names, skipping the free
 names that the caller passes.
 
-simplify applies fold, the constant folding of one node, bottom-up, and
-leaves its own output unchanged. A pass that keeps its formulas
-simplified folds only the nodes it builds; bottom_up is the walk that
-one_point and the reducer's group elimination share.
+simplify applies fold, the constant folding of one node, a formula or
+a lattice term, bottom-up, and leaves its own output unchanged. A pass
+that keeps its formulas simplified folds only the nodes it builds:
+refold is the way up of one_point and of the reducer's group
+elimination.
 
 substitute is the one substitution: it replaces the nodes that are keys
 of a mapping, and returns each subtree that holds no key as it is.
+
+Every walk here that follows the depth of a tree runs on
+syntax.transform, which keeps its own stack, or keeps a stack of its
+own (_accumulate, _conjuncts). normalize and rename_bound carry their
+renaming of bound names in scope as a _Renaming, which their enter
+opens at a binder and their leave closes.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from math import gcd
 
 from . import syntax as S
@@ -82,39 +88,50 @@ def _accumulate(t: S.Term, factor, acc: dict, names: dict) -> bool:
     return True
 
 
+_GROUP_OPS = (S.Add, S.Neg, S.GMeet, S.GJoin, S.IntScale)
+
+
 def _join_of_meets(t: S.Term, names: dict) -> JoinOfMeets:
     """linearize_group_term of t with each variable renamed by names, by
     distributing + and - over meet and join."""
+
+    def enter(t):
+        cls = type(t)
+        if cls is S.GVar:
+            return ((Lin.var(names.get(t.name, t.name)),),)
+        if cls is S.Zero:
+            return ((Lin.zero(),),)
+        if cls not in _GROUP_OPS:
+            raise SortError(f"not a G-sorted term: {S.print_term(t)}")
+        return None
+
+    return S.transform(t, enter, _join_of_meets_at)
+
+
+def _join_of_meets_at(t: S.Term, new: list) -> JoinOfMeets:
+    """The join of meets of a group operation t over the joins of meets
+    of its operands."""
     cls = type(t)
-    if cls is S.GVar:
-        return ((Lin.var(names.get(t.name, t.name)),),)
-    if cls is S.Zero:
-        return ((Lin.zero(),),)
     if cls is S.Add:
-        a, b = _join_of_meets(t.left, names), _join_of_meets(t.right, names)
+        a, b = new
         return tuple(
             tuple(x + y for x in meet_a for y in meet_b)
             for meet_a in a
             for meet_b in b
         )
     if cls is S.Neg:
-        return _negate_jom(_join_of_meets(t.arg, names))
+        return _negate_jom(new[0])
     if cls is S.GMeet:
-        a, b = _join_of_meets(t.left, names), _join_of_meets(t.right, names)
+        a, b = new
         return tuple(ma + mb for ma in a for mb in b)
     if cls is S.GJoin:
-        return _join_of_meets(t.left, names) + _join_of_meets(t.right, names)
-    if cls is S.IntScale:
-        q = t.factor
-        inner = _join_of_meets(t.arg, names)
-        if q == 0:
-            return ((Lin.zero(),),)
-        if q > 0:
-            return tuple(tuple(l.scale(q) for l in meet) for meet in inner)
-        return _negate_jom(
-            tuple(tuple(l.scale(-q) for l in meet) for meet in inner)
-        )
-    raise SortError(f"not a G-sorted term: {S.print_term(t)}")
+        return new[0] + new[1]
+    q, inner = t.factor, new[0]
+    if q == 0:
+        return ((Lin.zero(),),)
+    if q > 0:
+        return tuple(tuple(l.scale(q) for l in meet) for meet in inner)
+    return _negate_jom(tuple(tuple(l.scale(-q) for l in meet) for meet in inner))
 
 
 def _negate_jom(jom: JoinOfMeets) -> JoinOfMeets:
@@ -154,38 +171,20 @@ def val_leaf(lin: Lin) -> S.Term:
 
 def push_valuation(t: S.Term) -> S.Term:
     """Push every valuation application down to a primitive linear form."""
-    return _push(t, {}, val_of_lin)
+    return S.transform(t, _normalizer({}, val_of_lin), S.rebuild)
 
 
 def _val_of_jom(jom: JoinOfMeets, atom) -> S.Term:
     """P of the join of meets jom, pushed down to its linear forms: the
-    join of the meets of atom(l), for atom val_of_lin or val_leaf."""
-    joins = []
+    join of the meets of atom(l), for atom val_of_lin or val_leaf, each
+    node folded as it is built."""
+    result = None
     for meet in jom:
-        vals = [atom(l) for l in meet]
-        out = vals[0]
-        for v in vals[1:]:
-            out = S.LMeet(out, v)
-        joins.append(out)
-    result = joins[0]
-    for j in joins[1:]:
-        result = S.LJoin(result, j)
-    return simplify_lterm(result)
-
-
-def _push(t: S.Term, names: dict, atom) -> S.Term:
-    """push_valuation of t with each variable renamed by names, each
-    valuation atom built by atom (val_of_lin or val_leaf)."""
-    cls = type(t)
-    if cls is S.Val:
-        return _val_of_jom(_linearize(t.arg, names), atom)
-    if cls is S.LMeet or cls is S.LJoin:
-        return cls(_push(t.left, names, atom), _push(t.right, names, atom))
-    if cls is S.Compl:
-        return S.Compl(_push(t.arg, names, atom))
-    if cls is S.LVar and t.name in names:
-        return S.LVar(names[t.name])
-    return t
+        out = atom(meet[0])
+        for l in meet[1:]:
+            out = fold(S.LMeet(out, atom(l)))
+        result = out if result is None else fold(S.LJoin(result, out))
+    return result
 
 
 def group_atoms_to_lattice(phi: S.Formula) -> S.Formula:
@@ -194,29 +193,25 @@ def group_atoms_to_lattice(phi: S.Formula) -> S.Formula:
     def leq(s: S.Term, t: S.Term) -> S.Formula:
         return S.LEq(S.Val(S.Add(t, S.Neg(s))), S.Top())
 
-    def go(f: S.Formula) -> S.Formula:
+    def enter(f):
         if isinstance(f, S.GLeq):
             return leq(f.left, f.right)
         if isinstance(f, S.GEq):
             return S.And(leq(f.left, f.right), leq(f.right, f.left))
-        if isinstance(f, S.ATOMS):
-            return f
-        return S.rebuild(f, tuple(map(go, S.children(f))))
+        return f if isinstance(f, S.ATOMS) else None
 
-    return go(phi)
+    return S.transform(phi, enter, S.rebuild)
 
 
 def push_valuation_formula(phi: S.Formula) -> S.Formula:
     """Apply push_valuation below every lattice atom."""
 
-    def go(f: S.Formula) -> S.Formula:
+    def enter(f):
         if isinstance(f, (S.LBelow, S.LEq)):
-            return S.rebuild(f, tuple(map(push_valuation, S.children(f))))
-        if isinstance(f, S.ATOMS):
-            return f
-        return S.rebuild(f, tuple(map(go, S.children(f))))
+            return S.rebuild(f, [push_valuation(t) for t in S.children(f)])
+        return f if isinstance(f, S.ATOMS) else None
 
-    return go(phi)
+    return S.transform(phi, enter, S.rebuild)
 
 
 # --- renaming ---
@@ -230,23 +225,49 @@ def fresh_names(prefix: str, taken, start: int = 0):
             yield name
 
 
+class _Renaming(dict):
+    """Each bound name in scope -> its fresh name. open gives a binder's
+    variable the next name of fresh on the walk's way down; close, on
+    its way up, restores the renaming outside the binder and gives the
+    binder's fresh name."""
+
+    def __init__(self, fresh):
+        super().__init__()
+        self.fresh, self.outer = fresh, []
+
+    def open(self, var: str) -> None:
+        self.outer.append(self.get(var))
+        self[var] = next(self.fresh)
+
+    def close(self, var: str) -> str:
+        new, outer = self.pop(var), self.outer.pop()
+        if outer is not None:
+            self[var] = outer
+        return new
+
+
 def rename_bound(phi: S.Formula, prefix: str, taken) -> S.Formula:
     """Give every bound variable a fresh name (no shadowing afterwards).
     taken holds the free variables of phi, or more names: the fresh
     names skip them, so that none of them captures one."""
-    names = fresh_names(prefix, taken)
+    names = _Renaming(fresh_names(prefix, taken))
 
-    def go(n, env: dict[str, str]):
-        if isinstance(n, (S.GVar, S.LVar)):
-            if n.name in env:
-                return type(n)(env[n.name])
-            return n
-        if isinstance(n, (S.Exists, S.Forall)):
-            fresh = next(names)
-            return type(n)(fresh, n.sort, go(n.body, {**env, n.var: fresh}))
-        return S.rebuild(n, tuple(map(go, S.children(n), itertools.repeat(env))))
+    def enter(n):
+        cls = type(n)
+        if cls is S.GVar or cls is S.LVar:
+            name = names.get(n.name)
+            return n if name is None else cls(name)
+        if cls is S.Exists or cls is S.Forall:
+            names.open(n.var)
+        return None
 
-    return go(phi, {})
+    def leave(n, new):
+        cls = type(n)
+        if cls is S.Exists or cls is S.Forall:
+            return cls(names.close(n.var), n.sort, new[0])
+        return S.rebuild(n, new)
+
+    return S.transform(phi, enter, leave)
 
 
 def normalize(phi: S.Formula, taken) -> S.Formula:
@@ -257,46 +278,52 @@ def normalize(phi: S.Formula, taken) -> S.Formula:
     it, each atom is renamed, traded and pushed in one pass over its
     terms, and each node is folded as it is built. taken holds the free
     variables of phi."""
-    fresh = fresh_names("_q", taken)
-    names: dict[str, str] = {}  # bound name -> its fresh name, in scope
+    names = _Renaming(fresh_names("_q", taken))
+
+    def leave(f, new):
+        cls = type(f)
+        if cls is S.Exists or cls is S.Forall:
+            return fold(cls(names.close(f.var), f.sort, new[0]))
+        return fold(cls(*new))
+
+    return S.transform(phi, _normalizer(names, val_leaf), leave)
+
+
+def _normalizer(names: dict, atom):
+    """normalize's enter, with each variable renamed by names and each
+    valuation atom built by atom (val_leaf, or val_of_lin): a valuation
+    atom pushed down to its linear forms, a lattice variable renamed, a
+    group atom traded for a lattice one, and None where the walk goes
+    on below. On a lattice term it is push_valuation's enter."""
 
     def leq(s: S.Term, t: S.Term) -> S.Formula:
         # P(t - s) = top, with t - s added up in one dict
         acc = {}
         if _accumulate(t, 1, acc, names) and _accumulate(s, -1, acc, names):
-            atom = val_leaf(Lin.make(acc))
+            val = atom(Lin.make(acc))
         else:
-            atom = _val_of_jom(
-                _join_of_meets(S.Add(t, S.Neg(s)), names), val_leaf
-            )
-        return fold(S.LEq(atom, S.Top()))
+            val = _val_of_jom(_join_of_meets(S.Add(t, S.Neg(s)), names), atom)
+        return fold(S.LEq(val, S.Top()))
 
-    def go(f: S.Formula) -> S.Formula:
+    def enter(f):
         cls = type(f)
-        if cls is S.And or cls is S.Or or cls is S.Implies:
-            return fold(cls(go(f.left), go(f.right)))
-        if cls is S.LBelow or cls is S.LEq:
-            left = _push(f.left, names, val_leaf)
-            return fold(cls(left, _push(f.right, names, val_leaf)))
-        if cls is S.Not:
-            return fold(S.Not(go(f.arg)))
         if cls is S.Exists or cls is S.Forall:
-            var = f.var
-            outer = names.get(var)
-            new = names[var] = next(fresh)
-            body = go(f.body)
-            if outer is None:
-                del names[var]
-            else:
-                names[var] = outer
-            return fold(cls(new, f.sort, body))
+            names.open(f.var)
+            return None
+        if cls in FOLDED:
+            return None
+        if cls is S.Val:
+            return _val_of_jom(_linearize(f.arg, names), atom)
+        if cls is S.LVar:
+            name = names.get(f.name)
+            return f if name is None else S.LVar(name)
         if cls is S.GLeq:
             return leq(f.left, f.right)
         if cls is S.GEq:
             return fold(S.And(leq(f.left, f.right), leq(f.right, f.left)))
         return f
 
-    return go(phi)
+    return enter
 
 
 # --- substitution ---
@@ -311,16 +338,10 @@ def substitute(phi, mapping: dict):
     # a node of the keys' class is looked up
     key_cls = type(next(iter(mapping)))
 
-    def go(n):
-        if type(n) is key_cls and n in mapping:
-            return mapping[n]
-        old = S.children(n)
-        new = tuple(map(go, old))
-        if all(map(operator.is_, new, old)):
-            return n
-        return S.rebuild(n, new)
+    def enter(n):
+        return mapping.get(n) if type(n) is key_cls else None
 
-    return go(phi)
+    return S.transform(phi, enter, S.rebuild)
 
 
 # --- one-point rule ---
@@ -358,51 +379,37 @@ def one_point_at(var: str, sort: str, body: S.Formula) -> S.Formula | None:
     return None
 
 
-def bottom_up(phi: S.Formula, at_binder) -> S.Formula:
-    """phi walked post-order, with atoms as leaves. At a binder n whose
-    body came back as body, at_binder(n, body) gives the result; where
-    that is None, and at every other node, the node comes back as it is
-    if its children did, else rebuilt on them and folded, so simplify
-    output stays simplify output. The walk keeps its own stack, so it
-    adds no recursion depth."""
-    done = []  # the result of each node walked, after its children's
-    stack = [phi]
-    while stack:
-        n = stack.pop()
-        cls = type(n)
-        if cls is tuple:  # (a node, its children), whose results are done
-            n, kids = n
-            k = len(done) - len(kids)
-            new = tuple(done[k:])
-            del done[k:]
-            binder = type(n) is S.Exists or type(n) is S.Forall
-            out = at_binder(n, new[0]) if binder else None
-            if out is None:
-                same = all(map(operator.is_, new, kids))
-                out = n if same else fold(S.rebuild(n, new))
-            done.append(out)
-        elif cls in S.ATOMS:
-            done.append(n)
-        else:
-            kids = S.children(n)
-            stack.append((n, kids))
-            stack += reversed(kids)
-    return done[0]
+def atoms_as_leaves(n):
+    """transform's enter for a walk over connectives and binders alone:
+    an atom is its own result."""
+    return n if type(n) in S.ATOMS else None
 
 
-def _one_point_at_exists(n, body):
-    return one_point_at(n.var, n.sort, body) if type(n) is S.Exists else None
+def refold(n, new_children):
+    """transform's leave that keeps simplify output simplify output: n
+    as it is if its children came back as they were, else rebuilt on
+    them and folded."""
+    out = S.rebuild(n, new_children)
+    return out if out is n else fold(out)
+
+
+def _one_point_at_exists(n, new_children):
+    if type(n) is S.Exists:
+        out = one_point_at(n.var, n.sort, new_children[0])
+        if out is not None:
+            return out
+    return refold(n, new_children)
 
 
 def one_point(phi: S.Formula) -> S.Formula:
     """Inline quantified variables pinned by a top-level equality.
 
-    bottom_up with one_point_at at each existential binder: 'exists x
-    (... and x = t and ...)' with x not in t becomes the body with t
-    substituted for x. Requires the binders to be non-shadowing (run
-    rename_bound first if unsure).
+    A post-order walk that applies one_point_at at each existential
+    binder: 'exists x (... and x = t and ...)' with x not in t becomes
+    the body with t substituted for x. Requires the binders to be
+    non-shadowing (run rename_bound first if unsure).
     """
-    return bottom_up(phi, _one_point_at_exists)
+    return S.transform(phi, atoms_as_leaves, _one_point_at_exists)
 
 
 # --- simplification ---
@@ -429,32 +436,15 @@ def _absorb(cls, a, b):
     return None
 
 
-def simplify_lterm(t: S.Term) -> S.Term:
-    cls = type(t)
-    if cls is S.LMeet or cls is S.LJoin:
-        a, b = simplify_lterm(t.left), simplify_lterm(t.right)
-        return _absorb(cls, a, b) or cls(a, b)
-    if cls is S.Compl:
-        a = simplify_lterm(t.arg)
-        ta = type(a)
-        if ta is S.Top:
-            return S.Bot()
-        if ta is S.Bot:
-            return S.Top()
-        if ta is S.Compl:
-            return a.arg
-        return S.Compl(a)
-    return t
-
-
 def fold(phi: S.Formula) -> S.Formula:
-    """Constant folding of the node phi, whose children are simplify
-    output; the result is simplify output too."""
+    """Constant folding of the node phi, a formula or a lattice term,
+    whose children are simplify output; the result is simplify output
+    too. A group term comes back as it is."""
     cls = type(phi)
-    if cls is S.And or cls is S.Or:
+    if cls in _ABSORBING_UNIT:
         return _absorb(cls, phi.left, phi.right) or phi
     if cls is S.LBelow or cls is S.LEq:
-        a, b = simplify_lterm(phi.left), simplify_lterm(phi.right)
+        a, b = phi.left, phi.right
         if a == b:
             return S.TRUE
         ta, tb = type(a), type(b)
@@ -463,7 +453,14 @@ def fold(phi: S.Formula) -> S.Formula:
         if (ta is S.Top and tb is S.Bot) or (ta is S.Bot and tb is S.Top):
             # nontrivial lattice: top and bot differ
             return S.FALSE
-        return cls(a, b)
+        return phi
+    if cls is S.Compl:
+        ta = type(phi.arg)
+        if ta is S.Top:
+            return S.Bot()
+        if ta is S.Bot:
+            return S.Top()
+        return phi.arg.arg if ta is S.Compl else phi
     if cls is S.Not:
         ta = type(phi.arg)
         if ta is S.TrueF:
@@ -491,13 +488,28 @@ def fold(phi: S.Formula) -> S.Formula:
 
 
 def simplify(phi: S.Formula) -> S.Formula:
-    """Constant folding over connectives, quantifiers, and easy atoms:
-    fold applied bottom-up."""
+    """Constant folding over connectives, quantifiers, lattice atoms and
+    lattice terms: fold applied bottom-up. A valuation term and a group
+    atom are leaves."""
+    return S.transform(phi, _fold_leaf, _fold_node)
+
+
+# the nodes whose results simplify, normalize and the reducer's naming
+# walk build from their children's: connectives, binders, lattice atoms
+# and lattice operators
+FOLDED = frozenset((
+    S.And, S.Or, S.Implies, S.Not, S.Exists, S.Forall,
+    S.LBelow, S.LEq, S.LMeet, S.LJoin, S.Compl,
+))
+
+
+def _fold_leaf(phi):
+    """simplify's enter: any other node is its own result."""
+    return None if type(phi) in FOLDED else phi
+
+
+def _fold_node(phi, new: list):
     cls = type(phi)
-    if cls is S.And or cls is S.Or or cls is S.Implies:
-        return fold(cls(simplify(phi.left), simplify(phi.right)))
-    if cls is S.Not:
-        return fold(S.Not(simplify(phi.arg)))
     if cls is S.Exists or cls is S.Forall:
-        return fold(cls(phi.var, phi.sort, simplify(phi.body)))
-    return fold(phi)
+        return fold(cls(phi.var, phi.sort, new[0]))
+    return fold(cls(*new))

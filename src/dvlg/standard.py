@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from .errors import (
     LengthMismatch,
-    NegativeInput,
     PatchPreconditionViolated,
     SplitPreconditionViolated,
     WidthMismatch,
@@ -221,21 +220,6 @@ def ac_split(a: GroupVector, b: GroupVector, c: GroupVector):
     )
     g = pointwise_op("add", c, pointwise_op("neg", f))
     return f, g
-
-
-def complement_witness(a: GroupVector) -> GroupVector:
-    """A disjoint positive partner making the join a weak order unit."""
-    if not a.is_nonnegative():
-        raise NegativeInput("input must be non-negative")
-    return GroupVector(
-        tuple(Fraction(1) if v == 0 else Fraction(0) for v in a.values)
-    )
-
-
-def is_weak_order_unit(f: GroupVector) -> bool:
-    if not f.is_nonnegative():
-        raise NegativeInput("input must be non-negative")
-    return all(v > 0 for v in f.values)
 
 
 def double_embed(f: GroupVector, c: SubsetL):

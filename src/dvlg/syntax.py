@@ -2,8 +2,9 @@
 
 Sorts are G (group) and L (lattice). A term's sort is fixed by its
 class (SORT). All nodes are immutable; rewriting passes build fresh
-trees. nodes, which reads, and rebuild, which rewrites, are the one
-generic walk over both sorts of node. Every node carries its free
+trees. nodes, which reads, and transform, which rewrites, are the one
+generic walk over both sorts of node; both keep their own stack, so the
+depth of a tree costs no Python frames. Every node carries its free
 names, computed from its children's when it is built, so occurs_free
 and free_names read them and walk nothing. free_vars is the reference
 scoped walk: it collects the free variables with their sorts and checks
@@ -24,7 +25,7 @@ the latter alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from operator import attrgetter
+from operator import attrgetter, is_
 from typing import TYPE_CHECKING
 
 from .errors import PreconditionViolated, SortError, UnboundVariable
@@ -331,45 +332,39 @@ def _child_getter(names: tuple[str, ...]):
     return lambda node: ()
 
 
-# node class -> (all field names, getter of its Term/Formula fields),
-# both in dataclass field order
+# node class -> (the names of its other fields, such as name, factor, var
+# and sort, which come first in every node class, and the function that
+# gives the tuple of its Term and Formula fields, in field order)
 _FIELDS = {
     cls: (
-        tuple(f.name for f in fields(cls)),
+        tuple(f.name for f in fields(cls) if f.type not in ("Term", "Formula")),
         _child_getter(
             tuple(f.name for f in fields(cls) if f.type in ("Term", "Formula"))
         ),
     )
     for cls in (*Term.__subclasses__(), *Formula.__subclasses__())
 }
+# node class -> the function that gives the tuple of its children
+CHILDREN = {cls: getter for cls, (_, getter) in _FIELDS.items()}
 
 
 def children(node: Term | Formula) -> tuple:
     """The Term and Formula fields of a node, in dataclass field order."""
-    return _FIELDS[type(node)][1](node)
+    return CHILDREN[type(node)](node)
 
 
-def rebuild(node: Term | Formula, new_children: tuple) -> Term | Formula:
+def rebuild(node: Term | Formula, new_children) -> Term | Formula:
     """The node with its children replaced, in field order, by
     new_children; its other fields (name, factor, var, sort) are kept.
-    A leaf, a node with no Term or Formula child, comes back unchanged.
-
-    A recursive pass computes new_children in its own frame,
-    rebuild(n, tuple(map(go, children(n)))), so that each tree level
-    costs one Python frame: the recursion limit bounds the depth of
-    the trees a pass can walk.
-    """
-    if not new_children:
+    A node whose children come back as they were, the same objects, or
+    that has none, comes back as it is."""
+    cls = type(node)
+    others, getter = _FIELDS[cls]
+    if all(map(is_, new_children, getter(node))):
         return node
-    names = _FIELDS[type(node)][0]
-    if len(new_children) == len(names):
-        return type(node)(*new_children)
-    new = iter(new_children)
-    args = []
-    for name in names:
-        value = getattr(node, name)
-        args.append(next(new) if isinstance(value, (Term, Formula)) else value)
-    return type(node)(*args)
+    if others:
+        return cls(*[getattr(node, name) for name in others], *new_children)
+    return cls(*new_children)
 
 
 def nodes(node: Term | Formula):
@@ -380,7 +375,41 @@ def nodes(node: Term | Formula):
     while stack:
         n = stack.pop()
         yield n
-        stack.extend(reversed(_FIELDS[type(n)][1](n)))
+        stack.extend(reversed(CHILDREN[type(n)](n)))
+
+
+def transform(node, enter, leave, children=CHILDREN):
+    """The result of node, computed bottom-up by a walk that keeps its
+    own stack, so it adds no recursion depth. enter(n) runs on the way
+    down, a node before its children and children in order: a result
+    other than None is n's, and n's children are not walked. Otherwise
+    leave(n, new_children) gives it on the way up, from the list of its
+    children's results. Only the walk below n runs between enter(n) and
+    leave(n), so enter may open a scope, such as a renaming, that leave
+    closes. children maps each node class to the function that gives
+    the nodes below one of its nodes that the walk descends into: by
+    default its Term and Formula fields (CHILDREN)."""
+    out = enter(node)
+    if out is not None:
+        return out
+    # the open node: its children not yet walked and the results of those
+    # walked; the same for each open node above it, in frames
+    n, todo, done = node, iter(children[type(node)](node)), []
+    frames = []
+    while True:
+        for child in todo:
+            out = enter(child)
+            if out is None:
+                frames.append((n, todo, done))
+                n, todo, done = child, iter(children[type(child)](child)), []
+                break
+            done.append(out)
+        else:
+            out = leave(n, done)
+            if not frames:
+                return out
+            n, todo, done = frames.pop()
+            done.append(out)
 
 
 def occurs_free(name: str, node: Term | Formula) -> bool:
@@ -438,7 +467,7 @@ def free_vars(
                 scope[n[0]] = n[1]
         elif cls in _OPERANDS:
             need, message = _OPERANDS[cls]
-            for t in reversed(_FIELDS[cls][1](n)):
+            for t in reversed(CHILDREN[cls](n)):
                 if SORT.get(type(t)) != need:
                     stack.append((t, need, message))
                 stack.append(t)
@@ -462,7 +491,7 @@ def free_vars(
             stack.append(_formula(n.arg))
         elif cls is And or cls is Or or cls is Implies:
             stack += (_formula(n.right), _formula(n.left))
-        elif cls not in _FIELDS:
+        elif cls not in CHILDREN:
             raise SortError(f"unknown node {n!r}")
     return out
 

@@ -421,11 +421,24 @@ class TestDeepFamilies:
         pytest.param(_chain(128), id="chain-128"),
         pytest.param(_chain(136), id="chain-136"),
         pytest.param(_chain(144), id="chain-144"),
-        # the deepest member that decides under pytest: at k=160 ba_decide
-        # overflows
         pytest.param(_chain(152), id="chain-152"),
+        # every walk of reduce and ba_decide keeps its own stack; the
+        # deepest recursion left, the BDD's ite, follows the number of
+        # bases (about 510 frames here)
+        pytest.param(_chain(256), id="chain-256"),
         # normalize adds up a run of unary minus with its own stack
         pytest.param("forall a:G. " + "-" * 1000 + "a <= a", id="minus-1000"),
+        pytest.param(
+            "forall a:G. forall b:G. " + "-" * 1000 + "(a meet b) <= b",
+            id="minus-over-meet-1000",
+        ),
+        pytest.param(
+            "forall l:L. " + " cap ".join(["l"] * 1000) + " = l", id="cap-1000"
+        ),
+        pytest.param(
+            "forall a:G. " + " meet ".join(["a"] * 1000) + " <= a", id="meet-1000"
+        ),
+        pytest.param("forall l:L. " + " & ".join(["l = l"] * 1000), id="and-1000"),
     ])
     def test_decided_at_the_frontier(self, text):
         assert sys.getrecursionlimit() == 1000
@@ -453,6 +466,19 @@ class TestDeepFamilies:
     def test_parsed_past_the_recursion_limit(self, text):
         assert sys.getrecursionlimit() == 1000
         assert _depth(parse(text)) > 800
+
+    # the parser takes a few frames per parenthesis, and ite one per base
+    @pytest.mark.parametrize("text", [
+        pytest.param("(" * 1000 + "top = top" + ")" * 1000, id="parens-1000"),
+        pytest.param(_chain(512), id="chain-512"),
+    ])
+    def test_past_the_frontier_is_a_verdict_or_a_resource_limit(self, capsys, text):
+        assert sys.getrecursionlimit() == 1000
+        code = main(["decide", text])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 4), err
+        if code == 4:
+            assert "recursion limit 1000" in err
 
     def test_cli_decides_patching(self, capsys):
         assert main(["decide", PATCHING_3]) == 0

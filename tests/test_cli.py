@@ -79,12 +79,32 @@ class TestExitCodes:
     def test_internal_error(self, capsys, monkeypatch):
         # a crash must not read as "false" (exit 1)
         def crash(*args, **kwargs):
-            raise RecursionError("maximum recursion depth exceeded")
+            raise ZeroDivisionError("division by zero")
 
         monkeypatch.setattr("dvlg.cli.reduce", crash)
         code, out, err = run(capsys, "decide", "top = bot")
         assert code == 5 and out == ""
-        assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"
+        assert err == "internal error: ZeroDivisionError: division by zero\n"
+
+    def test_recursion_limit_is_a_resource_limit(self, capsys, monkeypatch):
+        # the message names the function the verb was running, and the limit
+        limit = sys.getrecursionlimit()
+        parens = "(" * 1000 + "top = top" + ")" * 1000
+        for _ in range(2):
+            code, out, err = run(capsys, "decide", parens)
+            assert code == 4 and out == ""
+            assert err == (
+                f"resource limit: parse: nested deeper than the recursion "
+                f"limit {limit} allows\n"
+            )
+
+        def deep(*args, **kwargs):
+            return deep(*args, **kwargs)
+
+        monkeypatch.setattr("dvlg.cli.reduce", deep)
+        code, out, err = run(capsys, "decide", "top = bot")
+        assert code == 4 and out == ""
+        assert err.startswith("resource limit: deep: nested deeper than")
 
     def test_eval_true(self, capsys):
         code, out, _ = run(

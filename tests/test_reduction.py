@@ -77,22 +77,23 @@ def _reduct_matches_oracle(text, seed=17, per_n=6):
 
 def _folded_conditions(bounds):
     """eliminate_group_var(bounds) built by folding: each difference
-    through Lin.make and val_leaf, each condition and conjunction
+    through Lin.make and val_leaf, each term, condition and conjunction
     through fold."""
     out = S.TRUE
     for i, (y, rest_i, c_i) in enumerate(bounds):
-        r = y if c_i > 0 else S.Compl(y)
+        r = y if c_i > 0 else fold(S.Compl(y))
         for j, (yp, rest_j, c_j) in enumerate(bounds):
             if i == j:
                 continue
-            rp = S.Compl(yp) if c_j > 0 else yp
+            rp = fold(S.Compl(yp)) if c_j > 0 else yp
             f_i = abs(c_j) if c_i > 0 else -abs(c_j)
             f_j = abs(c_i) if c_j > 0 else -abs(c_i)
             diff = rest_i.scale(f_i) - rest_j.scale(f_j)
             target = val_leaf(diff)
             if c_j > 0 or c_i < 0:
-                target = S.LMeet(target, S.Compl(val_leaf(-diff)))
-            out = fold(S.And(out, fold(S.LBelow(S.LMeet(r, rp), target))))
+                target = fold(S.LMeet(target, fold(S.Compl(val_leaf(-diff)))))
+            cond = fold(S.LBelow(fold(S.LMeet(r, rp)), target))
+            out = fold(S.And(out, cond))
     return out
 
 

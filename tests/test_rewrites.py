@@ -16,7 +16,7 @@ from dvlg.parser import parse
 from dvlg.reduction import reduce
 from dvlg.rewrites import (
     _join_of_meets,
-    bottom_up,
+    atoms_as_leaves,
     gterm_to_lin,
     group_atoms_to_lattice,
     lin_to_gterm,
@@ -24,6 +24,7 @@ from dvlg.rewrites import (
     normalize,
     one_point,
     push_valuation_formula,
+    refold,
     rename_bound,
     simplify,
     substitute,
@@ -331,24 +332,65 @@ class TestOnePoint:
                 )
 
 
-class TestBottomUp:
+class TestTransform:
     PHI = parse("forall l:L. exists x:G. (x <= a & ~(l = top)) | b <= a", CTX)
 
     def test_no_action_returns_the_same_object(self):
         met = []
 
-        def at_binder(n, body):
-            met.append(type(n))
-            return None
+        def leave(n, new):
+            if type(n) in (S.Exists, S.Forall):
+                met.append(type(n))
+            return refold(n, new)
 
-        assert bottom_up(self.PHI, at_binder) is self.PHI
+        assert S.transform(self.PHI, atoms_as_leaves, leave) is self.PHI
         assert met == [S.Exists, S.Forall]
 
     def test_result_replaces_the_binder(self):
         phi = parse("b <= a & exists x:G. x <= a", CTX)
-        out = bottom_up(phi, lambda n, body: S.TRUE)
+
+        def leave(n, new):
+            return S.TRUE if type(n) is S.Exists else refold(n, new)
+
         # the rebuilt And is folded
-        assert out is phi.left
+        assert S.transform(phi, atoms_as_leaves, leave) is phi.left
+
+    def test_enter_and_leave_order_and_scope(self):
+        # enter in pre-order, leave in post-order; a result from enter
+        # makes its node a leaf; leave sees the scope enter opened
+        phi = parse("exists x:G. x <= a & (forall y:L. y = l)", CTX)
+        calls, scope = [], []
+
+        def enter(n):
+            calls.append(("enter", type(n).__name__))
+            if type(n) in (S.Exists, S.Forall):
+                scope.append(n.var)
+            return n if type(n) in S.ATOMS else None
+
+        def leave(n, new):
+            calls.append(("leave", type(n).__name__, tuple(scope)))
+            if type(n) in (S.Exists, S.Forall):
+                scope.pop()
+            return S.rebuild(n, new)
+
+        assert S.transform(phi, enter, leave) is phi
+        assert calls == [
+            ("enter", "Exists"), ("enter", "And"), ("enter", "GLeq"),
+            ("enter", "Forall"), ("enter", "LEq"),
+            ("leave", "Forall", ("x", "y")), ("leave", "And", ("x",)),
+            ("leave", "Exists", ("x",)),
+        ]
+        assert scope == []
+
+    def test_children_chooses_what_the_walk_descends_into(self):
+        # an And chain walked right operand first, down to its atoms
+        phi = parse("a <= b & b <= a & l = m", CTX)
+        a, b, c = phi.left.left, phi.left.right, phi.right
+
+        children = dict.fromkeys(S.ATOMS, lambda n: ())
+        children[S.And] = lambda n: (n.right, n.left)
+        out = S.transform(phi, lambda n: None, lambda n, new: tuple(new) or n, children)
+        assert out == (c, (b, a))
 
     def test_deep_formula_walks_past_the_recursion_limit(self):
         assert sys.getrecursionlimit() == 1000
@@ -356,9 +398,13 @@ class TestBottomUp:
         phi = atom
         for i in range(1500):
             phi = S.Exists(f"y{i}", S.L, S.Not(phi))
-        assert bottom_up(phi, lambda n, body: None) is phi
+        assert S.transform(phi, atoms_as_leaves, refold) is phi
+
+        def drop_binders(n, new):
+            return new[0] if type(n) is S.Exists else refold(n, new)
+
         # dropping every binder leaves 1,500 negations, which fold cancels
-        assert bottom_up(phi, lambda n, body: body) is atom
+        assert S.transform(phi, atoms_as_leaves, drop_binders) is atom
 
 
 class TestLinearization:

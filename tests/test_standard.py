@@ -18,15 +18,28 @@ from dvlg.standard import (
     GroupVector,
     SubsetL,
     ac_split,
-    complement_witness,
     double_embed,
-    is_weak_order_unit,
     patch,
     pointwise_op,
     scale,
     std_valuation,
     subset_op,
 )
+
+
+def complement_witness(a: GroupVector) -> GroupVector:
+    """A disjoint positive partner making the join a weak order unit."""
+    if not a.is_nonnegative():
+        raise NegativeInput("input must be non-negative")
+    return GroupVector(
+        tuple(Fraction(1) if v == 0 else Fraction(0) for v in a.values)
+    )
+
+
+def is_weak_order_unit(f: GroupVector) -> bool:
+    if not f.is_nonnegative():
+        raise NegativeInput("input must be non-negative")
+    return all(v > 0 for v in f.values)
 
 
 def gv(*vals):
