@@ -76,6 +76,8 @@ _FORMULA_OPS = {w: (cls, p) for cls, (w, p) in S.BINARY.items() if cls not in S.
 _TERM_OPS = {w: (cls, p) for cls, (w, p) in S.BINARY.items() if cls in S.SORT}
 _TERM_OPS["-"] = _TERM_OPS["+"]  # a - b reads as a + -b
 _RELATION_WORDS = {*S.RELATIONS.values(), "<"}
+# the words that start a prefix operator, but for a number's n*
+_PREFIX_WORDS = {"-", "~", "forall", "exists"}
 
 
 class _Parser:
@@ -208,6 +210,9 @@ class _Parser:
         operand of each is the longest expr at the operator's own
         precedence (0 for a quantifier, whose body extends as far right
         as possible); they are completed innermost first."""
+        word = self.tokens[self.i]
+        if word not in _PREFIX_WORDS and not word.isdecimal():
+            return self.primary(prec)  # no prefix operator
         # (node class, its fields before the operand, the operand's
         # precedence, the operand's mark)
         pending = []

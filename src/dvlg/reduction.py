@@ -45,6 +45,18 @@ free names (syntax.occurs_free) tell which variables of a peeled
 lattice block occur in it, and only those are bound again. Every walk
 of the reducer runs on syntax.transform, so the depth of its input
 costs no Python frames.
+
+The walks skip what cannot change. The elimination walk and the final
+one_point leave a subformula with no binder (syntax's has_binder) as
+it is; the naming walk of an elimination, and the tplus check for a
+crossing lattice quantifier, leave one with neither the eliminated
+variable free nor a binder. A binder stops the skip even without the
+variable: the one-point rule may fire there, and the Val atoms it
+moves change the order of first occurrence by which later
+eliminations name theirs. In 'forall l:L. forall c:G. forall a:G.
+exists x:G. (P(x) << l | exists m:L. (m << P(a + c) & m = P(a)))' the
+x elimination pins m to P(a) in a subformula without x, so the a
+elimination meets P(a) before P(a + c).
 """
 
 from __future__ import annotations
@@ -168,30 +180,29 @@ def _name_val_atoms(f: S.Formula, fresh, var: str | None = None):
 
     With var given, the walk also applies the one-point rule
     (rewrites.one_point_at) at each existential binder on its way back
-    up, as one_point over the renamed formula would, and returns an
-    atom without var as it is: it holds no binder, and no Val atom to
-    name. The renaming is injective, so simplify output stays simplify
-    output: a rebuilt node is folded only where the rule fired below
-    it. The walk runs on syntax.transform."""
-    seen = {}  # an atom's lin.coeffs -> its variable, or False if it stays
+    up, as one_point over the renamed formula would, and returns a
+    subformula that has neither var free nor a binder as it is: it
+    holds no Val atom to name and no binder to apply the rule at (a
+    binder without var is walked: the module docstring says why). The
+    renaming is injective, so simplify output stays simplify output: a
+    rebuilt node is folded only where the rule fired below it. The walk
+    runs on syntax.transform."""
+    seen = {}  # an atom's lin.coeffs -> its variable
     pin = var is not None
+    bit = S.name_bit(var) if pin else 0
     fired = 0  # how often the one-point rule fired so far
     marks = []  # per open node, fired when the walk entered it
 
     def enter(n):
+        if pin and not (n.free & bit or n.has_binder):
+            return n
         cls = type(n)
         if cls is S.Val:
             coeffs = n.arg.lin.coeffs
             out = seen.get(coeffs)
             if out is None:
-                if var is None or any(v == var for v, _ in coeffs):
-                    out = S.LVar(next(fresh))
-                else:
-                    out = False
-                seen[coeffs] = out
-            return out or n
-        if (cls is S.LBelow or cls is S.LEq) and pin and not S.occurs_free(var, n):
-            return n
+                out = seen[coeffs] = S.LVar(next(fresh))
+            return out
         if cls in FOLDED:
             marks.append(fired)
             return None
@@ -213,8 +224,7 @@ def _name_val_atoms(f: S.Formula, fresh, var: str | None = None):
         return fold(out) if fired != before and out is not n else out
 
     renamed = S.transform(f, enter, leave)
-    named = [(coeffs, y) for coeffs, y in seen.items() if y is not False]
-    return renamed, named, fired > 0
+    return renamed, list(seen.items()), fired > 0
 
 
 def _wrap_exists(names: list, body: S.Formula) -> S.Formula:
@@ -228,15 +238,22 @@ def _wrap_exists(names: list, body: S.Formula) -> S.Formula:
 
 
 def _reject_crossing(var: str, f: S.Formula) -> None:
-    """tplus mode: raise UnsupportedFragment if a lattice quantifier in f
-    has var free. ec mode keeps it in chi for ba_decide's one QE pass:
+    """tplus mode: raise UnsupportedFragment at the first lattice
+    quantifier in f, in pre-order, that has var free. The walk skips
+    each subformula that lacks var or a binder, which holds no such
+    quantifier. ec mode keeps it in chi for ba_decide's one QE pass:
     lattice QE commutes with renaming the opaque Val bases below it."""
-    for n in S.nodes(f):
-        if isinstance(n, (S.Exists, S.Forall)) and S.occurs_free(var, n):
-            raise UnsupportedFragment(
-                f"group variable {var} crosses the lattice quantifier "
-                f"over {n.var} in: {S.print_formula(n)}"
-            )
+    bit = S.name_bit(var)
+    stack = [f]
+    while stack:
+        n = stack.pop()
+        if n.free & bit and n.has_binder:
+            if type(n) is S.Exists or type(n) is S.Forall:
+                raise UnsupportedFragment(
+                    f"group variable {var} crosses the lattice quantifier "
+                    f"over {n.var} in: {S.print_formula(n)}"
+                )
+            stack.extend(reversed(S.children(n)))
 
 
 def _eliminate_exists(var: str, body: S.Formula, fresh, mode: str) -> S.Formula:

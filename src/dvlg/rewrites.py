@@ -23,10 +23,18 @@ simplify applies fold, the constant folding of one node, a formula or
 a lattice term, bottom-up, and leaves its own output unchanged. A pass
 that keeps its formulas simplified folds only the nodes it builds:
 refold is the way up of one_point and of the reducer's group
-elimination.
+elimination. Their way down is atoms_as_leaves, which makes each
+subformula that holds no binder (syntax's has_binder), an atom among
+them, a leaf: such a subformula has no binder to act at, and refold
+would give it back as it is.
 
-substitute is the one substitution: it replaces the nodes that are keys
-of a mapping, and returns each subtree that holds no key as it is.
+substitute replaces the nodes that are keys of a mapping, and returns
+each subtree that holds no key as it is. one_point_at looks for the
+pinning equality only in conjuncts that have the variable free, and
+when the rule fires it substitutes and folds in one walk,
+substitute_refold, that enters only the nodes that have the variable
+free and folds only the nodes above a replaced one: what
+simplify(substitute(...)) gives, which the tests check it against.
 
 Every walk here that follows the depth of a tree runs on
 syntax.transform, which keeps its own stack, or keeps a stack of its
@@ -346,43 +354,63 @@ def substitute(phi, mapping: dict):
 
 # --- one-point rule ---
 
-def _conjuncts(f: S.Formula):
-    """The conjuncts of f, left to right. The walk keeps its own stack,
-    so a conjunct deep in a chain of And does not pass through one
-    generator per level."""
+def _conjuncts(f: S.Formula, bit: int):
+    """The conjuncts of f, left to right, that have the variable of bit
+    free; the walk skips each And whose mask lacks it. It keeps its own
+    stack, so a conjunct deep in a chain of And does not pass through
+    one generator per level."""
     stack = [f]
     while stack:
         f = stack.pop()
-        if type(f) is S.And:
-            stack += (f.right, f.left)
-        else:
-            yield f
+        if f.free & bit:
+            if type(f) is S.And:
+                stack += (f.right, f.left)
+            else:
+                yield f
 
 
 def one_point_at(var: str, sort: str, body: S.Formula) -> S.Formula | None:
     """The one-point rule at one binder 'exists var:sort. body': if a
     top-level conjunct of body is var = t or t = var with var not in t,
     the first such t, in conjunct order, substituted for var in body and
-    simplified; None if no conjunct pins var. body must be simplify
-    output with no binder of var inside."""
+    simplified (substitute_refold); None if no conjunct pins var. body
+    must be simplify output with no binder of var inside."""
     var_cls = S.GVar if sort == S.G else S.LVar
     eq_cls = S.GEq if sort == S.G else S.LEq
-    for c in _conjuncts(body):
+    bit = S.name_bit(var)
+    for c in _conjuncts(body, bit):
         if type(c) is eq_cls:
             for mine, other in ((c.left, c.right), (c.right, c.left)):
                 if (
                     type(mine) is var_cls
                     and mine.name == var
-                    and not S.occurs_free(var, other)
+                    and not other.free & bit
                 ):
-                    return simplify(substitute(body, {mine: other}))
+                    return substitute_refold(body, mine, other)
     return None
 
 
+def substitute_refold(phi: S.Formula, key, value) -> S.Formula:
+    """simplify(substitute(phi, {key: value})) for phi simplify output
+    and key a variable, in one walk: it enters only the nodes that have
+    key's name free, and folds only the nodes it rebuilds, which lie
+    above a replaced one."""
+    bit, key_cls = key.free, type(key)
+
+    def enter(n):
+        if not n.free & bit:
+            return n
+        # a variable of key's class with key's name free is key
+        return value if type(n) is key_cls else None
+
+    return S.transform(phi, enter, refold)
+
+
 def atoms_as_leaves(n):
-    """transform's enter for a walk over connectives and binders alone:
-    an atom is its own result."""
-    return n if type(n) in S.ATOMS else None
+    """transform's enter for a walk that acts at binders alone: a
+    subformula that holds no binder, an atom among them, is its own
+    result."""
+    return None if n.has_binder else n
 
 
 def refold(n, new_children):

@@ -6,10 +6,15 @@ trees. nodes, which reads, and transform, which rewrites, are the one
 generic walk over both sorts of node; both keep their own stack, so the
 depth of a tree costs no Python frames. Every node carries its free
 names, computed from its children's when it is built, so occurs_free
-and free_names read them and walk nothing. free_vars is the reference
-scoped walk: it collects the free variables with their sorts and checks
-every sort on the way, for callers that need the sorts (the parser
-checks each operand's sort as it builds the node instead).
+and free_names read them and walk nothing. Every node also says
+whether it holds a quantifier (has_binder): a binder sets it, a
+connective takes it from its operands, and an atom, a constant or a
+term reads False from its class. A pass that acts only at binders and
+at one variable's occurrences leaves a subformula that has neither as
+it is, unwalked. free_vars is the reference scoped walk: it collects
+the free variables with their sorts and checks every sort on the way,
+for callers that need the sorts (the parser checks each operand's sort
+as it builds the node instead).
 
 eval_term and holds are the one Tarskian evaluator of terms and
 quantifier-free formulas. A model gives them zero(), bot, top, val(a)
@@ -39,10 +44,12 @@ L = "L"
 
 class Term:
     __slots__ = ()
+    has_binder = False  # no term holds a quantifier
 
 
 class Formula:
     __slots__ = ()
+    has_binder = False  # a binder or a connective stores its own
 
 
 # A node's free names are a bit mask over the names the process has met:
@@ -78,6 +85,17 @@ def _free_source(cls) -> str:
     return " | ".join(f"{k}.free" for k in kids) or "0"
 
 
+def _binder_source(cls) -> str | None:
+    """The expression that __init__ computes a formula node's has_binder
+    with: True at a binder, and at a connective whether one of its
+    operands holds a binder; None for a node that holds no formula,
+    which reads the class's False."""
+    if "var" in [f.name for f in fields(cls)]:
+        return "True"
+    kids = [f.name for f in fields(cls) if f.type == "Formula"]
+    return " or ".join(f"{k}.has_binder" for k in kids) or None
+
+
 def _bits(coeffs) -> int:
     mask = 0
     for name, _ in coeffs:
@@ -90,10 +108,11 @@ def frozen_node(cls):
     straight into the instance __dict__, which is cheaper than the
     dataclass's object.__setattr__ per field. A Term or Formula node
     also stores its free names, as the bit mask free (free_names reads
-    it), computed from its children's when it is built; they are not a
-    field. Assigning to a field or to free still raises
-    FrozenInstanceError; fields, equality, hash and repr are the
-    dataclass's."""
+    it), computed from its children's when it is built, and a binder or
+    a connective stores has_binder, whether it holds a quantifier; they
+    are not fields. Assigning to a field, to free or to has_binder
+    still raises FrozenInstanceError; fields, equality, hash and repr
+    are the dataclass's."""
     cls = dataclass(frozen=True, init=False)(cls)
     names = [f.name for f in fields(cls)]
     source = f"def __init__(self{''.join(f', {n}' for n in names)}):\n"
@@ -101,6 +120,9 @@ def frozen_node(cls):
     source += "".join(f"    d[{n!r}] = {n}\n" for n in names)
     if issubclass(cls, (Term, Formula)):
         source += f"    d['free'] = {_free_source(cls)}\n"
+        binder = _binder_source(cls)
+        if binder is not None:
+            source += f"    d['has_binder'] = {binder}\n"
     namespace = {"_BIT": _BIT, "_bit": _bit, "_bits": _bits}
     exec(source, namespace)
     init = namespace["__init__"]
@@ -412,10 +434,15 @@ def transform(node, enter, leave, children=CHILDREN):
             done.append(out)
 
 
+def name_bit(name: str) -> int:
+    """The bit of name in the nodes' free masks; 0 if no node has met
+    the name, so that none has it free."""
+    return _BIT.get(name, 0)
+
+
 def occurs_free(name: str, node: Term | Formula) -> bool:
     """Whether a variable called name occurs free in node."""
-    bit = _BIT.get(name)
-    return bit is not None and node.free & bit != 0
+    return node.free & _BIT.get(name, 0) != 0
 
 
 def free_names(node: Term | Formula) -> set[str]:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from dvlg import reduction
+from dvlg import reduction, rewrites
 from dvlg import syntax as S
 from dvlg.corpus import gen_tplus_corpus, load_known_answers, named_rng
 from dvlg.errors import NotSentence, SortError, UnsupportedFragment
@@ -26,6 +26,7 @@ from dvlg.rewrites import (
     normalize,
     one_point,
     rename_bound,
+    simplify,
     substitute,
     val_leaf,
     val_of_lin,
@@ -232,6 +233,12 @@ class TestReduce:
         assert set(S.free_vars(out.chi)) <= {f"p{i+1}" for i in range(out.k)}
 
 
+# a pin below a lattice binder that lacks the variable eliminated first
+CROSS_PIN = (
+    "forall l:L. forall c:G. forall a:G. exists x:G. "
+    "(P(x) << l | exists m:L. (m << P(a + c) & m = P(a)))"
+)
+
 # reduce(phi, mode).to_json() and eliminations, frozen
 FROZEN_REDUCTS = [
     # both signs of c; the complements' pair is strict on both sides
@@ -270,6 +277,15 @@ FROZEN_REDUCTS = [
      "(l = P(a) & compl(l) cap P(a + b) = compl(P(a)) cap P(a + b) & "
      "P(x) << l))", "ec", [],
      "~(exists _y1:L. ~(exists _y0:L. _y0 << _y1))", 3),
+    # the lattice binder over m holds no x, but the x elimination's walk
+    # must still apply the one-point rule there: the rule moves P(a)
+    # before P(a + c), so the a elimination names them in that order
+    (CROSS_PIN, "ec", [],
+     "forall _q0:L. ~(exists _y1:L. exists _y2:L. exists _y3:L. "
+     "exists _y4:L. ~(exists _y0:L. _y0 << _q0 | _y1 << _y2) & "
+     "(_y1 cap compl(_y2) << _y3 cap compl(_y4) & "
+     "_y2 cap compl(_y1) << _y4 cap compl(_y3)) & "
+     "compl(_y3) cap compl(_y4) << bot)", 3),
 ]
 
 
@@ -448,6 +464,71 @@ class TestEliminationStep:
         assert len(steps) > 2000 and named > 1000 and old_pins >= 1
 
 
+class TestOnePointWalk:
+    """The one-point rule substitutes and refolds in one walk
+    (rewrites.substitute_refold), entering only the nodes that have the
+    pinned variable free. At every firing that reducing the pinned
+    inputs and deeper family members meets, in both modes, it gives what
+    substituting over the whole body and simplifying the whole result
+    gives."""
+
+    @pytest.fixture(scope="class")
+    def firings(self):
+        met = []
+        walk = rewrites.substitute_refold
+
+        def record(phi, key, value):
+            out = walk(phi, key, value)
+            met.append((phi, key, value, out))
+            return out
+
+        phis = _pinned_inputs() + [
+            parse(text) for text in (_patching(5), _cyclic(16), _chain(16))
+        ]
+        phis += [parse(text, CTX) for text, *_ in FROZEN_REDUCTS]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rewrites, "substitute_refold", record)
+            for phi in phis:
+                for mode in ("tplus", "ec"):
+                    try:
+                        reduce(phi, mode)
+                    except UnsupportedFragment:
+                        pass
+        return met
+
+    @staticmethod
+    def _reference(phi, key, value):
+        """The rule's result as one substitution over all of phi, then
+        simplify over all of it."""
+        return simplify(substitute(phi, {key: value}))
+
+    def test_equals_substitute_then_simplify(self, firings):
+        for phi, key, value, out in firings:
+            assert out == self._reference(phi, key, value), S.print_formula(phi)
+        assert len(firings) > 1000
+        # the reducer pins lattice variables alone, some of which occur
+        # outside the equality that pins them
+        assert {type(key) for _, key, _, _ in firings} == {S.LVar}
+        assert sum(
+            sum(n == key for n in S.nodes(phi)) > 2 for phi, key, _, _ in firings
+        ) > 100
+
+    @pytest.mark.parametrize("text, key, value", [
+        ("m = l & m << P(a) & (exists n:L. n << l | P(b) = top)",
+         S.LVar("m"), S.LVar("l")),
+        ("x = b & x <= a & (exists n:L. n << l | 2*a <= b)",
+         S.GVar("x"), S.GVar("a")),
+    ])
+    def test_a_subformula_without_the_variable_comes_back_as_it_is(
+        self, text, key, value
+    ):
+        body = parse(text, {**CTX, "x": S.G})
+        out = rewrites.substitute_refold(body, key, value)
+        assert out == self._reference(body, key, value)
+        assert out.right is body.right
+        assert not S.occurs_free(key.name, out)
+
+
 class TestDecideEc:
     def test_known_truths(self):
         assert decide_ec(parse("forall v:G. exists b:G. b + b = v")) is True
@@ -531,6 +612,20 @@ class TestCrossingLatticeQuantifier:
         assert decide_ec(parse(text)) is verdict
         with pytest.raises(UnsupportedFragment):
             reduce(parse(text), mode="tplus")
+
+    def test_tplus_names_the_first_crossing_binder_in_pre_order(self):
+        # a binder without x comes first, then two that x crosses; the
+        # message names the outer of those, as a pre-order walk meets it
+        text = (
+            "exists x:G. (exists z:L. z << l) & "
+            "(forall y:L. y << P(x) | exists w:L. w << P(x - a))"
+        )
+        with pytest.raises(UnsupportedFragment) as err:
+            reduce(parse(text, CTX), mode="tplus")
+        assert str(err.value) == (
+            "group variable _q0 crosses the lattice quantifier over _q2 in: "
+            "forall _q2:L. _q2 << P(_q0) | (exists _q3:L. _q3 << P(_q0 + -a))"
+        )
 
 
 class TestEliminationCount:

@@ -416,6 +416,9 @@ class TestWalker:
         assert sum(1 for _ in nodes(phi)) == 10_001
 
 
+BINDERS_AND_CONNECTIVES = (S.Exists, S.Forall, S.Not, S.And, S.Or, S.Implies)
+
+
 class TestFrozenNodes:
     CLASSES = (*S.Term.__subclasses__(), *S.Formula.__subclasses__(), Lin)
 
@@ -440,10 +443,11 @@ class TestFrozenNodes:
     def test_assigning_any_field_raises(self):
         for cls in self.CLASSES:
             node = self._instance(cls)
-            # a Term or Formula node also stores its free names
+            # a Term or Formula node also stores its free names, and a
+            # binder or connective whether it holds a quantifier
             stored = [f.name for f in fields(cls)]
             if cls is not Lin:
-                stored.append("free")
+                stored += ["free", "has_binder"]
             for name in stored:
                 with pytest.raises(FrozenInstanceError):
                     setattr(node, name, "other")
@@ -458,11 +462,21 @@ class TestFrozenNodes:
             if cls is Lin:
                 assert vars(node) == values
             else:
-                # a Term or Formula node stores its free names too, which
-                # are no field, and equality, hash and repr do not read
-                assert "free" not in values
-                assert vars(node) == {**values, "free": node.free}, cls
+                # a Term or Formula node stores its free names too, and a
+                # binder or a connective whether it holds a quantifier;
+                # neither is a field, and equality, hash and repr read
+                # neither
+                assert "free" not in values and "has_binder" not in values
+                stored = {**values, "free": node.free}
+                if cls in BINDERS_AND_CONNECTIVES:
+                    stored["has_binder"] = node.has_binder
+                else:
+                    # an atom, a constant or a term reads its class's False
+                    assert node.has_binder is False
+                    assert "has_binder" not in vars(cls)
+                assert vars(node) == stored, cls
                 vars(node)["free"] = ~node.free
+                vars(node)["has_binder"] = not node.has_binder
             assert node == self._instance(cls), cls
             assert hash(node) == hash(self._instance(cls))
             args = ", ".join(f"{k}={v!r}" for k, v in values.items())
@@ -480,7 +494,9 @@ class TestFrozenNodes:
 class TestFreeNames:
     """Every node carries its free names from when it was built; they
     are the names that the reference walk free_vars finds, at every node
-    of the parser's, normalize's, reduce's and ba_qe's trees."""
+    of the parser's, normalize's, reduce's and ba_qe's trees. Every node
+    also carries whether a quantifier lies in it, which a walk of its
+    subtree confirms at each of those nodes."""
 
     @pytest.fixture(scope="class")
     def formulas(self):
@@ -502,6 +518,9 @@ class TestFreeNames:
             assert S.free_names(n) == set(free), print_formula(tree)
             assert not S.occurs_free("_absent", n)
             assert all(S.occurs_free(name, n) for name in free)
+            # the binder flag, against a walk of the whole subtree
+            binds = any(type(m) in (S.Exists, S.Forall) for m in nodes(n))
+            assert n.has_binder is binds, print_formula(tree)
 
     def test_parsed(self, formulas):
         for phi in formulas:
