@@ -27,8 +27,10 @@ One compile walk decides a formula. Parts without unknowns fold to
 True or False as they are compiled, and unassigned free variables are
 rejected on entry, so the root compiles to a bool. One decide_finite
 call compiles each valuation atom once per point: the compiler
-memoizes it, keyed on structure, and is dropped when the call ends. prepare
-normalizes a formula once for many decide_prepared calls. eval_qf is
+memoizes it, keyed on the term's identity, so no term is hashed, and is
+dropped when the call ends. A block whose conjuncts are all constraints
+is one store, built by store_insert without a trip through to_dnf.
+prepare normalizes a formula once for many decide_prepared calls. eval_qf is
 syntax.holds over the structure: it shares no code with the compiler,
 and the tests check decide_finite against it.
 """
@@ -172,6 +174,8 @@ def prune_dnf(dnf: list[dict]) -> list[dict]:
     The excluded-pair sets are met smallest first, and each is tested
     only against those already kept: a strict subset is smaller, and a
     dropped one lies above a kept set, which lies below this one too."""
+    if len(dnf) < 2:
+        return dnf
     stores = {}
     for store in dnf:
         stores.setdefault(_excluded(store), store)
@@ -242,6 +246,14 @@ def _dist(f, neg: bool, cap: int) -> list[dict]:
     return out
 
 
+def _conj_dnf(parts: list) -> list[dict]:
+    """to_dnf(b_and(parts)) for constraints parts, under any cap of 1 or
+    more: one store, its keys in first-seen order, or [] when the parts
+    contradict each other."""
+    store: dict = {}
+    return [store] if all(store_insert(store, c.key, c.mask) for c in parts) else []
+
+
 def _dnf_to_bform(dnf: list[dict]):
     return b_or([
         b_and([LinConstraint.from_key(k, m) for k, m in sorted(store.items())])
@@ -249,22 +261,22 @@ def _dnf_to_bform(dnf: list[dict]):
     ])
 
 
-_MISS = object()
-
-
 class _Compiler:
     """Compiles formulas over one structure and one assignment of the free
-    variables. Its memos are keyed on structure (terms compare by
-    value), so they hold for the compiler's lifetime, one decide_finite
-    call, and go with it."""
+    variables. Its memos are keyed on term identity, so no term is
+    hashed; linear holds the terms they have seen, so no id is reused
+    while the compiler lives, one decide_finite call, and they go with
+    it."""
 
     def __init__(self, struct: FinStdStructure, env: Assignment, limits):
         self.n = struct.ground_size
         self.genv = env.group_env  # concrete values for free group variables
         self.lenv = env.lattice_env  # concrete bits of free lattice variables
         self.cap = limits["max_dnf"]
-        self.linear = {}  # G-term -> join of meets of Lin
-        self.nonneg = {}  # (G-term, point) -> Boolean constraint formula
+        # id(G-term) -> (G-term, join of meets of Lin); it holds every
+        # term that either memo has a key for
+        self.linear = {}
+        self.nonneg = {}  # (id(G-term), point) -> Boolean constraint formula
 
     def point_constraint(self, lin: Lin, x: int) -> "LinConstraint | bool":
         """ lin(x) >= 0 with free group variables folded to constants."""
@@ -281,13 +293,13 @@ class _Compiler:
 
     def nonneg_at(self, t: S.Term, x: int):
         """Boolean constraint formula for t(x) >= 0."""
-        f = self.nonneg.get((t, x), _MISS)
-        if f is _MISS:
-            jom = self.linear.get(t)
-            if jom is None:
-                jom = self.linear[t] = linearize_group_term(t)
-            f = self.nonneg[t, x] = b_or(
-                [b_and([self.point_constraint(l, x) for l in meet]) for meet in jom]
+        f = self.nonneg.get((id(t), x))
+        if f is None:
+            hit = self.linear.get(id(t))
+            if hit is None:
+                hit = self.linear[id(t)] = (t, linearize_group_term(t))
+            f = self.nonneg[id(t), x] = b_or(
+                [b_and([self.point_constraint(l, x) for l in meet]) for meet in hit[1]]
             )
         return f
 
@@ -370,10 +382,11 @@ class _Compiler:
         keep var@x apart from var@y, so a block is usually one point's.
         With two or more blocks, each block is eliminated on its own,
         the conjuncts without var stay as they are, and no DNF product
-        is taken across blocks. Otherwise bform goes through one DNF."""
+        is taken across blocks. Otherwise bform is one block."""
         names = {f"{var}@{x}": x for x in range(self.n)}
+        parts = _flatten(bform, "and")
         rest, blocks = [], []  # blocks: [points, conjuncts]
-        for part in _flatten(bform, "and"):
+        for part in parts:
             points = _points(part, names, set())
             if not points:
                 rest.append(part)
@@ -385,10 +398,22 @@ class _Compiler:
             blocks.append([points, [q for b in joined for q in b[1]] + [part]])
         if len(blocks) > 1:
             return b_and(rest + [
-                self.eliminate_exists(var, b_and(parts)) for _, parts in blocks
+                self.eliminate_block(var, points, block, b_and(block))
+                for points, block in blocks
             ])
-        points = blocks[0][0] if blocks else ()
-        dnf = to_dnf(bform, self.cap)
+        return self.eliminate_block(
+            var, blocks[0][0] if blocks else (), parts, bform
+        )
+
+    def eliminate_block(self, var: str, points, parts: list, bform):
+        """bform, the conjunction of parts, with var@x eliminated for
+        each x in points. A conjunction of constraints is one store,
+        which is what to_dnf would give; with a cap below 1, to_dnf
+        raises on it, so it goes through to_dnf then."""
+        if self.cap >= 1 and all(isinstance(p, LinConstraint) for p in parts):
+            dnf = _conj_dnf(parts)
+        else:
+            dnf = to_dnf(bform, self.cap)
         for x in sorted(points):
             # no cap check: no step here adds a conjunction
             dnf = prune_dnf(fm_eliminate(f"{var}@{x}", dnf))
@@ -510,10 +535,24 @@ def prepare(phi: S.Formula) -> Prepared:
     work decide_finite does on its formula before any structure."""
     free = S.free_vars(phi)
     phi = one_point(rename_bound(phi, prefix="_d", taken=free))
-    quantifiers = sum(isinstance(n, (S.Exists, S.Forall)) for n in S.nodes(phi))
-    return Prepared(
-        phi, quantifiers, count_atoms(phi), tuple(sorted(free.items()))
-    )
+    return Prepared(phi, *_counts(phi), tuple(sorted(free.items())))
+
+
+def _counts(phi: S.Formula) -> tuple[int, int]:
+    """The quantifiers and the atoms of phi, counted in one walk that
+    enters no term: an atom's children are all terms."""
+    quantifiers = atoms = 0
+    stack = [phi]
+    while stack:
+        f = stack.pop()
+        cls = type(f)
+        if cls in S.ATOMS:
+            atoms += 1
+            continue
+        if cls is S.Exists or cls is S.Forall:
+            quantifiers += 1
+        stack += S.CHILDREN[cls](f)
+    return quantifiers, atoms
 
 
 def decide_finite(

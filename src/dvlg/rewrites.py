@@ -28,13 +28,12 @@ subformula that holds no binder (syntax's has_binder), an atom among
 them, a leaf: such a subformula has no binder to act at, and refold
 would give it back as it is.
 
-substitute replaces the nodes that are keys of a mapping, and returns
-each subtree that holds no key as it is. one_point_at looks for the
-pinning equality only in conjuncts that have the variable free, and
-when the rule fires it substitutes and folds in one walk,
-substitute_refold, that enters only the nodes that have the variable
-free and folds only the nodes above a replaced one: what
-simplify(substitute(...)) gives, which the tests check it against.
+one_point_at looks for the pinning equality only in conjuncts that
+have the variable free, and when the rule fires it substitutes and
+folds in one walk, substitute_refold, that enters only the nodes that
+have the variable free and folds only the nodes above a replaced one:
+what a substitution over the whole tree followed by simplify gives,
+which the tests check it against.
 
 Every walk here that follows the depth of a tree runs on
 syntax.transform, which keeps its own stack, or keeps a stack of its
@@ -334,24 +333,6 @@ def _normalizer(names: dict, atom):
     return enter
 
 
-# --- substitution ---
-
-def substitute(phi, mapping: dict):
-    """phi with each node that is a key of mapping replaced by its value;
-    the keys are all of one class, and binders are not looked at. A
-    subtree that holds no key comes back as the same object."""
-    if not mapping:
-        return phi
-    # a frozen dataclass hashes its whole subtree on every call, so only
-    # a node of the keys' class is looked up
-    key_cls = type(next(iter(mapping)))
-
-    def enter(n):
-        return mapping.get(n) if type(n) is key_cls else None
-
-    return S.transform(phi, enter, S.rebuild)
-
-
 # --- one-point rule ---
 
 def _conjuncts(f: S.Formula, bit: int):
@@ -391,8 +372,8 @@ def one_point_at(var: str, sort: str, body: S.Formula) -> S.Formula | None:
 
 
 def substitute_refold(phi: S.Formula, key, value) -> S.Formula:
-    """simplify(substitute(phi, {key: value})) for phi simplify output
-    and key a variable, in one walk: it enters only the nodes that have
+    """phi with value for key, simplified, for phi simplify output and
+    key a variable, in one walk: it enters only the nodes that have
     key's name free, and folds only the nodes it rebuilds, which lie
     above a replaced one."""
     bit, key_cls = key.free, type(key)

@@ -1,11 +1,13 @@
 """Brute-force decision over finite standard structures."""
 
 import gc
+import sys
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from dvlg import oracle
 from dvlg import syntax as S
 from dvlg.corpus import (
     gen_lattice_corpus, gen_tplus_corpus, load_known_answers, named_rng,
@@ -13,11 +15,12 @@ from dvlg.corpus import (
 from dvlg.errors import ResourceLimit, UnboundVariable
 from dvlg.linear import ALL_SIGNS, POS, Lin, LinConstraint, fm_eliminate
 from dvlg.oracle import (
-    Assignment, _excluded, decide_finite, decide_prepared, eval_qf, prepare,
-    prune_dnf, to_dnf,
+    DEFAULT_LIMITS, Assignment, _conj_dnf, _excluded, b_and, count_atoms,
+    decide_finite, decide_prepared, eval_qf, prepare, prune_dnf, to_dnf,
 )
 from dvlg.parser import parse
 from dvlg.standard import FinStdStructure, GroupVector, SubsetL
+from test_boolalg import _chain, _cyclic, _patching
 from test_fm import dnf_satisfiable_grid
 
 CTX = {"f": S.G, "g": S.G, "c": S.L}
@@ -458,6 +461,75 @@ class TestPerCallMemos:
             assert got == [env is yes for env in order]
 
 
+def _rand_conj(rng, count):
+    """count constraints from_key over a few keys, so that keys repeat;
+    the masks are any nonempty sign set, so that some conjunctions
+    contradict, and a variable-free key is among them."""
+    keys = [(("x", 1),), (("x", 1), ("y", -2)), (("1", 1), ("y", 1)), (("1", 1),)]
+    return [
+        LinConstraint.from_key(rng.choice(keys), rng.randint(1, ALL_SIGNS))
+        for _ in range(count)
+    ]
+
+
+class TestConjunctiveBlocks:
+    def test_one_store_equals_to_dnf(self):
+        rng = named_rng(29, "oracle-conj-store")
+        empty = repeated = 0
+        for _ in range(500):
+            parts = _rand_conj(rng, rng.randint(1, 6))
+            got = _conj_dnf(parts)
+            want = to_dnf(b_and(parts), 1)
+            # the same stores with their keys in the same order
+            assert [list(s.items()) for s in got] == [list(s.items()) for s in want]
+            empty += not got
+            repeated += len({c.key for c in parts}) < len(parts)
+        assert empty > 50 and repeated > 200
+
+    @pytest.mark.parametrize("text, expected", [
+        ("exists a:G. a <= 0 & 0 <= a + a", True),
+        ("exists a:G. a <= 0 & f <= a", False),
+    ])
+    def test_decided_without_to_dnf(self, monkeypatch, text, expected):
+        # f is 1 at each point; the body is one block of constraints per point
+        def refused(f, cap):
+            raise AssertionError("to_dnf called")
+
+        monkeypatch.setattr(oracle, "to_dnf", refused)
+        phi = parse(text, CTX)
+        for cap in (1, DEFAULT_LIMITS["max_dnf"]):
+            got = decide_finite(FinStdStructure(2), phi, env3(f=gv(1, 1)), {"max_dnf": cap})
+            assert got is expected
+
+
+class TestPrepare:
+    def test_counts_equal_node_counts(self):
+        phis = [phi for seed in (1, 2) for _, phi, _ in gen_tplus_corpus(seed, 200)]
+        texts = [e["formula"] for e in load_known_answers()] + [ATOMLESS]
+        texts += [make(k) for make in (_patching, _cyclic, _chain) for k in (2, 3)]
+        phis += [parse(text) for text in texts]
+        for phi in phis:
+            p = prepare(phi)
+            quantifiers = sum(
+                isinstance(n, (S.Exists, S.Forall)) for n in S.nodes(p.phi)
+            )
+            assert (p.quantifiers, p.atoms) == (quantifiers, count_atoms(p.phi))
+
+
+class TestDeepTerms:
+    # the compiler's memos key a term on its identity, so no term's hash
+    # recurses down its 1,000 levels
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("lhs, expected", [
+        ("-" * 1000 + "a", False),
+        ("-" * 1000 + "(a meet b)", True),
+    ])
+    def test_run_of_unary_minus(self, n, lhs, expected):
+        assert sys.getrecursionlimit() == 1000
+        phi = parse(f"forall a:G. forall b:G. {lhs} <= b")
+        assert decide_finite(FinStdStructure(n), phi) is expected
+
+
 class TestResourceLimits:
     def test_ground_size_cap(self):
         with pytest.raises(ResourceLimit):
@@ -470,19 +542,24 @@ class TestResourceLimits:
         with pytest.raises(ResourceLimit):
             decide_finite(FinStdStructure(2), parse(text))
 
-    @pytest.mark.parametrize("text, cap, phase", [
-        ("exists a:G. a <= 0 | 0 <= a", 1, "to_dnf or"),
+    @pytest.mark.parametrize("text, cap, phase, size", [
+        ("exists a:G. a <= 0 | 0 <= a", 1, "to_dnf or", 2),
         ("exists a:G. (a <= 0 | 0 <= a) & (a <= a + a | a + a <= a)", 2,
-         "to_dnf and"),
+         "to_dnf and", 3),
         # the body compiles to True, a DNF of one conjunction: over a cap
         # of 0 already in to_dnf
-        ("exists a:G. 0 <= 0", 0, "to_dnf or"),
+        ("exists a:G. 0 <= 0", 0, "to_dnf or", 1),
+        # a conjunction of constraints is one store, which a cap of 0
+        # does not allow either, satisfiable or not (f is 1 at each point)
+        ("exists a:G. a <= 0 & 0 <= a + a", 0, "to_dnf and", 1),
+        ("exists a:G. a <= 0 & f <= a", 0, "to_dnf and", 1),
     ])
-    def test_dnf_cap_names_phase_and_size(self, text, cap, phase):
+    def test_dnf_cap_names_phase_and_size(self, text, cap, phase, size):
+        phi, env = parse(text, CTX), env3(f=gv(1, 1))
         with pytest.raises(ResourceLimit, match=(
-            rf"^oracle: {phase}: DNF cap {cap} reached at \d+ conjunctions$"
+            rf"^oracle: {phase}: DNF cap {cap} reached at {size} conjunctions$"
         )):
-            decide_finite(FinStdStructure(2), parse(text), limits={"max_dnf": cap})
+            decide_finite(FinStdStructure(2), phi, env, limits={"max_dnf": cap})
 
     def test_caps_overridable(self):
         phi = parse("exists a:G. a <= 0")

@@ -27,13 +27,12 @@ from dvlg.rewrites import (
     one_point,
     rename_bound,
     simplify,
-    substitute,
     val_leaf,
     val_of_lin,
 )
 from dvlg.standard import FinStdStructure, GroupVector, SubsetL
 from test_boolalg import _chain, _cyclic, _patching
-from test_rewrites import _closures, _expand, _family_members
+from test_rewrites import _closures, _expand, _family_members, substitute
 
 CTX = {"a": S.G, "b": S.G, "l": S.L, "m": S.L}
 

@@ -27,7 +27,6 @@ from dvlg.rewrites import (
     refold,
     rename_bound,
     simplify,
-    substitute,
 )
 from dvlg.standard import FinStdStructure, GroupVector, SubsetL
 
@@ -237,6 +236,22 @@ def normalize_inputs():
             out += [phi, *_closures(phi)]
     out += [parse(text, {"_q0": S.G, "_q1": S.L}) for text in FRESH_LIKE]
     return out
+
+
+def substitute(phi, mapping: dict):
+    """phi with each node that is a key of mapping replaced by its value;
+    the keys are all of one class, and binders are not looked at. A
+    subtree that holds no key comes back as the same object."""
+    if not mapping:
+        return phi
+    # a frozen dataclass hashes its whole subtree on every call, so only
+    # a node of the keys' class is looked up
+    key_cls = type(next(iter(mapping)))
+
+    def enter(n):
+        return mapping.get(n) if type(n) is key_cls else None
+
+    return S.transform(phi, enter, S.rebuild)
 
 
 def _expand(f):
