@@ -54,7 +54,7 @@ from .errors import (
     UnboundVariable,
     UnsupportedFragment,
 )
-from .oracle import DEFAULT_LIMITS, Assignment, count_atoms, decide_finite
+from .oracle import DEFAULT_LIMITS, Assignment, counts, decide_finite
 from .parser import parse
 from .reduction import reduce
 from .selfcheck import periodic_witness_search, run_all
@@ -226,7 +226,7 @@ def _cmd_decide(args) -> int:
     start = time.time()
     out = reduce(phi, mode=args.mode)
     verdict = ba_decide(out.chi)
-    stats = _stats(args, start, out.eliminations, count_atoms(phi))
+    stats = _stats(args, start, out.eliminations, counts(phi)[1])
     trace = [
         f"mode: {args.mode}",
         f"chi: {print_formula(out.chi)}",
@@ -243,7 +243,7 @@ def _cmd_reduce(args) -> int:
     phi = parse(source)
     start = time.time()
     out = reduce(phi, mode=args.mode)
-    stats = _stats(args, start, out.eliminations, count_atoms(phi))
+    stats = _stats(args, start, out.eliminations, counts(phi)[1])
     trace = [f"mode: {args.mode}"]
     return _report(args, "reduce", source, out.to_json(), stats, trace, EXIT_TRUE)
 
@@ -259,7 +259,7 @@ def _cmd_eval(args) -> int:
     verdict = decide_finite(
         FinStdStructure(args.n), phi, env, limits=_parse_limits(args.limits) or None
     )
-    stats = _stats(args, start, 0, count_atoms(phi))
+    stats = _stats(args, start, 0, counts(phi)[1])
     trace = [f"n: {args.n}"]
     return _report(
         args, "eval", source, verdict, stats, trace,
@@ -311,7 +311,7 @@ def _cmd_model(args) -> int:
         found = witness is not None
         verdict = {k: v.to_json() for k, v in witness.items()} if found else False
         exit_code = EXIT_TRUE if found else EXIT_FALSE
-        atoms = count_atoms(phi)
+        atoms = counts(phi)[1]
     else:
         source = json.dumps(operands)
         atoms = 0

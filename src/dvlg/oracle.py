@@ -87,10 +87,6 @@ class Assignment:
                 )
 
 
-def count_atoms(phi: S.Formula) -> int:
-    return sum(isinstance(n, S.ATOMS) for n in S.nodes(phi))
-
-
 def eval_qf(struct: FinStdStructure, env: Assignment, phi: S.Formula) -> bool:
     """Truth of a quantifier-free formula: syntax.holds in struct."""
     env.check_sizes(struct.ground_size)
@@ -535,10 +531,10 @@ def prepare(phi: S.Formula) -> Prepared:
     work decide_finite does on its formula before any structure."""
     free = S.free_vars(phi)
     phi = one_point(rename_bound(phi, prefix="_d", taken=free))
-    return Prepared(phi, *_counts(phi), tuple(sorted(free.items())))
+    return Prepared(phi, *counts(phi), tuple(sorted(free.items())))
 
 
-def _counts(phi: S.Formula) -> tuple[int, int]:
+def counts(phi: S.Formula) -> tuple[int, int]:
     """The quantifiers and the atoms of phi, counted in one walk that
     enters no term: an atom's children are all terms."""
     quantifiers = atoms = 0

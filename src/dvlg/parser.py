@@ -10,10 +10,11 @@ bind. A syntax error names the first token that cannot continue the
 formula.
 
 The parser checks each operand's sort (syntax._OPERANDS) as it builds
-the node, so parse walks no tree afterwards. A sort fault is raised
-once the whole text has parsed, so that a syntax error anywhere comes
-first, and the fault raised is the first that syntax.free_vars would
-meet: a fault in a left operand before anything in the right one.
+the node, and only notes whether one is wrong. Once the whole text has
+parsed, so that a syntax error anywhere comes first, parse runs
+syntax.free_vars on an ill-sorted input, and only there: it raises the
+first fault in its order. A relation between terms of the wrong sort
+is refused at once, after free_vars has checked each side.
 """
 
 from __future__ import annotations
@@ -23,14 +24,11 @@ import re
 from .errors import FormulaSyntaxError, SortError
 from . import syntax as S
 
-# a token with the whitespace before it; `bad` is any other character
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_']*)"
-    r"|(?P<op>->|<=|<<|[()\.:,;&|~+\-*=<])|(?P<bad>\S))"
-)
-
-# the words of _TOKEN_RE but `bad`, without the whitespace before them
-_WORD_RE = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_']*|->|<=|<<|[()\.:,;&|~+\-*=<]")
+# a token's word: a number, a name or keyword, or an operator
+_WORD = r"\d+|[A-Za-z_][A-Za-z0-9_']*|->|<=|<<|[()\.:,;&|~+\-*=<]"
+_WORD_RE = re.compile(_WORD)
+# a token with the whitespace before it; its group is any other character
+_TOKEN_RE = re.compile(rf"\s*(?:{_WORD}|(\S))")
 
 _KEYWORDS = {
     "forall", "exists", "meet", "join", "cap", "cup", "compl",
@@ -47,9 +45,9 @@ def _tokenize(text: str) -> list[str]:
     if sum(map(len, words)) != len("".join(text.split())):
         # findall skipped a character that no token takes
         for m in _TOKEN_RE.finditer(text):
-            if m.lastgroup == "bad":
+            if m[1]:
                 raise FormulaSyntaxError(
-                    f"unexpected character {m['bad']!r}", position=m.start("bad")
+                    f"unexpected character {m[1]!r}", position=m.start(1)
                 )
     words.append("")
     return words
@@ -87,9 +85,8 @@ class _Parser:
         self.i = 0
         self.context = dict(context or {})
         self.bound: list[tuple[str, str]] = []
-        # (message, operand) for each operand of the wrong sort, in the
-        # order free_vars meets them
-        self.faults: list[tuple[str, S.Term]] = []
+        # whether some operand has the wrong sort
+        self.ill_sorted = False
 
     def next(self) -> str:
         word = self.tokens[self.i]
@@ -127,21 +124,16 @@ class _Parser:
                 return sort
         return self.context.get(name)
 
-    def check(self, cls, t: S.Term, at: int | None = None) -> S.Term:
-        """t, an operand of a cls node; if its sort is not the one cls
-        takes, its fault is noted at index at of faults, by default at
-        the end. Faults are raised once the whole text has parsed, so
-        that a syntax error anywhere comes first."""
-        need, message = S._OPERANDS[cls]
-        if S.SORT[type(t)] != need:
-            self.faults.insert(len(self.faults) if at is None else at, (message, t))
+    def check(self, cls, t: S.Term) -> S.Term:
+        """t, an operand of a cls node; notes if its sort is not the one
+        cls takes."""
+        if S.SORT[type(t)] != S._OPERANDS[cls][0]:
+            self.ill_sorted = True
         return t
 
-    def raise_fault(self, first: int = 0):
-        """Raise the SortError of faults[first], if there is one."""
-        if len(self.faults) > first:
-            message, t = self.faults[first]
-            raise SortError(f"{message}: {S.print_term(t)}")
+    def node(self, cls, left: S.Term, right: S.Term):
+        """cls(left, right), its operands checked."""
+        return cls(self.check(cls, left), self.check(cls, right))
 
     # --- the precedence-climbing loop ---
 
@@ -156,28 +148,24 @@ class _Parser:
             raise self.found("expected a relation")
         return node
 
-    def mark(self) -> tuple[int, int]:
-        """The cursor and the number of faults noted so far."""
-        return self.i, len(self.faults)
-
     def expr(self, prec: int) -> S.Formula | S.Term:
         """The longest formula or term at the cursor whose operators
         bind at precedence prec or tighter; a term if prec is above the
         relations."""
-        mark = self.mark()
-        return self.infix(self.prefix(prec), prec, mark)
+        start = self.i
+        return self.infix(self.prefix(prec), prec, start)
 
-    def infix(self, left, prec: int, mark) -> S.Formula | S.Term:
-        """left, which starts at mark, continued by the binary operators
-        at the cursor that bind at precedence prec or tighter. A term
-        ends where no term operator continues it; below the relations, a
-        relation may then follow. A run of -> is read in one loop and
-        grouped to the right."""
+    def infix(self, left, prec: int, start: int) -> S.Formula | S.Term:
+        """left, which starts at token start, continued by the binary
+        operators at the cursor that bind at precedence prec or tighter.
+        A term ends where no term operator continues it; below the
+        relations, a relation may then follow. A run of -> is read in one
+        loop and grouped to the right."""
         while True:
             word = self.tokens[self.i]
             if type(left) in S.SORT:
                 if word in _RELATION_WORDS and prec <= S.RELATION_PREC:
-                    left = self.relation(left, mark)
+                    left = self.relation(left, start)
                     continue
                 op = _TERM_OPS.get(word)
             else:
@@ -194,12 +182,10 @@ class _Parser:
                 while parts:
                     left = S.Implies(parts.pop(), left)
             elif cls in S.SORT:
-                # the left operand is checked before anything in the right
-                self.check(cls, left)
                 right = self.expr(p + 1)
                 if word == "-":
                     right = S.Neg(self.check(S.Neg, right))
-                left = cls(left, self.check(cls, right))
+                left = self.node(cls, left, right)
             else:
                 left = cls(left, self.formula(p + 1))
 
@@ -214,25 +200,25 @@ class _Parser:
         if word not in _PREFIX_WORDS and not word.isdecimal():
             return self.primary(prec)  # no prefix operator
         # (node class, its fields before the operand, the operand's
-        # precedence, the operand's mark)
+        # precedence, the operand's first token)
         pending = []
         while True:
             word = self.tokens[self.i]
             if word == "-":
                 self.i += 1
                 prec = S.UNARY_PREC
-                pending.append((S.Neg, (), prec, self.mark()))
+                pending.append((S.Neg, (), prec, self.i))
             elif word.isdecimal() and (word != "0" or self.tokens[self.i + 1] == "*"):
                 self.i += 1
                 self.expect("*")
                 prec = S.UNARY_PREC
-                pending.append((S.IntScale, (int(word),), prec, self.mark()))
+                pending.append((S.IntScale, (int(word),), prec, self.i))
             elif prec >= _TERM_PREC:
                 break
             elif word == "~":
                 self.i += 1
                 prec = S.NOT_PREC
-                pending.append((S.Not, (), prec, self.mark()))
+                pending.append((S.Not, (), prec, self.i))
             elif word == "forall" or word == "exists":
                 self.i += 1
                 cls = S.Forall if word == "forall" else S.Exists
@@ -245,13 +231,13 @@ class _Parser:
                 prec = 0
                 for name in names:
                     self.bound.append((name, sort))
-                    pending.append((cls, (name, sort), prec, self.mark()))
+                    pending.append((cls, (name, sort), prec, self.i))
             else:
                 break
         left = self.primary(prec)
         while pending:
-            cls, fields, p, mark = pending.pop()
-            left = self.infix(left, p, mark)
+            cls, fields, p, start = pending.pop()
+            left = self.infix(left, p, start)
             if cls in S.SORT:
                 self.check(cls, left)
             else:
@@ -303,12 +289,10 @@ class _Parser:
             raise self.error(f"expected sort G or L, found {word!r}", self.i - 1)
         return word
 
-    def relation(self, left: S.Term, mark) -> S.Formula:
-        """left, the term that starts at mark, related to the term after
-        the relation word at the cursor."""
-        start, before = mark
+    def relation(self, left: S.Term, start: int) -> S.Formula:
+        """left, the term that starts at token start, related to the term
+        after the relation word at the cursor."""
         op = self.next()
-        middle = len(self.faults)  # where the faults of right begin
         right = self.expr(_TERM_PREC)
         lsort = self.term_sort_of(left)
         rsort = self.term_sort_of(right)
@@ -317,27 +301,23 @@ class _Parser:
             need = S.G if op == "<=" else S.L
             if (sort or need) != need:
                 # a fault inside a side is named before the relation's
-                self.raise_fault(before)
+                scope = {**self.context, **dict(self.bound)}
+                S.free_vars(left, scope)
+                S.free_vars(right, scope)
                 near = _positions(self.text)[start]
                 raise SortError(f"{op} relates {need}-sorted terms near position {near}")
             cls = S.GLeq if need == S.G else S.LBelow
-            return self.atom(cls, left, right, middle)
+            return self.node(cls, left, right)
         if sort is None:
             raise SortError(
                 f"cannot infer the sort of '{S.print_term(left)} {op} "
                 f"{S.print_term(right)}'; declare the variables"
             )
         if op == "=":
-            return self.atom(S.GEq if sort == S.G else S.LEq, left, right, middle)
+            return self.node(S.GEq if sort == S.G else S.LEq, left, right)
         # strict < is sugar for (<= or <<) plus disequality
         leq, eq = (S.GLeq, S.GEq) if sort == S.G else (S.LBelow, S.LEq)
-        return S.And(self.atom(leq, left, right, middle), S.Not(eq(left, right)))
-
-    def atom(self, cls, left: S.Term, right: S.Term, middle: int) -> S.Formula:
-        """cls(left, right), its operands checked; a fault of left goes
-        before those of right, which begin at index middle of faults."""
-        self.check(cls, left, middle)
-        return cls(left, self.check(cls, right))
+        return S.And(self.node(leq, left, right), S.Not(eq(left, right)))
 
     def term_sort_of(self, t: S.Term):
         """The sort of t's class; for a G-variable, its sort from the
@@ -355,5 +335,6 @@ def parse(text: str, context: dict[str, str] | None = None) -> S.Formula:
     phi = parser.formula()
     if not parser.at(""):
         raise parser.error(f"trailing input at {parser.tokens[parser.i]!r}", parser.i)
-    parser.raise_fault()
+    if parser.ill_sorted:
+        S.free_vars(phi, context)  # raises the first fault
     return phi

@@ -20,11 +20,12 @@ again. _extract_terms converts each extracted atom once with
 lin_to_gterm, so chi and the terms hold no LinForm.
 
 Neither mode eliminates a lattice quantifier. tplus mode refuses one
-that a group variable crosses; ec mode keeps it in chi, and ba_decide
-removes all of them in its one QE pass. That is sound because in an
-existentially closed model P is onto an atomless Boolean algebra and
-each Val term is an opaque base, so lattice QE commutes with renaming
-Val terms to fresh lattice variables.
+that a group variable crosses (the naming walk of the variable's
+elimination raises at the first it enters); ec mode keeps it in chi,
+and ba_decide removes all of them in its one QE pass. That is sound
+because in an existentially closed model P is onto an atomless Boolean
+algebra and each Val term is an opaque base, so lattice QE commutes
+with renaming Val terms to fresh lattice variables.
 
 The reducer normalizes its input in one walk (rewrites.normalize). From
 there on every formula it holds or returns is simplify output: it folds
@@ -48,11 +49,10 @@ costs no Python frames.
 
 The walks skip what cannot change. The elimination walk and the final
 one_point leave a subformula with no binder (syntax's has_binder) as
-it is; the naming walk of an elimination, and the tplus check for a
-crossing lattice quantifier, leave one with neither the eliminated
-variable free nor a binder. A binder stops the skip even without the
-variable: the one-point rule may fire there, and the Val atoms it
-moves change the order of first occurrence by which later
+it is; the naming walk of an elimination leaves one with neither the
+eliminated variable free nor a binder. A binder stops the skip even
+without the variable: the one-point rule may fire there, and the Val
+atoms it moves change the order of first occurrence by which later
 eliminations name theirs. In 'forall l:L. forall c:G. forall a:G.
 exists x:G. (P(x) << l | exists m:L. (m << P(a + c) & m = P(a)))' the
 x elimination pins m to P(a) in a subformula without x, so the a
@@ -171,7 +171,7 @@ def eliminate_group_var(bounds) -> S.Formula:
     return out
 
 
-def _name_val_atoms(f: S.Formula, fresh, var: str | None = None):
+def _name_val_atoms(f: S.Formula, fresh, var: str | None = None, tplus=False):
     """f with each Val atom that has var free, or every Val atom if var
     is None, replaced by a lattice variable named by fresh, one per
     distinct atom in order of first occurrence; the list of (the atom's
@@ -185,8 +185,11 @@ def _name_val_atoms(f: S.Formula, fresh, var: str | None = None):
     holds no Val atom to name and no binder to apply the rule at (a
     binder without var is walked: the module docstring says why). The
     renaming is injective, so simplify output stays simplify output: a
-    rebuilt node is folded only where the rule fired below it. The walk
-    runs on syntax.transform."""
+    rebuilt node is folded only where the rule fired below it. With
+    tplus set too, the walk makes tplus mode's check: it raises
+    UnsupportedFragment at the first quantifier it enters, in pre-order,
+    that has var free (all of an elimination's binders are lattice
+    ones). The walk runs on syntax.transform."""
     seen = {}  # an atom's lin.coeffs -> its variable
     pin = var is not None
     bit = S.name_bit(var) if pin else 0
@@ -204,6 +207,11 @@ def _name_val_atoms(f: S.Formula, fresh, var: str | None = None):
                 out = seen[coeffs] = S.LVar(next(fresh))
             return out
         if cls in FOLDED:
+            if tplus and n.free & bit and (cls is S.Exists or cls is S.Forall):
+                raise UnsupportedFragment(
+                    f"group variable {var} crosses the lattice quantifier "
+                    f"over {n.var} in: {S.print_formula(n)}"
+                )
             marks.append(fired)
             return None
         if cls is S.GLeq or cls is S.GEq:
@@ -237,25 +245,6 @@ def _wrap_exists(names: list, body: S.Formula) -> S.Formula:
     return body
 
 
-def _reject_crossing(var: str, f: S.Formula) -> None:
-    """tplus mode: raise UnsupportedFragment at the first lattice
-    quantifier in f, in pre-order, that has var free. The walk skips
-    each subformula that lacks var or a binder, which holds no such
-    quantifier. ec mode keeps it in chi for ba_decide's one QE pass:
-    lattice QE commutes with renaming the opaque Val bases below it."""
-    bit = S.name_bit(var)
-    stack = [f]
-    while stack:
-        n = stack.pop()
-        if n.free & bit and n.has_binder:
-            if type(n) is S.Exists or type(n) is S.Forall:
-                raise UnsupportedFragment(
-                    f"group variable {var} crosses the lattice quantifier "
-                    f"over {n.var} in: {S.print_formula(n)}"
-                )
-            stack.extend(reversed(S.children(n)))
-
-
 def _eliminate_exists(var: str, body: S.Formula, fresh, mode: str) -> S.Formula:
     """Eliminate 'exists var:G.' from a body with no group quantifiers,
     naming the atoms with fresh."""
@@ -272,10 +261,8 @@ def _eliminate_exists(var: str, body: S.Formula, fresh, mode: str) -> S.Formula:
         else:
             break
     # after normalization, var occurs in Val atoms only
-    named_body, named, fired = _name_val_atoms(body, fresh, var)
+    named_body, named, fired = _name_val_atoms(body, fresh, var, mode == "tplus")
     if named:
-        if mode == "tplus":
-            _reject_crossing(var, body)
         bounds = []
         for coeffs, y in named:
             # the atom is P(c*var + rest), kept as a LinForm since normalize

@@ -50,8 +50,7 @@ def _existential_g_prefix(phi: S.Formula):
     while isinstance(phi, S.Exists) and phi.sort == S.G:
         names.append(phi.var)
         phi = phi.body
-    quantified = any(isinstance(n, (S.Exists, S.Forall)) for n in S.nodes(phi))
-    return names, None if quantified else phi
+    return names, None if phi.has_binder else phi
 
 
 def is_purely_existential_g(phi: S.Formula) -> bool:

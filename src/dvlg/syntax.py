@@ -14,11 +14,13 @@ at one variable's occurrences leaves a subformula that has neither as
 it is, unwalked. free_vars is the reference scoped walk: it collects
 the free variables with their sorts and checks every sort on the way,
 for callers that need the sorts (the parser checks each operand's sort
-as it builds the node instead).
+as it builds the node, and runs free_vars only to name the first fault
+of an ill-sorted input).
 
 eval_term and holds are the one Tarskian evaluator of terms and
-quantifier-free formulas. A model gives them zero(), bot, top, val(a)
-(the valuation P), scale(k, a), leq(a, b) (the group order),
+quantifier-free formulas; eval_term keeps its own stack, and holds
+recurses only over connectives. A model gives them zero(), bot, top,
+val(a) (the valuation P), scale(k, a), leq(a, b) (the group order),
 group_op(kind, a, b=None) for add, neg (b absent), meet and join, and
 set_op(kind, c, d=None) for meet, join, complement (d absent) and below
 (the lattice order, a bool). Elements of both sorts compare with ==.
@@ -531,14 +533,30 @@ _SET_OPS = {LMeet: "meet", LJoin: "join", Compl: "complement"}
 
 def eval_term(model, genv: dict, lenv: dict, t: Term):
     """The value of t in model; genv and lenv assign the group and the
-    lattice variables."""
+    lattice variables. The walk keeps its own stack: a node waits below
+    its children as (node, where their values start on values), and is
+    computed after them, left to right, as a recursion would."""
+    values = []
+    stack = [t]
+    while stack:
+        n = stack.pop()
+        if type(n) is tuple:
+            n, base = n
+            values[base:] = [_term_value(model, genv, lenv, n, values[base:])]
+        else:
+            stack.append((n, len(values)))
+            stack += reversed(children(n))
+    return values[0]
+
+
+def _term_value(model, genv: dict, lenv: dict, t: Term, args: list):
+    """The value of t in model, given its children's values, args."""
     cls = type(t)
     if cls is GVar or cls is LVar:
         env = genv if cls is GVar else lenv
         if t.name not in env:
             raise UnboundVariable(f"variable {t.name} not assigned")
         return env[t.name]
-    args = [eval_term(model, genv, lenv, c) for c in children(t)]
     if cls in _GROUP_OPS:
         return model.group_op(_GROUP_OPS[cls], *args)
     if cls in _SET_OPS:

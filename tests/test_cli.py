@@ -10,6 +10,8 @@ import pytest
 
 import dvlg
 from dvlg.cli import main
+from dvlg.parser import parse
+from test_oracle import count_atoms
 
 
 def run(capsys, *argv):
@@ -247,6 +249,18 @@ class TestJsonReports:
         assert set(doc) == {"command", "input", "verdict", "stats", "trace"}
         assert doc["command"] == "decide" and doc["verdict"] is True
         assert set(doc["stats"]) == {"elapsed_ms", "eliminations", "atoms"}
+
+    @pytest.mark.parametrize("argv", [
+        ("decide", "forall v:G. exists b:G. b + b = v & (b < v | ~(v <= 0))"),
+        ("reduce", "forall l:L. exists x:G. l << P(x - a) & (a < x -> l = top)"),
+        ("eval", "-n", "2", "forall a:G. exists l:L. a < 0 -> l << P(a) & ~(l = top)"),
+    ])
+    def test_atoms_equal_node_count(self, capsys, argv):
+        # stats.atoms counts the parsed formula's atoms; `<` makes two
+        code, out, _ = run(capsys, *argv[:-1], "--json", argv[-1])
+        assert code in (0, 1)
+        atoms = json.loads(out)["stats"]["atoms"]
+        assert atoms == count_atoms(parse(argv[-1]))
 
     def test_reduce_payload(self, capsys):
         code, out, _ = run(capsys, "reduce", "--json", "0 <= v")

@@ -15,8 +15,8 @@ from dvlg.corpus import (
 from dvlg.errors import ResourceLimit, UnboundVariable
 from dvlg.linear import ALL_SIGNS, POS, Lin, LinConstraint, fm_eliminate
 from dvlg.oracle import (
-    DEFAULT_LIMITS, Assignment, _conj_dnf, _excluded, b_and, count_atoms,
-    decide_finite, decide_prepared, eval_qf, prepare, prune_dnf, to_dnf,
+    DEFAULT_LIMITS, Assignment, _conj_dnf, _excluded, b_and, decide_finite,
+    decide_prepared, eval_qf, prepare, prune_dnf, to_dnf,
 )
 from dvlg.parser import parse
 from dvlg.standard import FinStdStructure, GroupVector, SubsetL
@@ -24,6 +24,12 @@ from test_boolalg import _chain, _cyclic, _patching
 from test_fm import dnf_satisfiable_grid
 
 CTX = {"f": S.G, "g": S.G, "c": S.L}
+
+
+def count_atoms(phi: S.Formula) -> int:
+    """The atoms of phi, by a scan of every node: the reference count
+    for oracle.counts."""
+    return sum(isinstance(n, S.ATOMS) for n in S.nodes(phi))
 
 
 def gv(*vals):

@@ -614,17 +614,20 @@ class TestCrossingLatticeQuantifier:
 
     def test_tplus_names_the_first_crossing_binder_in_pre_order(self):
         # a binder without x comes first, then two that x crosses; the
-        # message names the outer of those, as a pre-order walk meets it
-        text = (
-            "exists x:G. (exists z:L. z << l) & "
-            "(forall y:L. y << P(x) | exists w:L. w << P(x - a))"
-        )
-        with pytest.raises(UnsupportedFragment) as err:
-            reduce(parse(text, CTX), mode="tplus")
-        assert str(err.value) == (
-            "group variable _q0 crosses the lattice quantifier over _q2 in: "
-            "forall _q2:L. _q2 << P(_q0) | (exists _q3:L. _q3 << P(_q0 + -a))"
-        )
+        # message names the outer of those, as a pre-order walk meets it.
+        # In the second input the one-point rule fires in the first
+        # conjunct, before the walk meets a crossing binder.
+        for first in ("exists z:L. z << l", "exists z:L. z = m & z << l"):
+            text = (
+                f"exists x:G. ({first}) & "
+                "(forall y:L. y << P(x) | exists w:L. w << P(x - a))"
+            )
+            with pytest.raises(UnsupportedFragment) as err:
+                reduce(parse(text, CTX), mode="tplus")
+            assert str(err.value) == (
+                "group variable _q0 crosses the lattice quantifier over _q2 in: "
+                "forall _q2:L. _q2 << P(_q0) | (exists _q3:L. _q3 << P(_q0 + -a))"
+            ), first
 
 
 class TestEliminationCount:

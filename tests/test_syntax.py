@@ -110,10 +110,16 @@ class TestSorts:
         ("l <= P(m)", "P takes a G-sorted argument: m"),
         ("l <= m", "<= relates G-sorted terms near position 0"),
         ("(l + a = 0) & (l <= m)", "<= relates G-sorted terms near position 15"),
+        # a side is checked in the scope of the binders around it, where
+        # x is G-sorted though the context declares it L
+        (("exists x:G. x + l << m", {"x": S.L, "l": S.L, "m": S.L}),
+         "G-operator over L-sorted operand: l"),
     ])
     def test_sort_error_names_first_offender(self, text, message):
+        # a text, or a (text, context) pair; the context is CTX by default
+        text, context = text if isinstance(text, tuple) else (text, CTX)
         with pytest.raises(SortError) as ei:
-            parse(text, CTX)
+            parse(text, context)
         assert str(ei.value) == message
 
     def test_syntax_error_after_a_sort_fault_wins(self):

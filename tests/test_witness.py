@@ -1,5 +1,8 @@
 """Witness search in the periodic model: candidates and budget."""
 
+import json
+import sys
+
 import pytest
 
 from dvlg import selfcheck
@@ -49,6 +52,16 @@ def test_cli_no_witness_exits_resource_limit(capsys):
     captured = capsys.readouterr()
     assert code == 4 and captured.out == ""
     assert "candidate cap" in captured.err
+
+
+def test_cli_witness_under_a_run_of_unary_minus(capsys):
+    # eval_term keeps its own stack, so 1,000 nested Neg nodes cost no
+    # Python frames
+    assert sys.getrecursionlimit() == 1000
+    code = main(["model", "--op", "witness", "exists a:G. " + "-" * 1000 + "a = a"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert json.loads(captured.out) == {"a": {"k": 0, "vals": ["-2"]}}
 
 
 def test_cli_empty_prefix_prints_empty_witness(capsys):
