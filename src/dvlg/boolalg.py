@@ -33,14 +33,14 @@ interval_check is an independent bounded checker in a concrete atomless
 algebra, the periodic subsets of the naturals that are the lattice sort
 of periodic.PERIODIC, where syntax.holds evaluates its atoms; ba_decide
 does not use holds. It raises ResourceLimit after
-INTERVAL_MAX_CANDIDATES witness candidates.
+INTERVAL_MAX_CANDIDATES witness candidates. It imports periodic when
+it runs, so that ba_decide's callers do not load the periodic model.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from . import periodic as P
 from . import syntax as S
 from .errors import (
     DepthExceeded,
@@ -461,6 +461,8 @@ def _interval_candidates(env) -> list[P.PeriodicSet]:
     nonempty part (split_nonempty), or the whole region; this exhausts
     the realizable emptiness patterns in an atomless algebra.
     """
+    from . import periodic as P
+
     vals = list(env.values())
     choices = []
     for signs in product((True, False), repeat=len(vals)):
@@ -499,6 +501,8 @@ def _reject_group_sort(f: S.Formula) -> None:
 def interval_check(sigma: S.Formula, depth: int) -> bool:
     """Bounded truth in the lattice sort of the periodic model, an
     atomless Boolean algebra; complete up to the depth."""
+    from . import periodic as P
+
     if depth > 4:
         raise DepthExceeded("interval_check supports quantifier depth <= 4")
     free = S.free_vars(sigma)

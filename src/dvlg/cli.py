@@ -35,9 +35,7 @@ import json
 import os
 import sys
 import time
-import traceback
 
-from . import periodic as P
 from .boolalg import ba_decide
 from .errors import (
     BadArgument,
@@ -54,12 +52,9 @@ from .errors import (
     UnboundVariable,
     UnsupportedFragment,
 )
-from .oracle import DEFAULT_LIMITS, Assignment, counts, decide_finite
 from .parser import parse
 from .reduction import reduce
-from .selfcheck import periodic_witness_search, run_all
-from .standard import FinStdStructure, GroupVector, SubsetL
-from .syntax import G, L, free_names, print_formula
+from .syntax import G, L, counts, free_names, print_formula
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -124,6 +119,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_limits(text: str) -> dict:
+    from .oracle import DEFAULT_LIMITS
+
     out = {}
     for part in text.split(","):
         part = part.strip()
@@ -158,6 +155,9 @@ def _load_env(text: str, n: int) -> Assignment:
     """The --env assignment over the structure of size n: a vector of n
     rationals per group variable, a list of indices in 0..n-1 per
     lattice variable."""
+    from .oracle import Assignment
+    from .standard import GroupVector, SubsetL
+
     data = json.loads(text)
     try:
         env = Assignment(
@@ -249,6 +249,9 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from .oracle import decide_finite
+    from .standard import FinStdStructure
+
     source = _read_formula(args)
     if args.n < 1:
         raise BadArgument(f"-n: the ground set needs at least 1 point, not {args.n}")
@@ -267,22 +270,25 @@ def _cmd_eval(args) -> int:
     )
 
 
-# op -> (number of operands, the op on the decoded operands)
+# op -> (number of operands, the op on the periodic module and the
+# decoded operands)
 _MODEL_OPS = {
-    "add": (2, lambda f, g: P.periodic_op("add", f, g).to_json()),
-    "meet": (2, lambda f, g: P.periodic_op("meet", f, g).to_json()),
-    "join": (2, lambda f, g: P.periodic_op("join", f, g).to_json()),
-    "neg": (1, lambda f: P.periodic_op("neg", f).to_json()),
-    "valuation": (1, lambda f: P.periodic_valuation(f).to_json()),
-    "split": (1, lambda c: P.split_nonempty(c).to_json()),
-    "archimedean": (2, lambda f, g: P.archimedean_bound(f, g)),
-    "shift": (1, lambda f: P.shift(f).to_json()),
+    "add": (2, lambda P, f, g: P.periodic_op("add", f, g).to_json()),
+    "meet": (2, lambda P, f, g: P.periodic_op("meet", f, g).to_json()),
+    "join": (2, lambda P, f, g: P.periodic_op("join", f, g).to_json()),
+    "neg": (1, lambda P, f: P.periodic_op("neg", f).to_json()),
+    "valuation": (1, lambda P, f: P.periodic_valuation(f).to_json()),
+    "split": (1, lambda P, c: P.split_nonempty(c).to_json()),
+    "archimedean": (2, lambda P, f, g: P.archimedean_bound(f, g)),
+    "shift": (1, lambda P, f: P.shift(f).to_json()),
 }
 
 
 def _model_operands(op: str, operands) -> list:
     """The --args operands of a model op: one periodic set for split,
     periodic functions otherwise."""
+    from . import periodic as P
+
     arity = _MODEL_OPS[op][0]
     decode = P.PeriodicSet.from_json if op == "split" else P.PeriodicFn.from_json
     try:
@@ -305,6 +311,8 @@ def _cmd_model(args) -> int:
             raise BadArgument(
                 f"--max-period: the exponent is at least 0, not {args.max_period}"
             )
+        from .selfcheck import periodic_witness_search
+
         source = _read_formula(args)
         phi = parse(source)
         witness = periodic_witness_search(phi, args.max_period)
@@ -313,12 +321,14 @@ def _cmd_model(args) -> int:
         exit_code = EXIT_TRUE if found else EXIT_FALSE
         atoms = counts(phi)[1]
     else:
+        from . import periodic as P
+
         source = json.dumps(operands)
         atoms = 0
         exit_code = EXIT_TRUE
         operands = _model_operands(op, operands)
         try:
-            verdict = _MODEL_OPS[op][1](*operands)
+            verdict = _MODEL_OPS[op][1](P, *operands)
         except (BadLength, EmptyInput, PreconditionViolated) as e:
             # split needs a nonempty set below the largest period,
             # archimedean positive operands
@@ -328,6 +338,8 @@ def _cmd_model(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .selfcheck import run_all
+
     seed = args.seed
     start = time.time()
     lines = []
@@ -355,6 +367,8 @@ def _cmd_selftest(args) -> int:
 def _phase(e: BaseException) -> str:
     """The function that the verb called and e was raised in: the first
     frame of e's traceback outside this module."""
+    import traceback
+
     for frame, _ in traceback.walk_tb(e.__traceback__):
         if frame.f_globals.get("__name__") != __name__:
             return frame.f_code.co_name

@@ -37,7 +37,6 @@ and the tests check decide_finite against it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import syntax as S
@@ -67,12 +66,18 @@ DEFAULT_LIMITS = {
 }
 
 
-@dataclass(frozen=True)
+@S.frozen_node
 class Assignment:
     """Concrete values for free variables of both sorts."""
 
-    group_env: dict[str, GroupVector] = field(default_factory=dict)
-    lattice_env: dict[str, SubsetL] = field(default_factory=dict)
+    group_env: dict[str, GroupVector] = None
+    lattice_env: dict[str, SubsetL] = None
+
+    def __post_init__(self):
+        # an absent sort gets an empty dict of this assignment's own
+        for name in ("group_env", "lattice_env"):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, {})
 
     def check_sizes(self, n: int):
         for name, v in self.group_env.items():
@@ -514,7 +519,7 @@ def _points(f, names: dict, out: set) -> set:
     return out
 
 
-@dataclass(frozen=True)
+@S.frozen_node
 class Prepared:
     """A formula normalized for decide_prepared, with its size counts and
     the free variables of the formula given to prepare, as sorted
@@ -531,24 +536,7 @@ def prepare(phi: S.Formula) -> Prepared:
     work decide_finite does on its formula before any structure."""
     free = S.free_vars(phi)
     phi = one_point(rename_bound(phi, prefix="_d", taken=free))
-    return Prepared(phi, *counts(phi), tuple(sorted(free.items())))
-
-
-def counts(phi: S.Formula) -> tuple[int, int]:
-    """The quantifiers and the atoms of phi, counted in one walk that
-    enters no term: an atom's children are all terms."""
-    quantifiers = atoms = 0
-    stack = [phi]
-    while stack:
-        f = stack.pop()
-        cls = type(f)
-        if cls in S.ATOMS:
-            atoms += 1
-            continue
-        if cls is S.Exists or cls is S.Forall:
-            quantifiers += 1
-        stack += S.CHILDREN[cls](f)
-    return quantifiers, atoms
+    return Prepared(phi, *S.counts(phi), tuple(sorted(free.items())))
 
 
 def decide_finite(

@@ -11,11 +11,11 @@ evaluates its sentences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadLength, EmptyInput, NegativeInput, PreconditionViolated
 from .rationals import format_rat, json_int, rat
+from .syntax import frozen_node
 
 # The largest period exponent of a periodic operand: a period of 2^20
 # points. Every exponent is checked against it before the first shift by
@@ -34,7 +34,7 @@ def _is_doubled(vals) -> bool:
     return vals[:half] == vals[half:]
 
 
-@dataclass(frozen=True)
+@frozen_node
 class PeriodicFn:
     """A 2^k-periodic sequence in minimal-period form."""
 
@@ -72,7 +72,7 @@ class PeriodicFn:
         return normalize(json_int(data["k"], "k"), [rat(v) for v in vals])
 
 
-@dataclass(frozen=True)
+@frozen_node
 class PeriodicSet:
     """A 2^k-periodic subset of the naturals in minimal-period form."""
 

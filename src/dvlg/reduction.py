@@ -61,7 +61,6 @@ elimination meets P(a) before P(a + c).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from . import syntax as S
@@ -92,7 +91,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@S.frozen_node
 class ReductionOutput:
     chi: S.Formula
     terms: tuple  # G-sorted Terms

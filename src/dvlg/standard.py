@@ -8,7 +8,6 @@ a vector to the set of indices where it is non-negative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -18,9 +17,10 @@ from .errors import (
     WidthMismatch,
 )
 from .rationals import format_rat, json_int, rat
+from .syntax import frozen_node
 
 
-@dataclass(frozen=True)
+@frozen_node
 class GroupVector:
     """A rational vector; one coordinate per ground point."""
 
@@ -50,7 +50,7 @@ class GroupVector:
         return cls(tuple(rat(v) for v in data))
 
 
-@dataclass(frozen=True)
+@frozen_node
 class SubsetL:
     """Lattice element: a subset of {0, ..., width-1} as a bitset."""
 
@@ -142,7 +142,7 @@ def subset_op(kind: str, c: SubsetL, d: SubsetL | None = None):
     raise ValueError(f"unknown subset op {kind!r}")
 
 
-@dataclass(frozen=True)
+@frozen_node
 class FinStdStructure:
     """The standard structure over a ground set of a given finite size,
     and a model for syntax.holds."""

@@ -27,11 +27,17 @@ set_op(kind, c, d=None) for meet, join, complement (d absent) and below
 The models are standard.FinStdStructure (the stages Stan(Q^n)) and
 periodic.PERIODIC; boolalg.interval_check reads the lattice sort of
 the latter alone.
+
+frozen_node makes every immutable class of the package: the node
+classes here, linear.Lin, and the value classes of standard, periodic,
+oracle and reduction. It generates each class's __init__, equality,
+hash and repr from the fields its annotations name (FIELDS). It uses
+no dataclasses machinery, whose import and class building took over a
+third of the package's import time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from operator import attrgetter, is_
 from typing import TYPE_CHECKING
 
@@ -71,30 +77,41 @@ def _bit(name: str) -> int:
     return bit
 
 
-def _free_source(cls) -> str:
+class FrozenInstanceError(AttributeError):
+    """An assignment to, or a deletion of, an attribute of an instance of
+    a class that frozen_node made."""
+
+
+# class made by frozen_node -> its fields in order: name -> annotation text
+FIELDS: dict[type, dict[str, str]] = {}
+# the annotations of the fields that hold a node: a node's children
+_NODE_KINDS = ("Term", "Formula")
+
+
+def _free_source(names: list, kinds: list) -> str:
     """The expression that __init__ computes a Term or Formula node's
-    free names with, from the node's fields: a variable's own name, the
-    names in a LinForm's coefficients, a binder's body names less its
-    variable, and otherwise the union of the children's names."""
-    names = [f.name for f in fields(cls)]
+    free names with, from the node's field names and annotations: a
+    variable's own name, the names in a LinForm's coefficients, a
+    binder's body names less its variable, and otherwise the union of
+    the children's names."""
     if names == ["name"]:
         return "_BIT.get(name) or _bit(name)"
     if names == ["lin"]:
         return "_bits(lin.coeffs)"
     if "var" in names:
         return "body.free & ~(_BIT.get(var) or _bit(var))"
-    kids = [f.name for f in fields(cls) if f.type in ("Term", "Formula")]
+    kids = [n for n, k in zip(names, kinds) if k in _NODE_KINDS]
     return " | ".join(f"{k}.free" for k in kids) or "0"
 
 
-def _binder_source(cls) -> str | None:
+def _binder_source(names: list, kinds: list) -> str | None:
     """The expression that __init__ computes a formula node's has_binder
     with: True at a binder, and at a connective whether one of its
     operands holds a binder; None for a node that holds no formula,
     which reads the class's False."""
-    if "var" in [f.name for f in fields(cls)]:
+    if "var" in names:
         return "True"
-    kids = [f.name for f in fields(cls) if f.type == "Formula"]
+    kids = [n for n, k in zip(names, kinds) if k == "Formula"]
     return " or ".join(f"{k}.has_binder" for k in kids) or None
 
 
@@ -105,31 +122,79 @@ def _bits(coeffs) -> int:
     return mask
 
 
-def frozen_node(cls):
-    """cls as a frozen dataclass whose __init__ stores the fields
-    straight into the instance __dict__, which is cheaper than the
-    dataclass's object.__setattr__ per field. A Term or Formula node
-    also stores its free names, as the bit mask free (free_names reads
-    it), computed from its children's when it is built, and a binder or
-    a connective stores has_binder, whether it holds a quantifier; they
-    are not fields. Assigning to a field, to free or to has_binder
-    still raises FrozenInstanceError; fields, equality, hash and repr
-    are the dataclass's."""
-    cls = dataclass(frozen=True, init=False)(cls)
-    names = [f.name for f in fields(cls)]
-    source = f"def __init__(self{''.join(f', {n}' for n in names)}):\n"
-    source += "    d = self.__dict__\n"
-    source += "".join(f"    d[{n!r}] = {n}\n" for n in names)
+def _frozen_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+# generated source -> its compiled code; classes of one shape share it
+_CODE: dict = {}
+
+
+def _methods_source(cls, names: list, kinds: list) -> str:
+    """The source of cls's __init__, __eq__, __hash__ and __repr__. A
+    field with a class-attribute default takes it from _d_<name>."""
+    params = "".join(
+        f", {n}=_d_{n}" if n in cls.__dict__ else f", {n}" for n in names
+    )
+    lines = [f"def __init__(self{params}):", "    d = self.__dict__"]
+    lines += [f"    d[{n!r}] = {n}" for n in names]
     if issubclass(cls, (Term, Formula)):
-        source += f"    d['free'] = {_free_source(cls)}\n"
-        binder = _binder_source(cls)
+        lines.append(f"    d['free'] = {_free_source(names, kinds)}")
+        binder = _binder_source(names, kinds)
         if binder is not None:
-            source += f"    d['has_binder'] = {binder}\n"
+            lines.append(f"    d['has_binder'] = {binder}")
+    if hasattr(cls, "__post_init__"):
+        lines.append("    self.__post_init__()")
+    mine = "".join(f"self.{n}, " for n in names)
+    theirs = "".join(f"other.{n}, " for n in names)
+    shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
+    lines += [
+        "def __eq__(self, other):",
+        "    if self is other:",
+        "        return True",
+        "    if other.__class__ is not self.__class__:",
+        "        return NotImplemented",
+        f"    return ({mine}) == ({theirs})",
+        "def __hash__(self):",
+        f"    return hash(({mine}))",
+        "def __repr__(self):",
+        f"    return f'{{self.__class__.__qualname__}}({shown})'",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def frozen_node(cls):
+    """cls made immutable, with the fields its annotations name, in
+    order (FIELDS records them). The generated __init__ stores each
+    field straight into the instance __dict__; a field whose class
+    attribute is set defaults to it, and __post_init__, where cls
+    defines one, runs last. A Term or Formula node also stores its free
+    names, as the bit mask free (free_names reads it), computed from its
+    children's when it is built, and a binder or a connective stores
+    has_binder, whether it holds a quantifier; they are not fields.
+    Two instances are equal when they are of one class and their field
+    tuples are equal, an instance hashes as the tuple of its fields, and
+    its repr is Name(field=value, ...). Assigning to or deleting any
+    attribute of an instance raises FrozenInstanceError."""
+    fields = FIELDS[cls] = dict(cls.__dict__.get("__annotations__", {}))
+    names, kinds = list(fields), list(fields.values())
+    source = _methods_source(cls, names, kinds)
+    code = _CODE.get(source)
+    if code is None:
+        code = _CODE[source] = compile(source, "<frozen_node>", "exec")
     namespace = {"_BIT": _BIT, "_bit": _bit, "_bits": _bits}
-    exec(source, namespace)
-    init = namespace["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    cls.__init__ = init
+    namespace.update((f"_d_{n}", cls.__dict__[n]) for n in names if n in cls.__dict__)
+    exec(code, namespace)
+    for name in ("__init__", "__eq__", "__hash__", "__repr__"):
+        method = namespace[name]
+        method.__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, method)
+    cls.__setattr__ = _frozen_setattr
+    cls.__delattr__ = _frozen_delattr
     return cls
 
 
@@ -359,21 +424,21 @@ def _child_getter(names: tuple[str, ...]):
 # node class -> (the names of its other fields, such as name, factor, var
 # and sort, which come first in every node class, and the function that
 # gives the tuple of its Term and Formula fields, in field order)
-_FIELDS = {
+_PARTS = {
     cls: (
-        tuple(f.name for f in fields(cls) if f.type not in ("Term", "Formula")),
+        tuple(n for n, kind in FIELDS[cls].items() if kind not in _NODE_KINDS),
         _child_getter(
-            tuple(f.name for f in fields(cls) if f.type in ("Term", "Formula"))
+            tuple(n for n, kind in FIELDS[cls].items() if kind in _NODE_KINDS)
         ),
     )
     for cls in (*Term.__subclasses__(), *Formula.__subclasses__())
 }
 # node class -> the function that gives the tuple of its children
-CHILDREN = {cls: getter for cls, (_, getter) in _FIELDS.items()}
+CHILDREN = {cls: getter for cls, (_, getter) in _PARTS.items()}
 
 
 def children(node: Term | Formula) -> tuple:
-    """The Term and Formula fields of a node, in dataclass field order."""
+    """The Term and Formula fields of a node, in field order."""
     return CHILDREN[type(node)](node)
 
 
@@ -383,7 +448,7 @@ def rebuild(node: Term | Formula, new_children) -> Term | Formula:
     A node whose children come back as they were, the same objects, or
     that has none, comes back as it is."""
     cls = type(node)
-    others, getter = _FIELDS[cls]
+    others, getter = _PARTS[cls]
     if all(map(is_, new_children, getter(node))):
         return node
     if others:
@@ -434,6 +499,23 @@ def transform(node, enter, leave, children=CHILDREN):
                 return out
             n, todo, done = frames.pop()
             done.append(out)
+
+
+def counts(phi: Formula) -> tuple[int, int]:
+    """The quantifiers and the atoms of phi, counted in one walk that
+    enters no term: an atom's children are all terms."""
+    quantifiers = atoms = 0
+    stack = [phi]
+    while stack:
+        f = stack.pop()
+        cls = type(f)
+        if cls in ATOMS:
+            atoms += 1
+            continue
+        if cls is Exists or cls is Forall:
+            quantifiers += 1
+        stack += CHILDREN[cls](f)
+    return quantifiers, atoms
 
 
 def name_bit(name: str) -> int:

@@ -360,3 +360,33 @@ class TestClosedPipe:
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (code, b"")
+
+
+class TestImports:
+    """decide and reduce import only the modules on their own path: not
+    the finite oracle, the standard structures, the periodic model, the
+    self-checks or the corpus generators, nor dataclasses, which the
+    package never uses."""
+
+    OFF_PATH = (
+        "dataclasses", "dvlg.oracle", "dvlg.standard", "dvlg.periodic",
+        "dvlg.selfcheck", "dvlg.corpus",
+    )
+
+    def test_decide_and_reduce_import_only_their_path(self):
+        script = "\n".join([
+            "import sys",
+            "from dvlg import cli",
+            "assert cli.main(['decide', 'forall a:G. exists b:G. b + b = a']) == 0",
+            "assert cli.main(['reduce', 'forall l:L. exists x:G. l << P(x - a)']) == 0",
+            f"print([m for m in {self.OFF_PATH!r} if m in sys.modules])",
+        ])
+        env = {**os.environ, "PYTHONPATH": str(Path(dvlg.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "true"
+        assert lines[-1] == "[]"

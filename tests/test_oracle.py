@@ -28,7 +28,7 @@ CTX = {"f": S.G, "g": S.G, "c": S.L}
 
 def count_atoms(phi: S.Formula) -> int:
     """The atoms of phi, by a scan of every node: the reference count
-    for oracle.counts."""
+    for syntax.counts."""
     return sum(isinstance(n, S.ATOMS) for n in S.nodes(phi))
 
 
